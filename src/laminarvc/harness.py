@@ -8,8 +8,11 @@ import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import product
 from random import Random
 from typing import Optional
+
+import numpy as np
 
 from .errors import DomainError, ResourceCapError
 from .models import (
@@ -20,16 +23,28 @@ from .models import (
     load_model,
     random_ultrametric,
 )
-from .setsystem import ENUM_CAP, GrowthPoint, GrowthSeries, type_space
+from .setsystem import (
+    ENUM_CAP,
+    GrowthPoint,
+    GrowthSeries,
+    class_representatives,
+    type_space,
+)
 
 CSV_HEADER = ("model", "formula", "arity", "m", "trial", "seed", "type_count", "ms")
 
 
 def thread_budget() -> int:
     env = os.environ.get("LAMINAR_VC_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    if not env.strip():
+        return min(4, os.cpu_count() or 1)
+    try:
+        threads = int(env)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise DomainError(f"LAMINAR_VC_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 @dataclass(frozen=True)
@@ -108,6 +123,11 @@ def resolve_model(config: ExperimentConfig) -> CarrierModel:
         model = load_model(config.model_path)
         if not hasattr(model, "size"):
             raise DomainError("growth needs an ultrametric or order model, not a raw family")
+        if isinstance(model, OrderModel) and config.formula_kind != "pair-equality":
+            raise DomainError(
+                f"formula {config.formula_kind} needs an ultrametric model; "
+                "an order model supports only pair-equality"
+            )
         return model
     top = max(config.sizes)
     if config.formula_kind == "pair-equality":
@@ -134,13 +154,32 @@ def _sample_params(rng: Random, space: int, arity: int, m: int, carrier_size: in
     return out
 
 
+def _carrier_quotient(config: ExperimentConfig, model: CarrierModel, formula) -> Optional[np.ndarray]:
+    """One object tuple per class of sign rows over every carrier parameter
+    tuple, or None where that sweep would cost more than the cells it serves
+    or some cell is over the cap anyway."""
+    space = model.size**formula.param_arity
+    if space > sum(config.sizes) * config.trials:
+        return None
+    if model.size**config.arity * max(config.sizes) > config.cap:
+        return None
+    params = list(product(range(model.size), repeat=formula.param_arity))
+    return class_representatives([formula], params, model, config.arity)
+
+
 def run_growth(config: ExperimentConfig) -> GrowthReport:
     """Run every (size, trial) cell, fit one exponent per trial, and compare
     the median against the ceiling.  Rows are sorted before aggregation so the
-    output is independent of scheduling."""
+    output is independent of scheduling.
+
+    When it is cheaper than the cells, one sweep first splits the object
+    tuples into classes over every parameter tuple, and each cell counts over
+    one tuple per class only; the counts are the same."""
+    threads = thread_budget()
     model = resolve_model(config)
     formula = growth_formula(config.formula_kind, config.arity)
     space = model.size**formula.param_arity
+    representatives = _carrier_quotient(config, model, formula)
 
     def cell(args) -> GrowthRow:
         m, t = args
@@ -149,7 +188,10 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
             rng, space, formula.param_arity, m, model.size, config.allow_duplicate_params
         )
         t0 = time.perf_counter()
-        space_result = type_space([formula], params, model, config.arity, cap=config.cap)
+        space_result = type_space(
+            [formula], params, model, config.arity, cap=config.cap,
+            representatives=representatives,
+        )
         ms = int(round((time.perf_counter() - t0) * 1000))
         return GrowthRow(
             model.label, formula.name, config.arity, m, t, config.seed,
@@ -159,7 +201,7 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
     jobs = [(m, t) for m in config.sizes for t in range(config.trials)]
     rows: list[GrowthRow] = []
     complete = True
-    workers = min(thread_budget(), len(jobs))
+    workers = min(threads, len(jobs))
     try:
         if workers <= 1:
             for job in jobs:

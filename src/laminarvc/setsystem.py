@@ -9,8 +9,8 @@ to upper-bound checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import combinations, product
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
@@ -22,7 +22,8 @@ from .errors import DomainError, ResourceCapError
 UNIVERSE_CAP = 4096
 VC_UNIVERSE_CAP = 24
 ENUM_CAP = 1 << 26
-_SWEEP_CHUNK = 1 << 16
+_PROFILE_BYTES = 1 << 23
+_SWEEP_TUPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -157,14 +158,19 @@ def shatter_function(family: SetFamily, k: int, cap: int = ENUM_CAP) -> int:
 
 def max_trace_profile(family: SetFamily, cap: int = VC_UNIVERSE_CAP) -> list[int]:
     """profile[k] = shatter_function(family, k), computed in one vectorized sweep
-    over all 2^n probe masks."""
+    over all 2^n probe masks.
+
+    Equal member sets trace equally, so they are dropped first; probes then go
+    in chunks whose (probe, set) working arrays fit _PROFILE_BYTES."""
     _check_vc_cap(family, cap)
     n = family.universe.size
-    masks = np.array(family.masks, dtype=np.uint32)
+    masks = np.array(sorted(set(family.masks)), dtype=np.uint32)
     profile = np.zeros(n + 1, dtype=np.int64)
     total = 1 << n
-    for lo in range(0, total, _SWEEP_CHUNK):
-        probes = np.arange(lo, min(lo + _SWEEP_CHUNK, total), dtype=np.uint32)
+    # per (probe, set): a uint32 trace, a uint32 difference and a bool
+    chunk = max(1, _PROFILE_BYTES // (9 * max(1, len(masks))))
+    for lo in range(0, total, chunk):
+        probes = np.arange(lo, min(lo + chunk, total), dtype=np.uint32)
         traced = probes[:, None] & masks[None, :]
         traced.sort(axis=1)
         distinct = 1 + np.count_nonzero(np.diff(traced, axis=1), axis=1)
@@ -235,22 +241,25 @@ class SignVector:
         return frozenset(i for i, b in enumerate(self.bits) if b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypeSpace:
     """Deduplicated realized sign vectors of carrier tuples over B x formulas.
 
     `complete` is False when the space was sampled rather than enumerated; the
-    count is then only a lower bound.
+    count is then only a lower bound.  `vectors`, in lexicographic order, are
+    built on first access from `_rows`, which yields one sign row per class.
     """
 
     params: tuple[tuple[int, ...], ...]
     formula_names: tuple[str, ...]
-    vectors: tuple[SignVector, ...]
-    complete: bool = True
+    count: int
+    complete: bool
+    _rows: Callable[[], Sequence[bytes]] = field(repr=False)
 
-    @property
-    def count(self) -> int:
-        return len(self.vectors)
+    @cached_property
+    def vectors(self) -> tuple[SignVector, ...]:
+        n_params, n_formulas = len(self.params), len(self.formula_names)
+        return tuple(SignVector(r, n_params, n_formulas) for r in self._rows())
 
     def vector_set(self) -> frozenset[bytes]:
         return frozenset(v.bits for v in self.vectors)
@@ -260,12 +269,13 @@ def _tuple_count(carrier_size: int, arity: int) -> int:
     return carrier_size**arity
 
 
-def _decode_tuple(index: int, carrier_size: int, arity: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(arity):
-        index, r = divmod(index, carrier_size)
-        out.append(r)
-    return tuple(reversed(out))
+def _decode_tuples(indices: np.ndarray, carrier_size: int, arity: int) -> np.ndarray:
+    """(T, arity) array of the object tuples with the given indices."""
+    objs = np.empty((len(indices), arity), dtype=np.int64)
+    rest = indices
+    for pos in range(arity - 1, -1, -1):
+        rest, objs[:, pos] = np.divmod(rest, carrier_size)
+    return objs
 
 
 def _signs_reference(formulas, params, carrier, tuples) -> set[bytes]:
@@ -281,50 +291,73 @@ def _signs_reference(formulas, params, carrier, tuples) -> set[bytes]:
     return rows
 
 
-def _signs_batched(formulas, params, carrier, n, arity, tuple_indices=None) -> set[bytes]:
-    slots = len(params) * len(formulas)
+def _refine(formulas, params, carrier, objs: np.ndarray) -> np.ndarray:
+    """Positions in `objs` of one tuple per distinct sign row, in lexicographic
+    row order.
+
+    Partition refinement: every tuple carries an integer class label, and each
+    (parameter, formula) slot splits the classes by its bit, label << 1 | bit.
+    Before a label would overflow, np.unique renumbers the labels by rank,
+    which keeps the lexicographic order of the row prefixes seen so far.
+    """
+    labels = np.zeros(len(objs), dtype=np.int64)
+    room = 63  # shifts left before the largest label could overflow
+    for b in params:
+        for f in formulas:
+            if room == 0:
+                uniq, labels = np.unique(labels, return_inverse=True)
+                room = 63 - (len(uniq) - 1).bit_length()
+            labels <<= 1
+            labels |= f.batch(carrier, objs, b)
+            room -= 1
+    return np.unique(labels, return_index=True)[1]
+
+
+def class_representatives(
+    formulas: Sequence[ParametrizedFormula],
+    params: Sequence[tuple[int, ...]],
+    carrier,
+    object_arity: int,
+    tuple_indices: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """Indices of one object tuple per distinct sign row over params x
+    formulas, in lexicographic row order.
+
+    Sweeps every carrier tuple, or only `tuple_indices`; a tuple's index is
+    its base-`carrier.size` numeral.  Every formula needs `batch`.  The sweep
+    runs in chunks of _SWEEP_TUPLES tuples, each refined together with the
+    representatives found so far, so memory stays bounded by the chunk plus
+    the classes.
+    """
+    n = carrier.size
     if tuple_indices is None:
-        total = _tuple_count(n, arity)
-        starts = range(0, total, _SWEEP_CHUNK)
-
-        def chunk_objs(lo):
-            hi = min(lo + _SWEEP_CHUNK, total)
-            idx = np.arange(lo, hi, dtype=np.int64)
-            objs = np.empty((hi - lo, arity), dtype=np.int64)
-            for pos in range(arity - 1, -1, -1):
-                objs[:, pos] = idx % n
-                idx = idx // n
-            return objs
-
+        total = _tuple_count(n, object_arity)
+        chunks = (
+            np.arange(lo, min(lo + _SWEEP_TUPLES, total), dtype=np.int64)
+            for lo in range(0, total, _SWEEP_TUPLES)
+        )
     else:
         indices = np.asarray(tuple_indices, dtype=np.int64)
-        starts = range(0, len(indices), _SWEEP_CHUNK)
+        chunks = (
+            indices[lo : lo + _SWEEP_TUPLES] for lo in range(0, len(indices), _SWEEP_TUPLES)
+        )
+    reps = np.empty(0, dtype=np.int64)
+    for chunk in chunks:
+        candidates = np.concatenate([reps, chunk])
+        objs = _decode_tuples(candidates, n, object_arity)
+        reps = candidates[_refine(formulas, params, carrier, objs)]
+    return reps
 
-        def chunk_objs(lo):
-            idx = indices[lo : lo + _SWEEP_CHUNK].copy()
-            objs = np.empty((len(idx), arity), dtype=np.int64)
-            for pos in range(arity - 1, -1, -1):
-                objs[:, pos] = idx % n
-                idx = idx // n
-            return objs
 
-    packed_rows: set[bytes] = set()
-    for lo in starts:
-        objs = chunk_objs(lo)
-        mat = np.empty((objs.shape[0], slots), dtype=np.uint8)
-        col = 0
-        for b in params:
-            for f in formulas:
-                mat[:, col] = f.batch(carrier, objs, b)
-                col += 1
-        packed = np.packbits(mat, axis=1)
-        width = packed.shape[1]
-        blob = packed.tobytes()
-        packed_rows.update(blob[off : off + width] for off in range(0, len(blob), width))
-    return {
-        np.unpackbits(np.frombuffer(row, dtype=np.uint8), count=slots).tobytes()
-        for row in packed_rows
-    }
+def _sign_rows(formulas, params, carrier, objs: np.ndarray) -> list[bytes]:
+    """One 0/1 byte row per object tuple, param-major."""
+    mat = np.empty((len(objs), len(params) * len(formulas)), dtype=np.uint8)
+    col = 0
+    for b in params:
+        for f in formulas:
+            mat[:, col] = f.batch(carrier, objs, b)
+            col += 1
+    return [row.tobytes() for row in mat]
 
 
 def type_space(
@@ -334,6 +367,7 @@ def type_space(
     object_arity: int,
     cap: int = ENUM_CAP,
     sample: Optional[int] = None,
+    representatives: Optional[np.ndarray] = None,
     seed: int = 0,
 ) -> TypeSpace:
     """Realized type space of carrier `object_arity`-tuples over params x formulas.
@@ -341,6 +375,12 @@ def type_space(
     Raises ResourceCapError when a full enumeration would exceed `cap`
     evaluations; pass `sample` (a tuple budget) to fall back to a seeded
     sample, which yields a lower bound flagged with complete=False.
+
+    `representatives`, indices of object tuples as returned by
+    class_representatives over every carrier parameter tuple, replaces the
+    full sweep.  The result is exact: tuples with equal sign rows over all
+    parameter tuples have equal rows over any subset of them.  The cap still
+    applies to the full enumeration.
     """
     formulas = list(formulas)
     params = [tuple(b) for b in params]
@@ -359,13 +399,12 @@ def type_space(
     slots = len(params) * len(formulas)
     names = tuple(f.name for f in formulas)
     if slots == 0:
-        vec = SignVector(b"", len(params), len(formulas))
-        return TypeSpace(tuple(params), names, (vec,))
+        return TypeSpace(tuple(params), names, 1, True, lambda: [b""])
 
     total = _tuple_count(n, object_arity)
     evals = total * slots
     complete = True
-    tuple_indices = None
+    tuple_indices = representatives
     if evals > cap:
         if sample is None:
             raise ResourceCapError(
@@ -381,18 +420,19 @@ def type_space(
         complete = False
 
     if all(f.batch is not None for f in formulas):
-        rows = _signs_batched(formulas, params, carrier, n, object_arity, tuple_indices)
+        reps = class_representatives(formulas, params, carrier, object_arity, tuple_indices)
+        objs = _decode_tuples(reps, n, object_arity)
+        return TypeSpace(
+            tuple(params), names, len(reps), complete,
+            partial(_sign_rows, formulas, params, carrier, objs),
+        )
+    if tuple_indices is None:
+        tuples = product(range(n), repeat=object_arity)
     else:
-        if tuple_indices is None:
-            tuples = product(range(n), repeat=object_arity)
-        else:
-            tuples = (_decode_tuple(i, n, object_arity) for i in tuple_indices)
-        rows = _signs_reference(formulas, params, carrier, tuples)
-
-    vectors = tuple(
-        SignVector(r, len(params), len(formulas)) for r in sorted(rows)
-    )
-    return TypeSpace(tuple(params), names, vectors, complete)
+        indices = np.asarray(tuple_indices, dtype=np.int64)
+        tuples = map(tuple, _decode_tuples(indices, n, object_arity).tolist())
+    rows = sorted(_signs_reference(formulas, params, carrier, tuples))
+    return TypeSpace(tuple(params), names, len(rows), complete, lambda: rows)
 
 
 # --- growth series and exponent fitting ----------------------------------

@@ -1,0 +1,147 @@
+"""The refinement engine behind type_space, its representatives path and the
+growth harness's carrier quotient, checked against the brute-force
+`_signs_reference` oracle: the same sign rows in the same order."""
+
+from dataclasses import replace
+from itertools import product
+from random import Random
+
+import pytest
+
+from laminarvc import harness, setsystem
+from laminarvc.harness import ExperimentConfig, _sample_params, resolve_model, run_growth
+from laminarvc.models import GROWTH_KINDS, OrderModel, growth_formula, random_ultrametric
+from laminarvc.setsystem import _signs_reference, class_representatives, type_space
+
+
+def oracle_rows(formulas, params, model, arity):
+    tuples = product(range(model.size), repeat=arity)
+    return sorted(_signs_reference(formulas, params, model, tuples))
+
+
+def engine_rows(space):
+    return [v.bits for v in space.vectors]
+
+
+def random_models(seed):
+    rng = Random(seed)
+    models = [
+        random_ultrametric(rng.randint(3, 14), rng.randint(2, 4), rng.randrange(1 << 20))
+        for _ in range(3)
+    ]
+    return models + [OrderModel(rng.randint(3, 14), seed=seed)]
+
+
+def growth_cases(model):
+    """(kind, arity) pairs the model's carrier can evaluate."""
+    for kind in GROWTH_KINDS:
+        for arity in (1, 2):
+            if kind == "pair-equality" and arity == 1:
+                continue
+            if isinstance(model, OrderModel) and kind != "pair-equality":
+                continue
+            yield kind, arity
+
+
+def random_params(rng, model, param_arity, m):
+    return [tuple(rng.randrange(model.size) for _ in range(param_arity)) for _ in range(m)]
+
+
+@pytest.mark.parametrize("sweep_tuples", [setsystem._SWEEP_TUPLES, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_full_sweep_matches_oracle(seed, sweep_tuples, monkeypatch):
+    # a small chunk makes every sweep merge its chunks through the
+    # representatives found so far
+    monkeypatch.setattr(setsystem, "_SWEEP_TUPLES", sweep_tuples)
+    rng = Random(seed)
+    for model in random_models(seed):
+        for kind, arity in growth_cases(model):
+            f = growth_formula(kind, arity)
+            params = random_params(rng, model, f.param_arity, rng.randint(1, 6))
+            got = type_space([f], params, model, arity)
+            assert engine_rows(got) == oracle_rows([f], params, model, arity), (kind, arity)
+            assert got.count == len(got.vectors) and got.complete
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_path_matches_oracle(seed):
+    rng = Random(100 + seed)
+    for model in random_models(100 + seed):
+        for kind, arity in growth_cases(model):
+            f = growth_formula(kind, arity)
+            scalar = replace(f, batch=None)
+            params = random_params(rng, model, f.param_arity, rng.randint(1, 6))
+            budget = rng.randint(1, model.size**arity)
+            got = type_space([f], params, model, arity, cap=1, sample=budget, seed=seed)
+            want = type_space([scalar], params, model, arity, cap=1, sample=budget, seed=seed)
+            assert not got.complete
+            assert engine_rows(got) == engine_rows(want), (kind, arity)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_representatives_path_matches_oracle(seed):
+    rng = Random(200 + seed)
+    for model in random_models(200 + seed):
+        for kind, arity in growth_cases(model):
+            f = growth_formula(kind, arity)
+            every = list(product(range(model.size), repeat=f.param_arity))
+            reps = class_representatives([f], every, model, arity)
+            assert len(reps) == len(oracle_rows([f], every, model, arity))
+            params = random_params(rng, model, f.param_arity, rng.randint(1, 6))
+            got = type_space([f], params, model, arity, representatives=reps)
+            assert engine_rows(got) == oracle_rows([f], params, model, arity), (kind, arity)
+            assert got.complete
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_multi_formula_delta_past_one_label_word(arity):
+    # more than 63 slots: the labels are renumbered at least once
+    rng = Random(arity)
+    model = random_ultrametric(16, 3, 11)
+    delta = [growth_formula(k, arity) for k, a in growth_cases(model) if a == arity]
+    params = random_params(rng, model, delta[0].param_arity, 14)
+    assert len(params) * len(delta) > 63
+    got = type_space(delta, params, model, arity)
+    assert engine_rows(got) == oracle_rows(delta, params, model, arity)
+
+
+def test_single_formula_past_one_label_word():
+    model = OrderModel(12)
+    f = growth_formula("pair-equality", 2)
+    params = [(i % 12,) for i in range(70)]
+    got = type_space([f], params, model, 2)
+    assert engine_rows(got) == oracle_rows([f], params, model, 2)
+
+
+@pytest.mark.parametrize(
+    "kind,arity,trials",
+    [(k, 2, 2) for k in GROWTH_KINDS] + [("lca-ball", 1, 19), ("boolean-mix", 1, 19)],
+)
+def test_growth_quotient_counts_match_oracle(kind, arity, trials, monkeypatch):
+    sweeps = []
+
+    def counting(*args, **kwargs):
+        sweeps.append(args)
+        return class_representatives(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "class_representatives", counting)
+    config = ExperimentConfig(kind, arity, (2, 4, 8), trials=trials, seed=5)
+    report = run_growth(config)
+    assert len(sweeps) == 1  # 16 carrier elements: the quotient runs
+    model = resolve_model(config)
+    f = growth_formula(kind, arity)
+    space = model.size**f.param_arity
+    for row in report.rows:
+        params = _sample_params(
+            Random(f"{config.seed}/{row.m}/{row.trial}"), space, f.param_arity, row.m,
+            model.size, False,
+        )
+        assert row.type_count == len(oracle_rows([f], params, model, arity))
+        assert row.complete
+
+
+def test_growth_quotient_skipped_when_sweep_costs_more(monkeypatch):
+    sweeps = []
+    monkeypatch.setattr(harness, "class_representatives", lambda *a, **k: sweeps.append(a))
+    report = run_growth(ExperimentConfig("lca-ball", 1, (2, 4, 8), trials=2, seed=5))
+    assert sweeps == [] and report.complete

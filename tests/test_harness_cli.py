@@ -5,7 +5,7 @@ import pytest
 
 from laminarvc import DomainError, OrderModel, save_model, type_space
 from laminarvc.cli import main
-from laminarvc.harness import CSV_HEADER, ExperimentConfig, csv_text, run_growth
+from laminarvc.harness import CSV_HEADER, ExperimentConfig, csv_text, run_growth, thread_budget
 from laminarvc.models import SetFamily, pair_equality_formula, random_ultrametric
 
 
@@ -151,6 +151,37 @@ def test_cli_growth_writes_csv(tmp_path, capsys):
 
 def test_cli_growth_usage_error():
     assert main(["growth", "--formula", "lca-ball", "--arity", "1", "--sizes", "4,8"]) == 2
+
+
+@pytest.mark.parametrize("kind", ["lca-ball", "twin-ball-1", "boolean-mix"])
+def test_cli_growth_rejects_order_model_for_ball_formulas(kind, tmp_path, capsys):
+    path = tmp_path / "order.model.json"
+    save_model(OrderModel(32, seed=1), path)
+    code = main([
+        "growth", "--formula", kind, "--arity", "2", "--sizes", "4,8,16",
+        "--model", str(path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "order model" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_thread_budget_rejects_bad_values(value, monkeypatch, capsys):
+    monkeypatch.setenv("LAMINAR_VC_THREADS", value)
+    with pytest.raises(DomainError):
+        thread_budget()
+    code = main(["growth", "--formula", "lca-ball", "--arity", "1", "--sizes", "4,8,16"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "LAMINAR_VC_THREADS" in err
+
+
+def test_thread_budget_reads_positive_values(monkeypatch):
+    monkeypatch.setenv("LAMINAR_VC_THREADS", " 3 ")
+    assert thread_budget() == 3
+    monkeypatch.setenv("LAMINAR_VC_THREADS", "")
+    assert thread_budget() >= 1
 
 
 def test_cli_growth_cap_exit_code(tmp_path):

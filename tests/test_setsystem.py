@@ -132,6 +132,42 @@ def test_profile_matches_shatter_function():
         assert profile == [shatter_function(fam, k) for k in range(n + 1)]
 
 
+def test_profile_in_small_chunks_with_duplicate_sets(monkeypatch):
+    from laminarvc import setsystem
+
+    monkeypatch.setattr(setsystem, "_PROFILE_BYTES", 100)
+    rng = Random(4)
+    for _ in range(10):
+        n = rng.randint(1, 9)
+        distinct = [
+            frozenset(i for i in range(n) if rng.random() < 0.5)
+            for _ in range(rng.randint(1, 8))
+        ]
+        fam = SetFamily.of(n, [rng.choice(distinct) for _ in range(rng.randint(1, 30))])
+        profile = max_trace_profile(fam)
+        assert profile == [shatter_function(fam, k) for k in range(n + 1)]
+
+
+def test_profile_memory_bounded_by_budget():
+    import tracemalloc
+
+    from laminarvc import setsystem
+
+    rng = Random(5)
+    n = 14
+    fam = SetFamily.of(n, [
+        frozenset(i for i in range(n) if rng.random() < 0.5) for _ in range(400)
+    ])
+    tracemalloc.start()
+    try:
+        max_trace_profile(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk of 16384 probes x 400 sets would take more than 50 MB
+    assert peak < 2 * setsystem._PROFILE_BYTES
+
+
 def test_shatter_monotone_and_capped():
     rng = Random(3)
     for _ in range(20):
