@@ -25,18 +25,15 @@ from .forest import (
     CrossingPair,
     DirectedFamily,
     QuasiForest,
-    QuasiTree,
     SumDistReport,
     TypeTree,
     VirtualTypeSpace,
-    add_root,
     build_forest,
     check_convexity,
     check_directed,
     components,
     convex_order,
     forest_from_extents,
-    linear_bound_check,
     sum_dist_check,
     type_tree,
     virtual_type_space,
@@ -44,14 +41,11 @@ from .forest import (
 from .models import (
     GROWTH_KINDS,
     OrderModel,
-    UBallFormula,
     UltrametricModel,
     ball_family,
-    builtin_formulas,
     growth_formula,
     load_model,
     order_family,
-    pair_equality_formula,
     random_ultrametric,
     save_model,
 )

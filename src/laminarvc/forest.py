@@ -12,8 +12,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import DomainError, ValidationError
-from .setsystem import ParametrizedFormula, SetFamily, SignVector, type_space
+from .setsystem import ParametrizedFormula, SetFamily, SignVector
 
 
 @dataclass(frozen=True)
@@ -190,9 +192,11 @@ def build_forest(
     extents = []
     labels = []
     n = carrier.size
+    elements = np.arange(n)[:, None]
     for ci, c in enumerate(params):
         for di, d in enumerate(delta):
-            extents.append(frozenset(x for x in range(n) if d.eval_fn(carrier, (x,), tuple(c))))
+            hits = d.batch(carrier, elements, tuple(c))
+            extents.append(frozenset(np.flatnonzero(hits).tolist()))
             labels.append((ci, di))
     fam = SetFamily.of(n, extents) if extents else SetFamily.of(max(n, 1), [])
     witness = first_crossing(fam)
@@ -202,33 +206,6 @@ def build_forest(
             f"and {labels[witness.j]} cross"
         )
     return forest_from_extents(extents, n, labels)
-
-
-@dataclass(frozen=True)
-class QuasiTree:
-    """A quasi-forest expanded by a root (node 0) below every node."""
-
-    forest: QuasiForest
-    root: int = 0
-
-
-def add_root(forest: QuasiForest) -> QuasiTree:
-    """Adjoin a root below all nodes; a node whose extent is the whole carrier
-    joins the root's quotient class."""
-    n = forest.n_nodes
-    full = (
-        frozenset(range(forest.carrier_size))
-        if forest.extents is not None and forest.carrier_size is not None
-        else None
-    )
-    root_row = (True,) * (n + 1)
-    rows = [root_row]
-    for i in range(n):
-        below_root = full is not None and forest.extents[i] == full
-        rows.append((below_root,) + forest.leq[i])
-    extents = None if forest.extents is None else (full,) + forest.extents
-    tree = QuasiForest(("root",) + forest.labels, tuple(rows), extents, forest.carrier_size)
-    return QuasiTree(tree)
 
 
 # --- the tree of types -----------------------------------------------------
@@ -469,16 +446,6 @@ def virtual_type_space(
         return VirtualTypeSpace((SignVector(b"", 0, len(delta)),), 0, len(delta))
     forest = build_forest(params, delta, carrier)
     return virtual_space_from_forest(forest, len(params), len(delta))
-
-
-def linear_bound_check(
-    params: Sequence[tuple[int, ...]],
-    delta: Sequence[ParametrizedFormula],
-    carrier,
-) -> bool:
-    """Realized type count over params x delta is at most |delta|*|params| + 1."""
-    realized = type_space(delta, params, carrier, 1)
-    return realized.count <= len(delta) * len(params) + 1
 
 
 # --- components ------------------------------------------------------------

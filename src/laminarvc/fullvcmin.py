@@ -114,10 +114,10 @@ def p_virtual_space(p: SignVector, B: Sequence[int], delta0_count: int) -> Virtu
 
 @dataclass(frozen=True)
 class Combo:
-    """Boolean-combination tree over delta1 instances; leaves are constants or
-    (delta1 index, parameter tuple) atoms."""
+    """Boolean combination over delta1 instances: a constant, a (delta1 index,
+    parameter tuple) atom, or the negation of a combination."""
 
-    op: str  # 'const' | 'atom' | 'not' | 'and' | 'or'
+    op: str  # 'const' | 'atom' | 'not'
     value: Optional[bool] = None
     atom: Optional[tuple[int, tuple[int, ...]]] = None
     args: tuple["Combo", ...] = ()
@@ -142,10 +142,6 @@ def eval_combo(combo: Combo, delta1: Sequence[ParametrizedFormula], carrier, a1:
         return bool(delta1[idx].eval_fn(carrier, (a1,), params))
     if combo.op == "not":
         return not eval_combo(combo.args[0], delta1, carrier, a1)
-    if combo.op == "and":
-        return all(eval_combo(c, delta1, carrier, a1) for c in combo.args)
-    if combo.op == "or":
-        return any(eval_combo(c, delta1, carrier, a1) for c in combo.args)
     raise DomainError(f"unknown combo op {combo.op!r}")
 
 

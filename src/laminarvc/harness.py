@@ -16,9 +16,11 @@ import numpy as np
 
 from .errors import DomainError, ResourceCapError
 from .models import (
+    CORPUS,
     GROWTH_KINDS,
     CarrierModel,
     OrderModel,
+    UltrametricModel,
     growth_formula,
     load_model,
     random_ultrametric,
@@ -32,6 +34,7 @@ from .setsystem import (
 )
 
 CSV_HEADER = ("model", "formula", "arity", "m", "trial", "seed", "type_count", "ms")
+_MODEL_KINDS = {UltrametricModel: "an ultrametric model", OrderModel: "an order model"}
 
 
 def thread_budget() -> int:
@@ -57,8 +60,6 @@ class ExperimentConfig:
     tol: float = 0.15
     cap: int = ENUM_CAP
     model_path: Optional[str] = None
-    leaf_count: Optional[int] = None
-    max_branching: int = 3
     allow_duplicate_params: bool = False
 
     def __post_init__(self):
@@ -90,7 +91,6 @@ class GrowthRow:
     seed: int
     type_count: int
     ms: int
-    complete: bool = True
 
 
 @dataclass(frozen=True)
@@ -119,21 +119,24 @@ class GrowthReport:
 
 
 def resolve_model(config: ExperimentConfig) -> CarrierModel:
+    """The model of a growth run: the --model file, which must be a carrier
+    the formula can evaluate, or a seeded random one (an order of twice the
+    largest size for pair-equality, else an ultrametric tree with at least
+    16 leaves and branching at most 3)."""
+    carriers = CORPUS[config.formula_kind].carriers
     if config.model_path:
         model = load_model(config.model_path)
-        if not hasattr(model, "size"):
-            raise DomainError("growth needs an ultrametric or order model, not a raw family")
-        if isinstance(model, OrderModel) and config.formula_kind != "pair-equality":
+        if not isinstance(model, carriers):
             raise DomainError(
-                f"formula {config.formula_kind} needs an ultrametric model; "
-                "an order model supports only pair-equality"
+                f"formula {config.formula_kind} needs "
+                f"{' or '.join(_MODEL_KINDS[c] for c in carriers)}, "
+                f"not {_MODEL_KINDS.get(type(model), 'a set family')}"
             )
         return model
     top = max(config.sizes)
-    if config.formula_kind == "pair-equality":
+    if OrderModel in carriers:
         return OrderModel(2 * top, seed=config.seed)
-    leaves = config.leaf_count or max(16, 2 * top)
-    return random_ultrametric(leaves, config.max_branching, config.seed)
+    return random_ultrametric(max(16, 2 * top), 3, config.seed)
 
 
 def _sample_params(rng: Random, space: int, arity: int, m: int, carrier_size: int,
@@ -195,7 +198,7 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
         ms = int(round((time.perf_counter() - t0) * 1000))
         return GrowthRow(
             model.label, formula.name, config.arity, m, t, config.seed,
-            space_result.count, ms, space_result.complete,
+            space_result.count, ms,
         )
 
     jobs = [(m, t) for m in config.sizes for t in range(config.trials)]

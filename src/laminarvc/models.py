@@ -69,10 +69,6 @@ class UltrametricModel:
     def leaves(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.parent)) if not self.children[i])
 
-    @cached_property
-    def leaf_index(self) -> dict[int, int]:
-        return {node: i for i, node in enumerate(self.leaves)}
-
     @property
     def size(self) -> int:
         return len(self.leaves)
@@ -88,23 +84,8 @@ class UltrametricModel:
             d[node] = d[self.parent[node]] + 1
         return tuple(d)
 
-    @cached_property
-    def ball_masks(self) -> tuple[int, ...]:
-        """Per node, the bitmask of carrier indices of leaves below it."""
-        masks = [0] * self.n_nodes
-        for node in reversed(self._topo_order):
-            if not self.children[node]:
-                masks[node] = 1 << self.leaf_index[node]
-            else:
-                acc = 0
-                for c in self.children[node]:
-                    acc |= masks[c]
-                masks[node] = acc
-        return tuple(masks)
-
     def ball(self, node: int) -> frozenset[int]:
-        m = self.ball_masks[node]
-        return frozenset(i for i in range(self.size) if m >> i & 1)
+        return frozenset(np.flatnonzero(self.ball_bool[node]).tolist())
 
     def ancestor_up(self, node: int, k: int) -> int:
         """Ancestor k levels above node, clamped at the root."""
@@ -133,11 +114,17 @@ class UltrametricModel:
 
     @cached_property
     def ball_bool(self) -> np.ndarray:
+        """(nodes, L) matrix: is the leaf at carrier index i below node v.
+        Built by walking every leaf up to the root at once, one level per step."""
+        parent = np.array(self.parent)
         mat = np.zeros((self.n_nodes, self.size), dtype=bool)
-        for node, m in enumerate(self.ball_masks):
-            for i in range(self.size):
-                if m >> i & 1:
-                    mat[node, i] = True
+        cols = np.arange(self.size)
+        nodes = np.array(self.leaves)
+        while len(nodes):
+            mat[nodes, cols] = True
+            up = parent[nodes]
+            keep = up != -1
+            nodes, cols = up[keep], cols[keep]
         return mat
 
     @cached_property
@@ -163,14 +150,22 @@ class UltrametricModel:
             )
         return self._anc_arrays[k]
 
-    def ancestor_membership(self, carrier_idx: int) -> np.ndarray:
-        """Bool per node: is the node an ancestor-or-self of this leaf."""
-        mem = np.zeros(self.n_nodes, dtype=bool)
-        node = self.leaves[carrier_idx]
-        while node != -1:
-            mem[node] = True
-            node = self.parent[node]
-        return mem
+    # ball membership: x, or else the y arguments, may be an index array
+
+    def in_lca_ball(self, x, y0, y1):
+        """x is in the ball at lca(y0, y1)."""
+        if np.ndim(y0) == 0:
+            # one pair: walk up to its lca rather than build the (L, L) matrix
+            return self.ball_bool[self.lca(self.leaves[y0], self.leaves[y1])][x]
+        return self.ball_bool[:, x][self.lca_node_matrix[y0, y1]]
+
+    def in_ball_above(self, x, y, k: int):
+        """x is in the ball k levels above y, clamped at the root."""
+        anc = self.ancestor_array(k)
+        if np.ndim(y) == 0:
+            return self.ball_bool[anc[y]][x]
+        # one x against many y: x's column per leaf first, the y gather last
+        return self.ball_bool[:, x][anc][y]
 
 
 @dataclass(frozen=True)
@@ -232,213 +227,79 @@ def order_family(model: OrderModel, include_empty: bool = False) -> DirectedFami
     return DirectedFamily(fam)
 
 
-# --- built-in formula corpus ----------------------------------------------
+# --- formula corpus ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class UBallFormula:
-    """A formula together with a certificate decomposing (the certified part
-    of) each instance into at most max_components balls of the model."""
+class CorpusFormula:
+    """One formula phi(x; y0, y1) of the growth corpus.
 
-    base: ParametrizedFormula
-    certified_part: ParametrizedFormula
-    max_components: int
-    components_of: Callable[[UltrametricModel, tuple[int, ...]], tuple[frozenset[int], ...]]
-
-    @property
-    def name(self) -> str:
-        return self.base.name
-
-
-def _merge_two_balls(
-    model: UltrametricModel, n0: int, n1: int
-) -> tuple[frozenset[int], ...]:
-    """Minimal ball decomposition of ball(n0) | ball(n1): nested pairs collapse,
-    and two disjoint balls that exactly pack their lca's ball collapse to it."""
-    b0, b1 = model.ball(n0), model.ball(n1)
-    if b0 <= b1:
-        return (b1,)
-    if b1 <= b0:
-        return (b0,)
-    lca_ball = model.ball(model.lca(n0, n1))
-    if lca_ball == b0 | b1:
-        return (lca_ball,)
-    return tuple(sorted((b0, b1), key=lambda s: (min(s), len(s))))
-
-
-def _lca_ball_natural() -> ParametrizedFormula:
-    def ev(model, x, y):
-        node = model.lca(model.leaves[y[0]], model.leaves[y[1]])
-        return bool(model.ball_masks[node] >> x[0] & 1)
-
-    def bat(model, objs, y):
-        node = model.lca(model.leaves[y[0]], model.leaves[y[1]])
-        return model.ball_bool[node][objs[:, 0]]
-
-    return ParametrizedFormula("lca-ball", 1, 2, ev, bat)
-
-
-def _twin_ball_natural(k: int) -> ParametrizedFormula:
-    def ev(model, x, y):
-        n0 = model.ancestor_up(model.leaves[y[0]], k)
-        n1 = model.ancestor_up(model.leaves[y[1]], k)
-        return bool((model.ball_masks[n0] | model.ball_masks[n1]) >> x[0] & 1)
-
-    def bat(model, objs, y):
-        n0 = model.ancestor_up(model.leaves[y[0]], k)
-        n1 = model.ancestor_up(model.leaves[y[1]], k)
-        return (model.ball_bool[n0] | model.ball_bool[n1])[objs[:, 0]]
-
-    return ParametrizedFormula(f"twin-ball-{k}", 1, 2, ev, bat)
-
-
-def _boolean_mix_natural(k: int, j: int) -> ParametrizedFormula:
-    def ev(model, x, y):
-        pos = model.ancestor_up(model.leaves[y[0]], k)
-        neg = model.ancestor_up(model.leaves[y[1]], j)
-        return bool(model.ball_masks[pos] >> x[0] & 1) and not bool(
-            model.ball_masks[neg] >> x[0] & 1
-        )
-
-    def bat(model, objs, y):
-        pos = model.ancestor_up(model.leaves[y[0]], k)
-        neg = model.ancestor_up(model.leaves[y[1]], j)
-        return (model.ball_bool[pos] & ~model.ball_bool[neg])[objs[:, 0]]
-
-    return ParametrizedFormula(f"boolean-mix-{k}-{j}", 1, 2, ev, bat)
-
-
-def builtin_formulas(model: UltrametricModel, kind: str) -> list[UBallFormula]:
-    """The u-ball corpus over an ultrametric model.
-
-    lca-ball: x in the ball at lca(y0, y1) (one component).
-    twin-ball-k: x in ball_k(y0) | ball_k(y1), where ball_k(b) sits k levels
-        above the leaf b, clamped at the root (at most two components;
-        duplicates and nested pairs merge).
-    boolean-mix: x in ball_2(y0) and not in ball_1(y1); the certificate covers
-        the positive conjunct.
+    `pred(model, x, y0, y1)` takes carrier indices, where x, or else y0 and
+    y1, may be index arrays; `name` is the formula column of the growth CSV,
+    `carriers` the model types that can evaluate it and `arities` the object
+    arities a growth run may read it at.
     """
-    if kind == "lca-ball":
-        f = _lca_ball_natural()
 
-        def comps(model, y):
-            node = model.lca(model.leaves[y[0]], model.leaves[y[1]])
-            return (model.ball(node),)
-
-        return [UBallFormula(f, f, 1, comps)]
-    if kind == "twin-ball-k":
-        out = []
-        for k in (0, 1, 2):
-            f = _twin_ball_natural(k)
-
-            def comps(model, y, k=k):
-                n0 = model.ancestor_up(model.leaves[y[0]], k)
-                n1 = model.ancestor_up(model.leaves[y[1]], k)
-                return _merge_two_balls(model, n0, n1)
-
-            out.append(UBallFormula(f, f, 2, comps))
-        return out
-    if kind == "boolean-mix":
-        f = _boolean_mix_natural(2, 1)
-        pos = _twin_ball_natural(2)
-
-        def comps(model, y):
-            return (model.ball(model.ancestor_up(model.leaves[y[0]], 2)),)
-
-        # the certified part is the positive conjunct: twin-ball-2 at (y0, y0)
-        def part_ev(model, x, y):
-            return pos.eval_fn(model, x, (y[0], y[0]))
-
-        def part_bat(model, objs, y):
-            return pos.batch(model, objs, (y[0], y[0]))
-
-        part = ParametrizedFormula("boolean-mix-2-1-positive", 1, 2, part_ev, part_bat)
-        return [UBallFormula(f, part, 1, comps)]
-    raise DomainError(f"unknown formula kind {kind!r}")
+    name: str
+    carriers: tuple[type, ...]
+    arities: tuple[int, ...]
+    pred: Callable
 
 
-# --- formulas at the growth harness's two partitions ----------------------
+def _twin_ball(k: int) -> CorpusFormula:
+    return CorpusFormula(
+        f"twin-ball-{k}", (UltrametricModel,), (1, 2),
+        lambda M, x, y0, y1: M.in_ball_above(x, y0, k) | M.in_ball_above(x, y1, k),
+    )
 
 
-def _lca_ball_opp() -> ParametrizedFormula:
-    def ev(model, v, u):
-        node = model.lca(model.leaves[v[0]], model.leaves[v[1]])
-        return bool(model.ball_masks[node] >> u[0] & 1)
+# lca-ball: x in the ball at lca(y0, y1).
+# twin-ball-k: x in ball_k(y0) | ball_k(y1), ball_k(b) sitting k levels above b.
+# boolean-mix: x in ball_2(y0) and not in ball_1(y1).
+# pair-equality: x = y0 or x = y1, the quadratic-growth witness at arity 2.
+CORPUS = {
+    "lca-ball": CorpusFormula(
+        "lca-ball", (UltrametricModel,), (1, 2), lambda M, x, y0, y1: M.in_lca_ball(x, y0, y1)
+    ),
+    "twin-ball-0": _twin_ball(0),
+    "twin-ball-1": _twin_ball(1),
+    "twin-ball-2": _twin_ball(2),
+    "boolean-mix": CorpusFormula(
+        "boolean-mix-2-1", (UltrametricModel,), (1, 2),
+        lambda M, x, y0, y1: M.in_ball_above(x, y0, 2) & ~M.in_ball_above(x, y1, 1),
+    ),
+    "pair-equality": CorpusFormula(
+        "pair-equality", (UltrametricModel, OrderModel), (2,),
+        lambda M, x, y0, y1: (x == y0) | (x == y1),
+    ),
+}
 
-    def bat(model, objs, u):
-        amem = model.ancestor_membership(u[0])
-        return amem[model.lca_node_matrix[objs[:, 0], objs[:, 1]]]
-
-    return ParametrizedFormula("lca-ball", 2, 1, ev, bat)
-
-
-def _twin_ball_opp(k: int) -> ParametrizedFormula:
-    def ev(model, v, u):
-        n0 = model.ancestor_up(model.leaves[v[0]], k)
-        n1 = model.ancestor_up(model.leaves[v[1]], k)
-        return bool((model.ball_masks[n0] | model.ball_masks[n1]) >> u[0] & 1)
-
-    def bat(model, objs, u):
-        g = model.ancestor_membership(u[0])[model.ancestor_array(k)]
-        return g[objs[:, 0]] | g[objs[:, 1]]
-
-    return ParametrizedFormula(f"twin-ball-{k}", 2, 1, ev, bat)
-
-
-def _boolean_mix_opp(k: int, j: int) -> ParametrizedFormula:
-    def ev(model, v, u):
-        pos = model.ancestor_up(model.leaves[v[0]], k)
-        neg = model.ancestor_up(model.leaves[v[1]], j)
-        return bool(model.ball_masks[pos] >> u[0] & 1) and not bool(
-            model.ball_masks[neg] >> u[0] & 1
-        )
-
-    def bat(model, objs, u):
-        amem = model.ancestor_membership(u[0])
-        gk = amem[model.ancestor_array(k)]
-        gj = amem[model.ancestor_array(j)]
-        return gk[objs[:, 0]] & ~gj[objs[:, 1]]
-
-    return ParametrizedFormula(f"boolean-mix-{k}-{j}", 2, 1, ev, bat)
-
-
-def pair_equality_formula() -> ParametrizedFormula:
-    """(x0 = y or x1 = y): the classical quadratic-growth witness at object
-    arity 2."""
-
-    def ev(model, x, y):
-        return x[0] == y[0] or x[1] == y[0]
-
-    def bat(model, objs, y):
-        return (objs[:, 0] == y[0]) | (objs[:, 1] == y[0])
-
-    return ParametrizedFormula("pair-equality", 2, 1, ev, bat)
-
-
-GROWTH_KINDS = ("lca-ball", "twin-ball-0", "twin-ball-1", "twin-ball-2", "boolean-mix", "pair-equality")
+GROWTH_KINDS = tuple(CORPUS)
 
 
 def growth_formula(kind: str, arity: int) -> ParametrizedFormula:
     """The formula for a growth run, partitioned for the requested object arity.
 
-    At arity 1 the corpus formulas keep their natural partition (object x,
-    parameter pair); at arity 2 the roles are exchanged, so the pair side is
-    the object and single carrier elements are the parameters.
+    At arity 1 the object is x and the parameters are (y0, y1); at arity 2 the
+    roles are exchanged, so (y0, y1) is the object and x the parameter.
     """
-    if arity not in (1, 2):
-        raise DomainError(f"object arity must be 1 or 2, got {arity}")
-    if kind == "pair-equality":
-        if arity != 2:
-            raise DomainError("pair-equality is an arity-2 formula")
-        return pair_equality_formula()
-    if kind == "lca-ball":
-        return _lca_ball_natural() if arity == 1 else _lca_ball_opp()
-    if kind.startswith("twin-ball-"):
-        k = int(kind.rsplit("-", 1)[1])
-        return _twin_ball_natural(k) if arity == 1 else _twin_ball_opp(k)
-    if kind == "boolean-mix":
-        return _boolean_mix_natural(2, 1) if arity == 1 else _boolean_mix_opp(2, 1)
-    raise DomainError(f"unknown formula kind {kind!r}")
+    if kind not in CORPUS:
+        raise DomainError(f"unknown formula kind {kind!r}; known: {GROWTH_KINDS}")
+    spec = CORPUS[kind]
+    if arity not in spec.arities:
+        raise DomainError(f"{kind} has no object arity {arity}; it has {spec.arities}")
+    pred = spec.pred
+    if arity == 1:
+        return ParametrizedFormula(
+            spec.name, 1, 2,
+            lambda M, x, y: bool(pred(M, x[0], y[0], y[1])),
+            lambda M, objs, y: pred(M, objs[:, 0], y[0], y[1]),
+        )
+    return ParametrizedFormula(
+        spec.name, 2, 1,
+        lambda M, v, u: bool(pred(M, u[0], v[0], v[1])),
+        lambda M, objs, u: pred(M, u[0], objs[:, 0], objs[:, 1]),
+    )
 
 
 # --- model files -----------------------------------------------------------
@@ -462,22 +323,34 @@ def save_model(model: Union[CarrierModel, SetFamily], path) -> None:
         fh.write("\n")
 
 
+def _integers(what: str, values) -> list[int]:
+    values = list(values)
+    for v in values:
+        if type(v) is not int:
+            raise ModelFormatError(f"{what} must be integers, got {v!r}")
+    return values
+
+
 def load_model(path) -> Union[CarrierModel, SetFamily]:
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"{path}: malformed JSON at line {e.lineno}: {e.msg}") from e
+    except (UnicodeDecodeError, RecursionError) as e:
+        raise ModelFormatError(f"{path}: not a JSON model file: {e}") from e
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ModelFormatError(f"{path}: expected an object with a 'kind' field")
     kind = doc["kind"]
     try:
         if kind == "ultrametric":
-            return UltrametricModel(tuple(doc["parent"]), seed=doc.get("seed"))
+            parent = _integers("parent entries", doc["parent"])
+            return UltrametricModel(tuple(parent), seed=doc.get("seed"))
         if kind == "order":
             return OrderModel(int(doc["size"]), seed=doc.get("seed"))
         if kind == "family":
-            return SetFamily.of(int(doc["universe"]), doc["sets"])
-    except (KeyError, TypeError, ValueError) as e:
+            sets = [_integers("set members", s) for s in doc["sets"]]
+            return SetFamily.of(int(doc["universe"]), sets)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ModelFormatError(f"{path}: {e}") from e
     raise ModelFormatError(f"{path}: unknown model kind {kind!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import combinations, product
+from itertools import combinations
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -71,10 +71,6 @@ class SetFamily:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << x for x in s) for s in self.sets)
-
-    @cached_property
-    def has_duplicates(self) -> bool:
-        return len(set(self.sets)) < len(self.sets)
 
 
 def trace(family: SetFamily, probe: Iterable[int]) -> SetFamily:
@@ -196,16 +192,15 @@ def sauer_check(family: SetFamily, cap: int = VC_UNIVERSE_CAP) -> bool:
 class ParametrizedFormula:
     """A total decidable predicate phi(x-tuple; y-tuple) over a carrier model.
 
-    `batch`, when provided, evaluates one parameter tuple against a whole
-    (T, object_arity) array of object tuples at once; it must agree with
-    `eval_fn` pointwise.
+    `batch` evaluates one parameter tuple against a whole (T, object_arity)
+    array of object tuples at once, and must agree with `eval_fn` pointwise.
     """
 
     name: str
     object_arity: int
     param_arity: int
     eval_fn: Callable[[object, tuple[int, ...], tuple[int, ...]], bool]
-    batch: Optional[Callable[[object, np.ndarray, tuple[int, ...]], np.ndarray]] = None
+    batch: Callable[[object, np.ndarray, tuple[int, ...]], np.ndarray]
 
     def __post_init__(self):
         if self.object_arity < 1 or self.param_arity < 1:
@@ -278,19 +273,6 @@ def _decode_tuples(indices: np.ndarray, carrier_size: int, arity: int) -> np.nda
     return objs
 
 
-def _signs_reference(formulas, params, carrier, tuples) -> set[bytes]:
-    rows: set[bytes] = set()
-    for t in tuples:
-        rows.add(
-            bytes(
-                1 if f.eval_fn(carrier, t, b) else 0
-                for b in params
-                for f in formulas
-            )
-        )
-    return rows
-
-
 def _refine(formulas, params, carrier, objs: np.ndarray) -> np.ndarray:
     """Positions in `objs` of one tuple per distinct sign row, in lexicographic
     row order.
@@ -324,7 +306,7 @@ def class_representatives(
     formulas, in lexicographic row order.
 
     Sweeps every carrier tuple, or only `tuple_indices`; a tuple's index is
-    its base-`carrier.size` numeral.  Every formula needs `batch`.  The sweep
+    its base-`carrier.size` numeral.  The sweep
     runs in chunks of _SWEEP_TUPLES tuples, each refined together with the
     representatives found so far, so memory stays bounded by the chunk plus
     the classes.
@@ -374,7 +356,11 @@ def type_space(
 
     Raises ResourceCapError when a full enumeration would exceed `cap`
     evaluations; pass `sample` (a tuple budget) to fall back to a seeded
-    sample, which yields a lower bound flagged with complete=False.
+    sample, which yields a lower bound flagged with complete=False.  The
+    sample is drawn with random.Random(f"{seed}/type-space-sample"): of the
+    T = carrier.size ** object_arity tuple indices, budget = min(sample, T)
+    distinct ones by rng.sample(range(T), budget) when T <= 8 * budget, else
+    budget independent rng.randrange(T) draws.
 
     `representatives`, indices of object tuples as returned by
     class_representatives over every carrier parameter tuple, replaces the
@@ -419,20 +405,12 @@ def type_space(
             tuple_indices = [rng.randrange(total) for _ in range(budget)]
         complete = False
 
-    if all(f.batch is not None for f in formulas):
-        reps = class_representatives(formulas, params, carrier, object_arity, tuple_indices)
-        objs = _decode_tuples(reps, n, object_arity)
-        return TypeSpace(
-            tuple(params), names, len(reps), complete,
-            partial(_sign_rows, formulas, params, carrier, objs),
-        )
-    if tuple_indices is None:
-        tuples = product(range(n), repeat=object_arity)
-    else:
-        indices = np.asarray(tuple_indices, dtype=np.int64)
-        tuples = map(tuple, _decode_tuples(indices, n, object_arity).tolist())
-    rows = sorted(_signs_reference(formulas, params, carrier, tuples))
-    return TypeSpace(tuple(params), names, len(rows), complete, lambda: rows)
+    reps = class_representatives(formulas, params, carrier, object_arity, tuple_indices)
+    objs = _decode_tuples(reps, n, object_arity)
+    return TypeSpace(
+        tuple(params), names, len(reps), complete,
+        partial(_sign_rows, formulas, params, carrier, objs),
+    )
 
 
 # --- growth series and exponent fitting ----------------------------------

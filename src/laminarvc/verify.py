@@ -31,7 +31,7 @@ from .fullvcmin import (
     p_virtual_space,
     psi_type,
 )
-from .models import ball_family, builtin_formulas, random_ultrametric
+from .models import ball_family, growth_formula, random_ultrametric
 from .setsystem import SetFamily, sauer_check, type_space
 
 
@@ -72,7 +72,7 @@ def verify_directed_linear_bound(seed: int, trials: int = 500,
         if not isinstance(check_directed(fam.base), DirectedFamily):
             failures += 1
             continue
-        delta = [builtin_formulas(model, "lca-ball")[0].base]
+        delta = [growth_formula("lca-ball", 1)]
         n_params = rng.randint(1, max_params)
         C = [
             (rng.randrange(model.size), rng.randrange(model.size))
@@ -124,7 +124,7 @@ def verify_sum_dist(seed: int, trials: int = 1000, subsequences: int = 3) -> Lem
                 (rng.randrange(model.size), rng.randrange(model.size))
                 for _ in range(rng.randint(1, 6))
             ]
-            delta = [builtin_formulas(model, "lca-ball")[0].base]
+            delta = [growth_formula("lca-ball", 1)]
             forest = build_forest(C, delta, model)
         else:
             forest = _random_forest(rng)

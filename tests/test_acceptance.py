@@ -10,7 +10,7 @@ from random import Random
 
 from laminarvc import dlo_instance, incremental_count_check, type_space
 from laminarvc.harness import ExperimentConfig, run_growth
-from laminarvc.models import OrderModel, pair_equality_formula
+from laminarvc.models import OrderModel, growth_formula
 from laminarvc.verify import (
     verify_components,
     verify_convexity,
@@ -105,7 +105,7 @@ def test_criterion_9_quadratic_growth_uball_corpus():
 
 def test_criterion_10_lower_bound_witness():
     # exact counts for small m against an independent brute-force oracle
-    eq = pair_equality_formula()
+    eq = growth_formula("pair-equality", 2)
     exact_ok = True
     for m in range(2, 11):
         carrier = OrderModel(24)

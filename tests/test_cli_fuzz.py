@@ -1,0 +1,121 @@
+"""Fuzz of the command line: whatever the model file, the flags or
+LAMINAR_VC_THREADS hold, a command ends in exit code 0, 1, 2 or 3 without a
+traceback.
+
+Values stay tiny so that every example runs in milliseconds.  verify-lemmas
+is drawn with its rejected --trials values only: any accepted value runs the
+fixed-size incremental suite, about a second per call.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from laminarvc.cli import main
+from laminarvc.models import GROWTH_KINDS
+
+odd_numbers = st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e30, 2**70, 0.5, True])
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.floats(width=32), st.text(max_size=3),
+    odd_numbers,
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=10,
+)
+model_docs = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("ultrametric"), "parent": st.lists(st.integers(-2, 10) | scalars, max_size=12)},
+        optional={"seed": json_values},
+    ),
+    st.fixed_dictionaries({"kind": st.just("order"), "size": st.integers(-2, 40) | odd_numbers | json_values}),
+    st.fixed_dictionaries({
+        "kind": st.just("family"),
+        "universe": st.integers(-1, 8) | odd_numbers | json_values,
+        "sets": st.lists(st.lists(st.integers(-1, 9) | scalars, max_size=4), max_size=5) | json_values,
+    }),
+    json_values,
+)
+model_files = st.one_of(
+    model_docs.map(lambda doc: json.dumps(doc).encode()), st.binary(max_size=24)
+)
+numbers = st.integers(-3, 40).map(str) | st.sampled_from(["", "x", "1.5", "nan", "inf", "-inf"])
+thread_values = st.none() | st.text(alphabet="0123456789 -+.xa", max_size=4)
+
+
+@st.composite
+def invocations(draw):
+    """(argv, model file bytes or None); the literal MODEL in argv stands for
+    the path the model file is written to."""
+    command = draw(st.sampled_from(
+        ["gen-model", "check-directed", "growth", "fullvcmin-demo", "verify-lemmas"]
+    ))
+    model = None
+    if command == "gen-model":
+        argv = ["gen-model", "--kind", draw(st.sampled_from(["ultrametric", "order", "tree"]))]
+        for flag in ("--leaves", "--branching", "--size", "--seed"):
+            if draw(st.booleans()):
+                argv += [flag, draw(numbers)]
+        argv += ["--out", draw(st.sampled_from(["MODEL", "."]))]
+    elif command == "check-directed":
+        model = draw(model_files)
+        argv = ["check-directed", "--model", "MODEL"]
+    elif command == "growth":
+        sizes = draw(st.lists(st.integers(-1, 12), max_size=4))
+        argv = [
+            "growth",
+            "--formula", draw(st.sampled_from(GROWTH_KINDS + ("mystery",))),
+            "--arity", draw(st.sampled_from(["1", "2", "3"])),
+            "--sizes", draw(st.just(",".join(map(str, sizes))) | st.sampled_from(["", "a,b"])),
+            "--trials", draw(st.sampled_from(["-1", "0", "1", "2"])),
+        ]
+        for flag in ("--seed", "--tol", "--cap"):
+            if draw(st.booleans()):
+                argv += [flag, draw(numbers)]
+        if draw(st.booleans()):
+            model = draw(model_files)
+            argv += ["--model", "MODEL"]
+        argv += draw(st.lists(st.sampled_from(["--allow-duplicates", "--json"]), max_size=2))
+    elif command == "fullvcmin-demo":
+        argv = ["fullvcmin-demo", "--b-size", draw(st.sampled_from(["4", "3", "x"]))]
+        argv += draw(st.lists(st.sampled_from(["--json", "--seed", "2"]), max_size=2))
+    else:
+        argv = ["verify-lemmas", "--trials", draw(st.sampled_from(["0", "-1", "x"]))]
+    return argv, model
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(invocations(), thread_values)
+def test_cli_exits_with_a_documented_code(invocation, threads):
+    argv, model = invocation
+    saved = os.environ.get("LAMINAR_VC_THREADS")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.model.json")
+        if model is not None:
+            with open(path, "wb") as fh:
+                fh.write(model)
+        argv = [path if a == "MODEL" else a for a in argv]
+        if threads is None:
+            os.environ.pop("LAMINAR_VC_THREADS", None)
+        else:
+            os.environ["LAMINAR_VC_THREADS"] = threads
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as e:  # argparse rejects the flags
+                    code = e.code
+        finally:
+            if saved is None:
+                os.environ.pop("LAMINAR_VC_THREADS", None)
+            else:
+                os.environ["LAMINAR_VC_THREADS"] = saved
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()

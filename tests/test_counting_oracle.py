@@ -1,22 +1,17 @@
-"""The refinement engine behind type_space, its representatives path and the
-growth harness's carrier quotient, checked against the brute-force
-`_signs_reference` oracle: the same sign rows in the same order."""
+"""The refinement engine behind type_space, its sample and representatives
+paths and the growth harness's carrier quotient, checked against the
+brute-force oracle in scalar_oracle: the same sign rows in the same order."""
 
-from dataclasses import replace
 from itertools import product
 from random import Random
 
 import pytest
+from scalar_oracle import corpus_rows
 
 from laminarvc import harness, setsystem
 from laminarvc.harness import ExperimentConfig, _sample_params, resolve_model, run_growth
 from laminarvc.models import GROWTH_KINDS, OrderModel, growth_formula, random_ultrametric
-from laminarvc.setsystem import _signs_reference, class_representatives, type_space
-
-
-def oracle_rows(formulas, params, model, arity):
-    tuples = product(range(model.size), repeat=arity)
-    return sorted(_signs_reference(formulas, params, model, tuples))
+from laminarvc.setsystem import class_representatives, type_space
 
 
 def engine_rows(space):
@@ -59,8 +54,17 @@ def test_full_sweep_matches_oracle(seed, sweep_tuples, monkeypatch):
             f = growth_formula(kind, arity)
             params = random_params(rng, model, f.param_arity, rng.randint(1, 6))
             got = type_space([f], params, model, arity)
-            assert engine_rows(got) == oracle_rows([f], params, model, arity), (kind, arity)
+            assert engine_rows(got) == corpus_rows([kind], arity, params, model), (kind, arity)
             assert got.count == len(got.vectors) and got.complete
+
+
+def documented_sample(seed, budget, total):
+    """The tuple indices type_space's docstring says a sampled run draws."""
+    rng = Random(f"{seed}/type-space-sample")
+    budget = min(budget, total)
+    if total <= 8 * budget:
+        return rng.sample(range(total), budget)
+    return [rng.randrange(total) for _ in range(budget)]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -69,13 +73,17 @@ def test_sample_path_matches_oracle(seed):
     for model in random_models(100 + seed):
         for kind, arity in growth_cases(model):
             f = growth_formula(kind, arity)
-            scalar = replace(f, batch=None)
             params = random_params(rng, model, f.param_arity, rng.randint(1, 6))
-            budget = rng.randint(1, model.size**arity)
-            got = type_space([f], params, model, arity, cap=1, sample=budget, seed=seed)
-            want = type_space([scalar], params, model, arity, cap=1, sample=budget, seed=seed)
-            assert not got.complete
-            assert engine_rows(got) == engine_rows(want), (kind, arity)
+            every = list(product(range(model.size), repeat=arity))
+            total = len(every)
+            # budgets on both sides of the distinct/independent draw switch
+            for budget in (rng.randint(1, total // 8 + 1), rng.randint(1, 2 * total)):
+                got = type_space([f], params, model, arity, cap=1, sample=budget, seed=seed)
+                tuples = [every[i] for i in documented_sample(seed, budget, total)]
+                assert not got.complete
+                assert engine_rows(got) == corpus_rows([kind], arity, params, model, tuples), (
+                    kind, arity, budget,
+                )
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -86,10 +94,10 @@ def test_representatives_path_matches_oracle(seed):
             f = growth_formula(kind, arity)
             every = list(product(range(model.size), repeat=f.param_arity))
             reps = class_representatives([f], every, model, arity)
-            assert len(reps) == len(oracle_rows([f], every, model, arity))
+            assert len(reps) == len(corpus_rows([kind], arity, every, model))
             params = random_params(rng, model, f.param_arity, rng.randint(1, 6))
             got = type_space([f], params, model, arity, representatives=reps)
-            assert engine_rows(got) == oracle_rows([f], params, model, arity), (kind, arity)
+            assert engine_rows(got) == corpus_rows([kind], arity, params, model), (kind, arity)
             assert got.complete
 
 
@@ -98,11 +106,12 @@ def test_multi_formula_delta_past_one_label_word(arity):
     # more than 63 slots: the labels are renumbered at least once
     rng = Random(arity)
     model = random_ultrametric(16, 3, 11)
-    delta = [growth_formula(k, arity) for k, a in growth_cases(model) if a == arity]
+    kinds = [k for k, a in growth_cases(model) if a == arity]
+    delta = [growth_formula(k, arity) for k in kinds]
     params = random_params(rng, model, delta[0].param_arity, 14)
     assert len(params) * len(delta) > 63
     got = type_space(delta, params, model, arity)
-    assert engine_rows(got) == oracle_rows(delta, params, model, arity)
+    assert engine_rows(got) == corpus_rows(kinds, arity, params, model)
 
 
 def test_single_formula_past_one_label_word():
@@ -110,7 +119,7 @@ def test_single_formula_past_one_label_word():
     f = growth_formula("pair-equality", 2)
     params = [(i % 12,) for i in range(70)]
     got = type_space([f], params, model, 2)
-    assert engine_rows(got) == oracle_rows([f], params, model, 2)
+    assert engine_rows(got) == corpus_rows(["pair-equality"], 2, params, model)
 
 
 @pytest.mark.parametrize(
@@ -136,8 +145,7 @@ def test_growth_quotient_counts_match_oracle(kind, arity, trials, monkeypatch):
             Random(f"{config.seed}/{row.m}/{row.trial}"), space, f.param_arity, row.m,
             model.size, False,
         )
-        assert row.type_count == len(oracle_rows([f], params, model, arity))
-        assert row.complete
+        assert row.type_count == len(corpus_rows([kind], arity, params, model))
 
 
 def test_growth_quotient_skipped_when_sweep_costs_more(monkeypatch):

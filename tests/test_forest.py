@@ -1,5 +1,6 @@
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,6 @@ from laminarvc import (
     DomainError,
     SetFamily,
     ValidationError,
-    add_root,
     build_forest,
     check_convexity,
     check_directed,
@@ -23,7 +23,7 @@ from laminarvc import (
     type_tree,
     virtual_type_space,
 )
-from laminarvc.models import ball_family, builtin_formulas, random_ultrametric
+from laminarvc.models import ball_family, growth_formula, random_ultrametric
 
 
 def balanced_binary_extents():
@@ -65,7 +65,7 @@ def test_directed_family_rejects_crossing():
 
 def test_build_forest_shapes():
     model = random_ultrametric(2, 2, 0)
-    delta = [builtin_formulas(model, "lca-ball")[0].base]
+    delta = [growth_formula("lca-ball", 1)]
     single = build_forest([(0, 1)], delta, model)
     assert single.n_nodes == 1 and single.n_classes == 1
 
@@ -85,7 +85,8 @@ def test_build_forest_rejects_crossing_instances():
     from laminarvc.setsystem import ParametrizedFormula
 
     member = ParametrizedFormula(
-        "member", 1, 1, lambda M, x, p: x[0] in crossing.sets[p[0]]
+        "member", 1, 1, lambda M, x, p: x[0] in crossing.sets[p[0]],
+        lambda M, objs, p: np.isin(objs[:, 0], list(crossing.sets[p[0]])),
     )
 
     class Carrier:
@@ -98,18 +99,6 @@ def test_build_forest_rejects_crossing_instances():
 def test_forest_chain_condition_guard():
     with pytest.raises(ValidationError):
         forest_from_extents([frozenset(), frozenset({0}), frozenset({1})], 2)
-
-
-def test_add_root_cases():
-    empty = add_root(forest_from_extents([], 4))
-    assert empty.forest.n_nodes == 1
-
-    two = add_root(forest_from_extents([frozenset({0}), frozenset({1})], 2))
-    assert two.forest.n_nodes == 3 and two.forest.n_classes == 3
-    assert all(two.forest.leq[0][j] for j in range(3))
-
-    whole = add_root(forest_from_extents([frozenset({0, 1})], 2))
-    assert whole.forest.n_classes == 1  # carrier-wide ball joins the root class
 
 
 # --- tree of types -------------------------------------------------------------
@@ -297,7 +286,7 @@ def test_sum_dist_random_forests_and_subsequences():
 
 def test_virtual_space_empty_params():
     model = random_ultrametric(4, 2, 1)
-    delta = [builtin_formulas(model, "lca-ball")[0].base]
+    delta = [growth_formula("lca-ball", 1)]
     assert virtual_type_space([], delta, model).count == 1
 
 
@@ -314,7 +303,8 @@ def test_virtual_space_nested_chain():
     from laminarvc.setsystem import ParametrizedFormula
 
     node_ball = ParametrizedFormula(
-        "node-ball", 1, 1, lambda M, x, p: bool(M.ball_masks[p[0]] >> x[0] & 1)
+        "node-ball", 1, 1, lambda M, x, p: bool(M.ball_bool[p[0], x[0]]),
+        lambda M, objs, p: M.ball_bool[p[0], objs[:, 0]],
     )
     space = virtual_type_space([(v,) for v in picks], [node_ball], model)
     assert space.count == 4
@@ -326,7 +316,7 @@ def test_virtual_space_contains_realized_and_counts_classes():
     rng = Random(23)
     for _ in range(40):
         model = random_ultrametric(rng.randint(4, 20), rng.randint(2, 4), rng.randrange(1 << 20))
-        delta = [builtin_formulas(model, "lca-ball")[0].base]
+        delta = [growth_formula("lca-ball", 1)]
         C = [(rng.randrange(model.size), rng.randrange(model.size)) for _ in range(rng.randint(1, 8))]
         space = virtual_type_space(C, delta, model)
         forest = build_forest(C, delta, model)

@@ -65,7 +65,7 @@ def test_eval_psi_order_oracle():
 
 
 def test_psi_family_shape_validation():
-    bad = ParametrizedFormula("unary", 1, 1, lambda M, x, p: True)
+    bad = ParametrizedFormula("unary", 1, 1, lambda M, x, p: True, lambda M, objs, p: objs[:, 0] >= 0)
     with pytest.raises(DomainError):
         PsiFamily(OrderModel(4), (bad,))
 

@@ -6,7 +6,7 @@ import pytest
 from laminarvc import DomainError, OrderModel, save_model, type_space
 from laminarvc.cli import main
 from laminarvc.harness import CSV_HEADER, ExperimentConfig, csv_text, run_growth, thread_budget
-from laminarvc.models import SetFamily, pair_equality_formula, random_ultrametric
+from laminarvc.models import SetFamily, growth_formula, random_ultrametric
 
 
 def rows_without_ms(report):
@@ -80,7 +80,7 @@ def test_default_tolerance_separates_quadratic_from_cubic():
 
 def test_duplicate_parameter_columns_do_not_change_counts():
     model = OrderModel(24)
-    eq = pair_equality_formula()
+    eq = growth_formula("pair-equality", 2)
     B = [(3,), (7,), (11,)]
     base = type_space([eq], B, model, 2).count
     assert type_space([eq], B + [B[0]], model, 2).count == base
@@ -133,6 +133,22 @@ def test_cli_check_directed_crossing_family(tmp_path, capsys):
 
 def test_cli_check_directed_missing_file(tmp_path):
     assert main(["check-directed", "--model", str(tmp_path / "nope.model.json")]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    b'{"kind": "family", "universe": 3, "sets": [[0.5]]}',
+    b'{"kind": "family", "universe": 3, "sets": [[true]]}',
+    b'{"kind": "ultrametric", "parent": [-1, 0, 0.0]}',
+    b'{"kind": "order", "size": Infinity}',
+    b"\xff\xfe{",
+    b"[" * 100000,
+])
+def test_cli_check_directed_rejects_malformed_model(content, tmp_path, capsys):
+    path = tmp_path / "bad.model.json"
+    path.write_bytes(content)
+    assert main(["check-directed", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and str(path) in err
 
 
 def test_cli_growth_writes_csv(tmp_path, capsys):

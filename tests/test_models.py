@@ -1,7 +1,9 @@
 import json
 from random import Random
 
+import numpy as np
 import pytest
+from scalar_oracle import Tree, holds, positive_part
 
 from laminarvc import (
     CrossingPair,
@@ -11,7 +13,6 @@ from laminarvc import (
     OrderModel,
     SetFamily,
     ball_family,
-    builtin_formulas,
     check_directed,
     components,
     load_model,
@@ -20,11 +21,13 @@ from laminarvc import (
     save_model,
     vc_dimension,
 )
-from laminarvc.models import UltrametricModel, growth_formula
+from laminarvc.models import GROWTH_KINDS, UltrametricModel, growth_formula
 
 
 def extent(model, formula, params):
-    return frozenset(x for x in range(model.size) if formula.eval_fn(model, (x,), params))
+    """Extent of an arity-1 formula instance, from one batch call."""
+    hits = formula.batch(model, np.arange(model.size)[:, None], params)
+    return frozenset(np.flatnonzero(hits).tolist())
 
 
 # --- generation ---------------------------------------------------------------
@@ -101,86 +104,110 @@ def test_order_family_directed_and_vc_one():
 
 def test_lca_ball_two_leaf_extent():
     model = random_ultrametric(2, 2, 5)
-    f = builtin_formulas(model, "lca-ball")[0]
-    assert extent(model, f.base, (0, 1)) == frozenset({0, 1})
-    assert f.components_of(model, (0, 1)) == (frozenset({0, 1}),)
+    f = growth_formula("lca-ball", 1)
+    assert extent(model, f, (0, 1)) == frozenset({0, 1})
+    assert components(extent(model, f, (0, 1)), ball_family(model)) == (frozenset({0, 1}),)
 
 
 def test_twin_ball_zero_duplicates_merge():
     model = random_ultrametric(6, 3, 8)
-    f = next(u for u in builtin_formulas(model, "twin-ball-k") if u.name == "twin-ball-0")
+    f = growth_formula("twin-ball-0", 1)
     b = 3
-    assert extent(model, f.base, (b, b)) == frozenset({b})
-    assert f.components_of(model, (b, b)) == (frozenset({b}),)
+    assert extent(model, f, (b, b)) == frozenset({b})
+    assert components(extent(model, f, (b, b)), ball_family(model)) == (frozenset({b}),)
+
+
+# at most this many balls make up each kind's positive part
+MAX_BALLS = {"lca-ball": 1, "twin-ball-0": 2, "twin-ball-1": 2, "twin-ball-2": 2, "boolean-mix": 1}
 
 
 def test_corpus_certificates_match_components_oracle():
+    # every u-ball kind's positive part is a union of at most 1 or 2 balls
     rng = Random(19)
     for _ in range(15):
         model = random_ultrametric(rng.randint(4, 16), rng.randint(2, 4), rng.randrange(1 << 20))
         pool = ball_family(model)
-        corpus = (
-            builtin_formulas(model, "lca-ball")
-            + builtin_formulas(model, "twin-ball-k")
-            + builtin_formulas(model, "boolean-mix")
-        )
-        for u in corpus:
+        for kind, most in MAX_BALLS.items():
             for _ in range(6):
-                params = (rng.randrange(model.size), rng.randrange(model.size))
-                balls = u.components_of(model, params)
-                assert 1 <= len(balls) <= u.max_components
-                union = frozenset().union(*balls)
-                assert extent(model, u.certified_part, params) == union
-                assert components(union, pool) == balls
+                y0, y1 = rng.randrange(model.size), rng.randrange(model.size)
+                part = positive_part(kind, model, y0, y1)
+                balls = components(part, pool)
+                assert isinstance(balls, tuple) and 1 <= len(balls) <= most, (kind, y0, y1)
+                assert frozenset().union(*balls) == part
+                if kind != "boolean-mix":
+                    assert extent(model, growth_formula(kind, 1), (y0, y1)) == part
 
 
 def test_boolean_mix_shape():
     model = random_ultrametric(12, 2, 21)
-    u = builtin_formulas(model, "boolean-mix")[0]
+    f = growth_formula("boolean-mix", 1)
     y = (4, 9)
     pos = model.ball(model.ancestor_up(model.leaves[y[0]], 2))
     neg = model.ball(model.ancestor_up(model.leaves[y[1]], 1))
-    assert extent(model, u.base, y) == pos - neg
+    assert extent(model, f, y) == pos - neg
+    assert f.name == "boolean-mix-2-1"
 
 
 def test_unknown_kind_rejected():
-    model = random_ultrametric(4, 2, 0)
-    with pytest.raises(DomainError):
-        builtin_formulas(model, "mystery")
     with pytest.raises(DomainError):
         growth_formula("mystery", 1)
     with pytest.raises(DomainError):
         growth_formula("pair-equality", 1)
+    with pytest.raises(DomainError):
+        growth_formula("lca-ball", 3)
 
 
 def test_growth_formula_partitions_agree():
-    # the two partitions evaluate the same underlying predicate
+    # both partitions, scalar and batch, evaluate the oracle's predicate
     model = random_ultrametric(10, 3, 4)
+    tree = Tree(model)
+    every = np.arange(model.size)
     rng = Random(3)
-    for kind in ("lca-ball", "twin-ball-1", "boolean-mix"):
-        nat = growth_formula(kind, 1)
+    for kind in GROWTH_KINDS:
+        nat = growth_formula(kind, 1) if kind != "pair-equality" else None
         opp = growth_formula(kind, 2)
         for _ in range(40):
             x = rng.randrange(model.size)
             y0, y1 = rng.randrange(model.size), rng.randrange(model.size)
-            assert nat.eval_fn(model, (x,), (y0, y1)) == opp.eval_fn(model, (y0, y1), (x,))
+            want = holds(kind, tree, x, y0, y1)
+            assert opp.eval_fn(model, (y0, y1), (x,)) == want
+            pair = np.array([[y0, y1]])
+            assert opp.batch(model, pair, (x,)).tolist() == [want]
+            if nat is not None:
+                assert nat.eval_fn(model, (x,), (y0, y1)) == want
+                assert nat.batch(model, every[:, None], (y0, y1))[x] == want
 
 
 def test_batched_corpus_matches_scalar():
-    import numpy as np
-
-    model = random_ultrametric(12, 3, 13)
     rng = Random(5)
-    objs2 = np.array([(a, b) for a in range(model.size) for b in range(model.size)])
-    objs1 = np.array([(a,) for a in range(model.size)])
-    for kind in ("lca-ball", "twin-ball-0", "twin-ball-2", "boolean-mix"):
-        for arity, objs in ((1, objs1), (2, objs2)):
-            f = growth_formula(kind, arity)
-            for _ in range(5):
-                p = tuple(rng.randrange(model.size) for _ in range(f.param_arity))
-                fast = f.batch(model, objs, p)
-                slow = [f.eval_fn(model, tuple(row), p) for row in objs]
-                assert fast.tolist() == slow
+    for seed in (13, 14, 15):
+        model = random_ultrametric(rng.randint(2, 14), rng.randint(2, 4), seed)
+        tree = Tree(model)
+        objs1 = np.arange(model.size)[:, None]
+        objs2 = np.array([(a, b) for a in range(model.size) for b in range(model.size)])
+        for kind in GROWTH_KINDS:
+            for arity, objs in ((1, objs1), (2, objs2)):
+                if kind == "pair-equality" and arity == 1:
+                    continue
+                f = growth_formula(kind, arity)
+                for _ in range(5):
+                    p = tuple(rng.randrange(model.size) for _ in range(f.param_arity))
+                    fast = f.batch(model, objs, p).tolist()
+                    scalar = [f.eval_fn(model, tuple(row), p) for row in objs.tolist()]
+                    if arity == 1:
+                        want = [holds(kind, tree, x, *p) for (x,) in objs.tolist()]
+                    else:
+                        want = [holds(kind, tree, p[0], *row) for row in objs.tolist()]
+                    assert fast == scalar == want, (kind, arity, p)
+
+
+def test_ball_bool_matches_ancestor_walk():
+    rng = Random(9)
+    for _ in range(20):
+        model = random_ultrametric(rng.randint(2, 30), rng.randint(2, 4), rng.randrange(1 << 20))
+        tree = Tree(model)
+        want = [[tree.in_ball(x, v) for x in range(model.size)] for v in range(model.n_nodes)]
+        assert model.ball_bool.tolist() == want
 
 
 # --- model files -------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracle import sign_rows
 
 from laminarvc import (
     DomainError,
@@ -22,7 +23,7 @@ from laminarvc import (
     type_space,
     vc_dimension,
 )
-from laminarvc.models import OrderModel, pair_equality_formula
+from laminarvc.models import OrderModel, growth_formula
 
 
 def initial_segments(n, include_all=True):
@@ -205,7 +206,9 @@ def test_sauer_random_laminar_families():
 
 
 def lt_formula():
-    return ParametrizedFormula("lt", 1, 1, lambda M, x, p: x[0] < p[0])
+    return ParametrizedFormula(
+        "lt", 1, 1, lambda M, x, p: x[0] < p[0], lambda M, objs, p: objs[:, 0] < p[0]
+    )
 
 
 def test_type_space_three_element_order():
@@ -222,7 +225,7 @@ def test_type_space_empty_params():
 
 def test_type_space_equality_witness_eleven():
     B = [(0,), (1,), (2,), (3,)]
-    ts = type_space([pair_equality_formula()], B, OrderModel(6), 2)
+    ts = type_space([growth_formula("pair-equality", 2)], B, OrderModel(6), 2)
     assert ts.count == 1 + 4 + math.comb(4, 2)
 
 
@@ -235,30 +238,27 @@ def test_type_space_duplicated_formula_same_count():
 
 
 def test_type_space_batch_matches_reference():
-    eq = pair_equality_formula()
-    no_batch = ParametrizedFormula(eq.name, 2, 1, eq.eval_fn, None)
+    eq = growth_formula("pair-equality", 2)
     B = [(1,), (4,), (6,)]
     fast = type_space([eq], B, OrderModel(8), 2)
-    ref = type_space([no_batch], B, OrderModel(8), 2)
-    assert fast.vector_set() == ref.vector_set()
+    ref = sign_rows([lambda v, u: u[0] in v], B, product(range(8), repeat=2))
+    assert [v.bits for v in fast.vectors] == ref
 
 
 def test_type_space_linear_bound_for_directed_formula():
-    from laminarvc.forest import linear_bound_check
-    from laminarvc.models import builtin_formulas, random_ultrametric
+    from laminarvc.models import random_ultrametric
 
     rng = Random(13)
     for _ in range(20):
         model = random_ultrametric(rng.randint(4, 24), 3, rng.randrange(1 << 20))
-        delta = [builtin_formulas(model, "lca-ball")[0].base]
+        delta = [growth_formula("lca-ball", 1)]
         C = [(rng.randrange(model.size), rng.randrange(model.size)) for _ in range(rng.randint(1, 10))]
         ts = type_space(delta, C, model, 1)
         assert ts.count <= len(C) + 1
-        assert linear_bound_check(C, delta, model)
 
 
 def test_type_space_cap_and_sampling():
-    eq = pair_equality_formula()
+    eq = growth_formula("pair-equality", 2)
     model = OrderModel(64)
     B = [(i,) for i in range(32)]
     with pytest.raises(ResourceCapError):
