@@ -8,7 +8,6 @@ from .setsystem import (
     GrowthSeries,
     ParametrizedFormula,
     SetFamily,
-    SignVector,
     TypeSpace,
     Universe,
     fit_codensity_exponent,

@@ -15,7 +15,7 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .setsystem import ParametrizedFormula, SetFamily, SignVector
+from .setsystem import ParametrizedFormula, SetFamily
 
 
 @dataclass(frozen=True)
@@ -130,20 +130,20 @@ class QuasiForest:
     def validate(self) -> None:
         """Check the quasi-forest axioms, raising ValidationError naming the
         first violated one."""
-        n = self.n_nodes
-        for i in range(n):
-            if not self.leq[i][i]:
-                raise ValidationError(f"reflexivity fails at node {self.labels[i]}")
-        for i in range(n):
-            for j in range(n):
-                if not self.leq[i][j]:
-                    continue
-                for k in range(n):
-                    if self.leq[j][k] and not self.leq[i][k]:
-                        raise ValidationError(
-                            "transitivity fails at nodes "
-                            f"{self.labels[i]}, {self.labels[j]}, {self.labels[k]}"
-                        )
+        leq = np.array(self.leq, dtype=bool).reshape(self.n_nodes, self.n_nodes)
+        irreflexive = np.flatnonzero(~leq.diagonal())
+        if len(irreflexive):
+            raise ValidationError(f"reflexivity fails at node {self.labels[irreflexive[0]]}")
+        # i <= j <= k without i <= k; the first witness in (i, j, k) order
+        step = leq.astype(np.int64)
+        broken = (step @ step > 0) & ~leq
+        if broken.any():
+            i = int(np.flatnonzero(broken.any(axis=1))[0])
+            j, k = np.argwhere(leq[i][:, None] & leq & ~leq[i][None, :])[0]
+            raise ValidationError(
+                "transitivity fails at nodes "
+                f"{self.labels[i]}, {self.labels[j]}, {self.labels[k]}"
+            )
         self._validate_chains()
 
     def _validate_chains(self) -> None:
@@ -411,7 +411,7 @@ class VirtualTypeSpace:
     """One symbolic generic type per quotient class (sign 1 exactly on the
     instances containing the class's ball) plus the all-negative root generic."""
 
-    entries: tuple[SignVector, ...]
+    entries: tuple[bytes, ...]
     n_params: int
     n_formulas: int
 
@@ -420,19 +420,17 @@ class VirtualTypeSpace:
         return len(self.entries)
 
     def entry_set(self) -> frozenset[bytes]:
-        return frozenset(e.bits for e in self.entries)
+        return frozenset(self.entries)
 
 
 def virtual_space_from_forest(forest: QuasiForest, n_params: int, n_formulas: int) -> VirtualTypeSpace:
     if forest.n_nodes != n_params * n_formulas:
         raise DomainError("forest raw nodes must be the full params x formulas grid")
-    entries = []
-    for cls in forest.classes:
-        rep = cls[0]
-        bits = bytes(1 if forest.leq[j][rep] else 0 for j in range(forest.n_nodes))
-        entries.append(SignVector(bits, n_params, n_formulas))
-    entries.append(SignVector(bytes(forest.n_nodes), n_params, n_formulas))
-    if len({e.bits for e in entries}) != len(entries):
+    entries = [
+        bytes(forest.leq[j][cls[0]] for j in range(forest.n_nodes)) for cls in forest.classes
+    ]
+    entries.append(bytes(forest.n_nodes))
+    if len(set(entries)) != len(entries):
         raise ValidationError("virtual generics must be pairwise distinct")
     return VirtualTypeSpace(tuple(entries), n_params, n_formulas)
 
@@ -443,7 +441,7 @@ def virtual_type_space(
     carrier,
 ) -> VirtualTypeSpace:
     if not params:
-        return VirtualTypeSpace((SignVector(b"", 0, len(delta)),), 0, len(delta))
+        return VirtualTypeSpace((b"",), 0, len(delta))
     forest = build_forest(params, delta, carrier)
     return virtual_space_from_forest(forest, len(params), len(delta))
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import DomainError, ValidationError
 from .forest import (
     QuasiForest,
@@ -23,7 +25,7 @@ from .forest import (
     virtual_space_from_forest,
 )
 from .models import OrderModel
-from .setsystem import ParametrizedFormula, SignVector, type_space
+from .setsystem import ParametrizedFormula, type_space
 
 
 @dataclass(frozen=True)
@@ -45,64 +47,40 @@ class PsiFamily:
         return len(self.delta0)
 
 
-def eval_psi(family: PsiFamily, a1: int, b: int, bp: int, i: int, j: int) -> bool:
-    """Full-scan evaluation: every x0 satisfying delta0[j](x0; a1, bp) also
-    satisfies delta0[i](x0; a1, b)."""
-    di, dj = family.delta0[i], family.delta0[j]
+def psi_type(family: PsiFamily, a1: int, B: Sequence[int]) -> np.ndarray:
+    """Inclusion matrix of a1's delta0 instances over B: entry [(b, i), (b', j)]
+    is psi[i][j](a1; b, b'), rows and columns b-major, then by formula.
+
+    Row (b, i) of the extent matrix E is the extent of delta0[i](x0; a1, b);
+    instance (b', j) lies inside (b, i) exactly when E[(b', j)] meets the
+    complement of E[(b, i)] nowhere, read off one integer product."""
     carrier = family.carrier
-    return all(
-        di.eval_fn(carrier, (x0,), (a1, b))
-        for x0 in range(carrier.size)
-        if dj.eval_fn(carrier, (x0,), (a1, bp))
-    )
+    elements = np.arange(carrier.size)[:, None]
+    rows = [d.batch(carrier, elements, (a1, b)) for b in B for d in family.delta0]
+    extents = np.array(rows, dtype=np.int64).reshape(len(rows), carrier.size)
+    return (1 - extents) @ extents.T == 0
 
 
-def _pair_pos(b_idx: int, bp_idx: int, m: int) -> int:
-    return b_idx * m + bp_idx
+def eval_psi(family: PsiFamily, a1: int, b: int, bp: int, i: int, j: int) -> bool:
+    """psi[i][j](a1; b, b'): every x0 satisfying delta0[j](x0; a1, b') also
+    satisfies delta0[i](x0; a1, b)."""
+    return bool(psi_type(family, a1, (b, bp))[i, family.n_formulas + j])
 
 
-def _psi_pos(i: int, j: int, k: int) -> int:
-    return i * k + j
-
-
-def psi_type(family: PsiFamily, a1: int, B: Sequence[int]) -> SignVector:
-    """Sign vector of a1 over (B x B) x psi, pair-major then (i, j)-major."""
-    m, k = len(B), family.n_formulas
-    bits = bytearray(m * m * k * k)
-    slot = 0
-    for b in B:
-        for bp in B:
-            for i in range(k):
-                for j in range(k):
-                    if eval_psi(family, a1, b, bp, i, j):
-                        bits[slot] = 1
-                    slot += 1
-    return SignVector(bytes(bits), m * m, k * k)
-
-
-def forest_from_type(p: SignVector, B: Sequence[int], delta0_count: int) -> QuasiForest:
+def forest_from_type(p: np.ndarray, B: Sequence[int], delta0_count: int) -> QuasiForest:
     """Quasi-forest on B x delta0 read off a psi-type: (b, i) below (b', j)
     exactly when p asserts psi[i][j] at (b, b').  Validates the forest axioms,
     so an unrealized p fails with the violated axiom named."""
-    m, k = len(B), delta0_count
-    if p.n_params != m * m or p.n_formulas != k * k:
+    n = len(B) * delta0_count
+    if np.shape(p) != (n, n):
         raise DomainError("psi-type shape does not match B and delta0")
-    labels = tuple((bi, i) for bi in range(m) for i in range(k))
-
-    def leq(bi, i, bpi, j):
-        return bool(p.bit(_pair_pos(bi, bpi, m), _psi_pos(i, j, k)))
-
-    rows = tuple(
-        tuple(leq(bi, i, bpi, j) for bpi in range(m) for j in range(k))
-        for bi in range(m)
-        for i in range(k)
-    )
-    forest = QuasiForest(labels, rows)
+    labels = tuple((bi, i) for bi in range(len(B)) for i in range(delta0_count))
+    forest = QuasiForest(labels, tuple(map(tuple, np.asarray(p, dtype=bool).tolist())))
     forest.validate()
     return forest
 
 
-def p_virtual_space(p: SignVector, B: Sequence[int], delta0_count: int) -> VirtualTypeSpace:
+def p_virtual_space(p: np.ndarray, B: Sequence[int], delta0_count: int) -> VirtualTypeSpace:
     """Virtual one-variable type space determined by a psi-type: one generic
     per quotient node of the read-off forest, plus the all-negative root."""
     forest = forest_from_type(p, B, delta0_count)
@@ -134,14 +112,16 @@ class Combo:
         return Combo("not", args=(self,))
 
 
-def eval_combo(combo: Combo, delta1: Sequence[ParametrizedFormula], carrier, a1: int) -> bool:
+def eval_combo(combo: Combo, delta1: Sequence[ParametrizedFormula], carrier) -> np.ndarray:
+    """Truth value of the combination at every carrier point x1, as a bool array."""
     if combo.op == "const":
-        return combo.value
+        return np.full(carrier.size, combo.value)
     if combo.op == "atom":
         idx, params = combo.atom
-        return bool(delta1[idx].eval_fn(carrier, (a1,), params))
+        hits = delta1[idx].batch(carrier, np.arange(carrier.size)[:, None], params)
+        return np.asarray(hits, dtype=bool)
     if combo.op == "not":
-        return not eval_combo(combo.args[0], delta1, carrier, a1)
+        return ~eval_combo(combo.args[0], delta1, carrier)
     raise DomainError(f"unknown combo op {combo.op!r}")
 
 
@@ -170,25 +150,26 @@ class FullVCMinInstance:
         return PsiFamily(self.carrier, self.delta0)
 
 
-def validate_certificate(instance: FullVCMinInstance, B: Sequence[int]) -> None:
-    """Truth-table match of every certificate combo against the psi oracle,
-    over every carrier element."""
+def validate_certificate(instance: FullVCMinInstance, B: Sequence[int]) -> np.ndarray:
+    """Truth-table match of every certificate combo against the psi-types of
+    every carrier element; a mismatch names the psi instance and the least
+    carrier point where it fails.  Returns those psi-types, indexed by a1."""
     family = instance.psi_family
     cert = instance.certificate
     k = family.n_formulas
+    types = np.array([psi_type(family, a1, B) for a1 in range(instance.carrier.size)])
     for i in range(k):
         for j in range(k):
-            for b in B:
-                for bp in B:
-                    combo = cert.combo_for(i, j, b, bp)
-                    for a1 in range(instance.carrier.size):
-                        got = eval_combo(combo, cert.delta1, instance.carrier, a1)
-                        want = eval_psi(family, a1, b, bp, i, j)
-                        if got != want:
-                            raise ValidationError(
-                                f"certificate mismatch for psi[{i}][{j}] at "
-                                f"(b={b}, b'={bp}), carrier point a1={a1}"
-                            )
+            for bi, b in enumerate(B):
+                for bpi, bp in enumerate(B):
+                    got = eval_combo(cert.combo_for(i, j, b, bp), cert.delta1, instance.carrier)
+                    wrong = np.flatnonzero(got != types[:, bi * k + i, bpi * k + j])
+                    if len(wrong):
+                        raise ValidationError(
+                            f"certificate mismatch for psi[{i}][{j}] at "
+                            f"(b={b}, b'={bp}), carrier point a1={wrong[0]}"
+                        )
+    return types
 
 
 def dlo_instance(carrier_size: int) -> FullVCMinInstance:
@@ -265,19 +246,6 @@ class IncrementalCountReport:
         return self.per_step_ok and self.sum_dist_ok and self.aggregate_ok and self.containment_ok
 
 
-def _delta1_lift(cert: DecompositionCertificate, carrier, a1: int, B: Sequence[int]) -> bytes:
-    """Realized delta1-type of a1 over B x B, pair-major then formula-major."""
-    bits = bytearray(len(B) * len(B) * len(cert.delta1))
-    slot = 0
-    for b in B:
-        for bp in B:
-            for d in cert.delta1:
-                if d.eval_fn(carrier, (a1,), (b, bp)):
-                    bits[slot] = 1
-                slot += 1
-    return bytes(bits)
-
-
 def _hamming(a: bytes, b: bytes) -> int:
     return sum(x != y for x, y in zip(a, b))
 
@@ -290,62 +258,54 @@ def incremental_count_check(instance: FullVCMinInstance, B: Sequence[int]) -> In
     2|B|^2|delta1| + |B||delta0| + 1."""
     B = [int(b) for b in B]
     carrier = instance.carrier
-    family = instance.psi_family
     cert = instance.certificate
-    validate_certificate(instance, B)
+    types = validate_certificate(instance, B)
 
     k0, k1, m = len(instance.delta0), len(cert.delta1), len(B)
 
-    # realized psi-types, keyed by their sign bits, with a least realizing element
+    # realized psi-types, keyed by their matrix bytes, with a least realizer
     realizers: dict[bytes, int] = {}
-    types_by_bits: dict[bytes, SignVector] = {}
-    for a1 in range(carrier.size):
-        p = psi_type(family, a1, B)
-        if p.bits not in realizers:
-            realizers[p.bits] = a1
-            types_by_bits[p.bits] = p
+    for a1, p in enumerate(types):
+        realizers.setdefault(p.tobytes(), a1)
 
     # the delta1 forest over B x B and its convex order
     pairs = [(b, bp) for b in B for bp in B]
     d1_forest = build_forest(pairs, cert.delta1, carrier)
     tree = type_tree(d1_forest)
     order = convex_order(tree)
+    spaces = {
+        key: p_virtual_space(types[a1], B, k0).entry_set() for key, a1 in realizers.items()
+    }
 
-    # lift each realized psi-type through its least realizer and place the lift
-    entries: list[tuple[int, bytes, bytes]] = []  # (order position, lift bits, psi bits)
+    # place each realized psi-type by the delta1-type of its least realizer
+    entries: list[tuple[int, bytes, bytes]] = []  # (order position, lift bits, psi key)
     containment_ok = True
-    for bits, a1 in realizers.items():
-        lift = _delta1_lift(cert, carrier, a1, B)
-        ones = [s for s, v in enumerate(lift) if v]
-        down = frozenset(d1_forest.class_of[s] for s in ones)
+    for key, a1 in realizers.items():
+        lift = bytes(a1 in extent for extent in d1_forest.extents)
+        down = frozenset(d1_forest.class_of[s] for s, v in enumerate(lift) if v)
         if down not in tree.index:
             containment_ok = False
             continue
-        entries.append((order.position[tree.index[down]], lift, bits))
+        entries.append((order.position[tree.index[down]], lift, key))
     entries.sort()
-
-    spaces = [
-        p_virtual_space(types_by_bits[bits], B, k0).entry_set()
-        for _, _, bits in entries
-    ]
+    ordered = [spaces[key] for _, _, key in entries]
 
     steps = []
-    union: set[bytes] = set(spaces[0]) if spaces else set()
+    union: set[bytes] = set(ordered[0]) if ordered else set()
     sum_dist = 0
     for t in range(1, len(entries)):
         dist = _hamming(entries[t - 1][1], entries[t][1])
-        new = len(spaces[t] - spaces[t - 1])
+        new = len(ordered[t] - ordered[t - 1])
         steps.append(CountStep(dist, new, new <= dist))
-        union |= spaces[t]
+        union |= ordered[t]
         sum_dist += dist
 
     # every realized one-variable type lands in its own virtual space
     for a1 in range(carrier.size):
-        p = psi_type(family, a1, B)
         realized = type_space(
             instance.delta0, [(a1, b) for b in B], carrier, 1
         ).vector_set()
-        if not realized <= p_virtual_space(p, B, k0).entry_set():
+        if not realized <= spaces[types[a1].tobytes()]:
             containment_ok = False
             break
 
@@ -360,7 +320,7 @@ def incremental_count_check(instance: FullVCMinInstance, B: Sequence[int]) -> In
         steps=tuple(steps),
         sum_dist=sum_dist,
         sum_dist_bound=sum_dist_bound,
-        first_space_size=len(spaces[0]) if spaces else 0,
+        first_space_size=len(ordered[0]) if ordered else 0,
         union_size=len(union),
         aggregate_bound=aggregate_bound,
         per_step_ok=all(s.ok for s in steps),

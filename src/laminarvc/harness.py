@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from itertools import product
 from random import Random
@@ -211,7 +211,12 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
                 rows.append(cell(job))
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows.extend(pool.map(cell, jobs))
+                futures = [pool.submit(cell, job) for job in jobs]
+                # at the first failed cell, drop the queued ones; cells start in
+                # job order, so every cancelled cell comes after the first failure
+                wait(futures, return_when=FIRST_EXCEPTION)
+                pool.shutdown(cancel_futures=True)
+            rows.extend(f.result() for f in futures)
     except ResourceCapError:
         complete = False
     rows.sort(key=lambda r: (r.m, r.trial))

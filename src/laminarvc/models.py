@@ -42,6 +42,7 @@ class UltrametricModel:
             raise ModelFormatError("parent array contains a cycle or unreachable nodes")
         if len(self.leaves) < 2:
             raise ModelFormatError("ultrametric model needs at least 2 leaves")
+        Universe(len(self.leaves))  # leaf count against the universe cap
 
     @cached_property
     def root(self) -> int:
@@ -331,6 +332,13 @@ def _integers(what: str, values) -> list[int]:
     return values
 
 
+def _seed(doc: dict) -> Optional[int]:
+    seed = doc.get("seed")
+    if seed is not None and type(seed) is not int:
+        raise ModelFormatError(f"seed must be an integer or null, got {type(seed).__name__}")
+    return seed
+
+
 def load_model(path) -> Union[CarrierModel, SetFamily]:
     try:
         with open(path) as fh:
@@ -345,9 +353,9 @@ def load_model(path) -> Union[CarrierModel, SetFamily]:
     try:
         if kind == "ultrametric":
             parent = _integers("parent entries", doc["parent"])
-            return UltrametricModel(tuple(parent), seed=doc.get("seed"))
+            return UltrametricModel(tuple(parent), seed=_seed(doc))
         if kind == "order":
-            return OrderModel(int(doc["size"]), seed=doc.get("seed"))
+            return OrderModel(int(doc["size"]), seed=_seed(doc))
         if kind == "family":
             sets = [_integers("set members", s) for s in doc["sets"]]
             return SetFamily.of(int(doc["universe"]), sets)

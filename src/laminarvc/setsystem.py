@@ -210,39 +210,14 @@ class ParametrizedFormula:
         return bool(self.eval_fn(model, objs, params))
 
 
-@dataclass(frozen=True)
-class SignVector:
-    """Sign assignment over (parameter index, formula index) slots.
-
-    bits holds one byte (0 or 1) per slot, laid out param-major:
-    slot(i, j) = i * n_formulas + j.
-    """
-
-    bits: bytes
-    n_params: int
-    n_formulas: int
-
-    def __post_init__(self):
-        if len(self.bits) != self.n_params * self.n_formulas:
-            raise DomainError("sign vector length does not match its index set")
-
-    def bit(self, param_idx: int, formula_idx: int) -> int:
-        if not (0 <= param_idx < self.n_params and 0 <= formula_idx < self.n_formulas):
-            raise DomainError("sign vector index out of range")
-        return self.bits[param_idx * self.n_formulas + formula_idx]
-
-    def ones(self) -> frozenset[int]:
-        """Slot indices assigned 1."""
-        return frozenset(i for i, b in enumerate(self.bits) if b)
-
-
 @dataclass(frozen=True, eq=False)
 class TypeSpace:
     """Deduplicated realized sign vectors of carrier tuples over B x formulas.
 
     `complete` is False when the space was sampled rather than enumerated; the
-    count is then only a lower bound.  `vectors`, in lexicographic order, are
-    built on first access from `_rows`, which yields one sign row per class.
+    count is then only a lower bound.  `vectors`, in lexicographic order, hold
+    one 0/1 byte per (parameter, formula) slot, param-major; they are built on
+    first access from `_rows`, which yields one sign row per class.
     """
 
     params: tuple[tuple[int, ...], ...]
@@ -252,12 +227,11 @@ class TypeSpace:
     _rows: Callable[[], Sequence[bytes]] = field(repr=False)
 
     @cached_property
-    def vectors(self) -> tuple[SignVector, ...]:
-        n_params, n_formulas = len(self.params), len(self.formula_names)
-        return tuple(SignVector(r, n_params, n_formulas) for r in self._rows())
+    def vectors(self) -> tuple[bytes, ...]:
+        return tuple(self._rows())
 
     def vector_set(self) -> frozenset[bytes]:
-        return frozenset(v.bits for v in self.vectors)
+        return frozenset(self.vectors)
 
 
 def _tuple_count(carrier_size: int, arity: int) -> int:

@@ -217,12 +217,13 @@ def verify_determination(seed: int, carrier_sizes=(5, 9, 14, 20), b_sizes=(2, 4,
             types = {}
             for a1 in range(n):
                 p = psi_type(family, a1, B)
-                groups.setdefault(p.bits, []).append(a1)
-                types[p.bits] = p
+                key = p.tobytes()
+                groups.setdefault(key, []).append(a1)
+                types[key] = p
             ok = True
-            for bits, members in groups.items():
-                read_off = forest_from_type(types[bits], B, len(instance.delta0))
-                virtual = p_virtual_space(types[bits], B, len(instance.delta0))
+            for key, members in groups.items():
+                read_off = forest_from_type(types[key], B, len(instance.delta0))
+                virtual = p_virtual_space(types[key], B, len(instance.delta0))
                 built = [
                     build_forest([(a1, b) for b in B], instance.delta0, instance.carrier)
                     for a1 in members

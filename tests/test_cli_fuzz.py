@@ -1,6 +1,6 @@
 """Fuzz of the command line: whatever the model file, the flags or
 LAMINAR_VC_THREADS hold, a command ends in exit code 0, 1, 2 or 3 without a
-traceback.
+traceback, and every CSV row growth writes has one field per header column.
 
 Values stay tiny so that every example runs in milliseconds.  verify-lemmas
 is drawn with its rejected --trials values only: any accepted value runs the
@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laminarvc.cli import main
+from laminarvc.harness import CSV_HEADER
 from laminarvc.models import GROWTH_KINDS
 
 odd_numbers = st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e30, 2**70, 0.5, True])
@@ -90,10 +91,10 @@ def invocations(draw):
     return argv, model
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(invocations(), thread_values)
-def test_cli_exits_with_a_documented_code(invocation, threads):
-    argv, model = invocation
+def run_cli(argv, model, threads):
+    """Run argv with the model file bytes written to MODEL and
+    LAMINAR_VC_THREADS set to threads (None: unset), then check the
+    documented exit codes, the absence of a traceback and the growth CSV."""
     saved = os.environ.get("LAMINAR_VC_THREADS")
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
@@ -119,3 +120,25 @@ def test_cli_exits_with_a_documented_code(invocation, threads):
                 os.environ["LAMINAR_VC_THREADS"] = saved
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()
+    lines = out.getvalue().splitlines()
+    if argv[0] == "growth" and lines[:1] == [",".join(CSV_HEADER)]:
+        # with --json the JSON report follows the rows
+        rows = [line for line in lines[1:] if not line.startswith("{")]
+        assert all(len(row.split(",")) == len(CSV_HEADER) for row in rows), (argv, rows)
+    return code
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(invocations(), thread_values)
+def test_cli_exits_with_a_documented_code(invocation, threads):
+    run_cli(*invocation, threads)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(json_values, st.sampled_from(GROWTH_KINDS), st.booleans())
+def test_growth_rows_fit_the_header_whatever_the_model_seed(seed, kind, as_json):
+    # a valid tree whose seed is fuzzed: the seed goes into every row's label
+    model = json.dumps({"kind": "ultrametric", "parent": [-1, 0, 0, 0, 0, 0], "seed": seed})
+    argv = ["growth", "--formula", kind, "--arity", "2", "--sizes", "2,3,4", "--trials", "1",
+            "--model", "MODEL"] + ["--json"] * as_json
+    assert run_cli(argv, model.encode(), "1") in (0, 1, 2)

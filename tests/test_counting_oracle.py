@@ -15,7 +15,7 @@ from laminarvc.setsystem import class_representatives, type_space
 
 
 def engine_rows(space):
-    return [v.bits for v in space.vectors]
+    return list(space.vectors)
 
 
 def random_models(seed):

@@ -11,6 +11,7 @@ from laminarvc import (
     CrossingPair,
     DirectedFamily,
     DomainError,
+    QuasiForest,
     SetFamily,
     ValidationError,
     build_forest,
@@ -99,6 +100,46 @@ def test_build_forest_rejects_crossing_instances():
 def test_forest_chain_condition_guard():
     with pytest.raises(ValidationError):
         forest_from_extents([frozenset(), frozenset({0}), frozenset({1})], 2)
+
+
+def first_axiom_failure(leq):
+    """Reference for QuasiForest.validate's first two axioms, in the scalar
+    (i, j, k) loop order: the message of the first failure, or None."""
+    n = len(leq)
+    for i in range(n):
+        if not leq[i][i]:
+            return f"reflexivity fails at node {i}"
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if leq[i][j] and leq[j][k] and not leq[i][k]:
+                    return f"transitivity fails at nodes {i}, {j}, {k}"
+    return None
+
+
+def test_validate_names_first_failing_axiom():
+    rng = Random(11)
+    transitivity = 0
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        density = rng.random()
+        leq = [[rng.random() < density for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.9:
+            for i in range(n):
+                leq[i][i] = True
+        want = first_axiom_failure(leq)
+        forest = QuasiForest(tuple(range(n)), tuple(map(tuple, leq)))
+        try:
+            forest.validate()
+            got = None
+        except ValidationError as e:
+            got = str(e)
+        if want is None:
+            assert got is None or got.startswith("forest chain condition fails")
+        else:
+            assert got == want
+            transitivity += want.startswith("transitivity")
+    assert transitivity > 500
 
 
 # --- tree of types -------------------------------------------------------------

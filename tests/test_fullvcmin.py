@@ -1,5 +1,6 @@
 from random import Random
 
+import numpy as np
 import pytest
 
 from laminarvc import (
@@ -8,7 +9,6 @@ from laminarvc import (
     DomainError,
     FullVCMinInstance,
     PsiFamily,
-    SignVector,
     ValidationError,
     build_forest,
     dlo_instance,
@@ -77,23 +77,39 @@ def test_psi_type_one_bit():
     inst = dlo_instance(6)
     fam = PsiFamily(inst.carrier, (inst.delta0[1],))
     p = psi_type(fam, 3, [2])
-    assert (p.n_params, p.n_formulas) == (1, 1)
-    assert len(p.bits) == 1
+    assert p.shape == (1, 1) and p.dtype == bool
+    assert p[0, 0]
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (5, 2), (8, 3), (11, 4), (12, 6)])
+def test_psi_type_matches_brute_force(n, m):
+    # every carrier point, a1 = 0 included, where before-x1 has an empty extent
+    inst = dlo_instance(n)
+    fam = inst.psi_family
+    B = sorted(Random(f"psi/{n}/{m}").sample(range(n), m)) + [0, n - 1]
+    k = fam.n_formulas
+    for a1 in range(n):
+        want = [
+            [brute_psi(inst, a1, b, bp, i, j) for bp in B for j in range(k)]
+            for b in B
+            for i in range(k)
+        ]
+        assert psi_type(fam, a1, B).tolist() == want
 
 
 def test_psi_type_all_true_when_instances_empty():
     inst = dlo_instance(6)
     fam = PsiFamily(inst.carrier, (inst.delta0[0],))  # x0 < x1 only
     p = psi_type(fam, 0, [1, 4])
-    assert set(p.bits) == {1}
+    assert p.shape == (2, 2) and p.all()
 
 
 def test_psi_type_constant_on_order_intervals():
     fam = dlo_instance(12).psi_family
     B = [2, 5, 9]
-    assert psi_type(fam, 3, B).bits == psi_type(fam, 4, B).bits
-    assert psi_type(fam, 6, B).bits == psi_type(fam, 8, B).bits
-    assert psi_type(fam, 3, B).bits != psi_type(fam, 6, B).bits
+    assert (psi_type(fam, 3, B) == psi_type(fam, 4, B)).all()
+    assert (psi_type(fam, 6, B) == psi_type(fam, 8, B)).all()
+    assert (psi_type(fam, 3, B) != psi_type(fam, 6, B)).any()
 
 
 # --- forests read off types -------------------------------------------------------
@@ -131,7 +147,7 @@ def test_equal_types_give_equal_forests_exhaustive():
     B = [3, 7, 12]
     groups = {}
     for a1 in range(16):
-        groups.setdefault(psi_type(fam, a1, B).bits, []).append(a1)
+        groups.setdefault(psi_type(fam, a1, B).tobytes(), []).append(a1)
     assert len(groups) > 1
     for members in groups.values():
         forests = [
@@ -142,20 +158,27 @@ def test_equal_types_give_equal_forests_exhaustive():
 
 def test_forest_from_type_rejects_inconsistent_types():
     # not reflexive
-    broken = SignVector(bytes([0]), 1, 1)
-    with pytest.raises(ValidationError, match="reflexivity"):
-        forest_from_type(broken, [5], 1)
+    with pytest.raises(ValidationError, match="reflexivity fails at node \\(0, 0\\)"):
+        forest_from_type(np.zeros((1, 1), dtype=bool), [5], 1)
     # two incomparable nodes below a third: chain condition fails
-    bits = [0] * 9
-    for i, j, v in ((0, 0, 1), (1, 1, 1), (2, 2, 1), (0, 2, 1), (1, 2, 1)):
-        bits[(i * 3 + j)] = v
+    p = np.eye(3, dtype=bool)
+    p[0, 2] = p[1, 2] = True
     with pytest.raises(ValidationError, match="chain"):
-        forest_from_type(SignVector(bytes(bits), 9, 1), [0, 1, 2], 1)
+        forest_from_type(p, [0, 1, 2], 1)
+    # (0) <= (1) <= (2) but not (0) <= (2)
+    p = np.eye(3, dtype=bool)
+    p[0, 1] = p[1, 2] = True
+    with pytest.raises(
+        ValidationError, match="transitivity fails at nodes \\(0, 0\\), \\(1, 0\\), \\(2, 0\\)"
+    ):
+        forest_from_type(p, [0, 1, 2], 1)
 
 
 def test_forest_from_type_shape_mismatch():
     with pytest.raises(DomainError):
-        forest_from_type(SignVector(bytes([1]), 1, 1), [1, 2], 1)
+        forest_from_type(np.ones((1, 1), dtype=bool), [1, 2], 1)
+    with pytest.raises(DomainError):
+        forest_from_type(np.ones(4, dtype=bool), [1, 2], 1)
 
 
 # --- virtual spaces -----------------------------------------------------------------
@@ -200,19 +223,25 @@ def test_builtin_certificate_validates():
 def test_corrupt_certificate_reports_witness():
     inst = dlo_instance(8)
     good = inst.certificate
+    # the first pair checked is (b, b') = (2, 2), where psi[0][1] holds exactly
+    # when a1 >= 2: the least miss of a constant True is a1 = 0, of False a1 = 2
+    for wrong, least in ((True, 0), (False, 2)):
 
-    def bad_combo(i, j, b, bp):
-        if (i, j) == (0, 1):
-            return Combo.const(True)  # wrong: should be an atom
-        return good.combo_for(i, j, b, bp)
+        def bad_combo(i, j, b, bp):
+            if (i, j) == (0, 1):
+                return Combo.const(wrong)  # wrong: should be an atom
+            return good.combo_for(i, j, b, bp)
 
-    broken = FullVCMinInstance(
-        inst.carrier, inst.delta0, DecompositionCertificate(good.delta1, bad_combo)
-    )
-    with pytest.raises(ValidationError, match="psi\\[0\\]\\[1\\]"):
-        validate_certificate(broken, [2, 5])
-    with pytest.raises(ValidationError):
-        incremental_count_check(broken, [2, 5])
+        broken = FullVCMinInstance(
+            inst.carrier, inst.delta0, DecompositionCertificate(good.delta1, bad_combo)
+        )
+        with pytest.raises(ValidationError) as err:
+            validate_certificate(broken, [2, 5])
+        assert str(err.value) == (
+            f"certificate mismatch for psi[0][1] at (b=2, b'=2), carrier point a1={least}"
+        )
+        with pytest.raises(ValidationError):
+            incremental_count_check(broken, [2, 5])
 
 
 def test_incremental_count_single_parameter():

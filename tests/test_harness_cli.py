@@ -1,9 +1,13 @@
 import json
 import math
+import threading
+import time
 
 import pytest
 
-from laminarvc import DomainError, OrderModel, save_model, type_space
+from laminarvc import (
+    DomainError, OrderModel, ResourceCapError, UltrametricModel, harness, save_model, type_space,
+)
 from laminarvc.cli import main
 from laminarvc.harness import CSV_HEADER, ExperimentConfig, csv_text, run_growth, thread_budget
 from laminarvc.models import SetFamily, growth_formula, random_ultrametric
@@ -96,6 +100,26 @@ def test_growth_cap_marks_incomplete():
     assert not report.complete and not report.passed
 
 
+def test_growth_cancels_queued_cells_after_cap_error(monkeypatch):
+    monkeypatch.setenv("LAMINAR_VC_THREADS", "2")
+    calls = []
+    lock = threading.Lock()
+
+    def over_cap(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            first = len(calls) == 1
+        # the first cell outlasts the rest, so the run learns of a later failure
+        # while the first cell is still running
+        time.sleep(0.3 if first else 0.005)
+        raise ResourceCapError("over the cap")
+
+    monkeypatch.setattr(harness, "type_space", over_cap)
+    report = run_growth(small_config(sizes=(4, 8, 16, 32), trials=10))
+    assert not report.complete
+    assert len(calls) < 40
+
+
 def test_growth_model_path(tmp_path):
     path = tmp_path / "m.model.json"
     save_model(random_ultrametric(32, 3, 5), path)
@@ -163,6 +187,44 @@ def test_cli_growth_writes_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "model,formula,arity,m,trial,seed,type_count,ms"
     assert len(lines) == 1 + 3 * 2
+
+
+@pytest.mark.parametrize("seed, accepted", [
+    ('"a,b"', False), ("1.5", False), ("true", False), ("[1]", False), ("null", True), ("5", True),
+])
+def test_cli_growth_model_seed_must_be_integer_or_null(seed, accepted, tmp_path, capsys):
+    path = tmp_path / "seeded.model.json"
+    path.write_text(f'{{"kind": "ultrametric", "parent": [-1, 0, 0, 0, 0, 0], "seed": {seed}}}')
+    code = main([
+        "growth", "--formula", "lca-ball", "--arity", "1", "--sizes", "2,3,4",
+        "--trials", "1", "--model", str(path),
+    ])
+    captured = capsys.readouterr()
+    if accepted:
+        # the fitted exponent of this tiny tree may miss the ceiling: exit 0 or 1
+        assert code in (0, 1)
+        lines = captured.out.splitlines()
+        assert len(lines) == 4 and all(len(line.split(",")) == len(CSV_HEADER) for line in lines)
+    else:
+        assert code == 2 and captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1 and "seed must be" in captured.err
+
+
+def test_cli_growth_caps_ultrametric_leaves_before_building_views(monkeypatch, tmp_path, capsys):
+    def no_views(self):
+        raise AssertionError("a model view was built")
+
+    monkeypatch.setattr(UltrametricModel, "ball_bool", property(no_views))
+    argv = ["growth", "--formula", "lca-ball", "--arity", "1", "--sizes", "8,16,3000"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "exceeds cap 4096" in err
+    # a model file over the cap too
+    path = tmp_path / "wide.model.json"
+    path.write_text(json.dumps({"kind": "ultrametric", "parent": [-1] + [0] * 4097}))
+    assert main(argv[:-2] + ["--sizes", "2,3,4", "--model", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "exceeds cap 4096" in err
 
 
 def test_cli_growth_usage_error():
