@@ -76,7 +76,8 @@ def cmd_verify_lemmas(args) -> int:
     else:
         for r in reports:
             status = "ok" if r.ok else "FAIL"
-            print(f"{r.lemma:32s} trials={r.trials:5d} failures={r.failures:3d} {status}")
+            detail = f" {r.detail}" if r.detail else ""
+            print(f"{r.lemma:32s} trials={r.trials:5d} failures={r.failures:3d} {status}{detail}")
     return 0 if all(r.ok for r in reports) else 1
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -26,17 +27,40 @@ class CrossingPair:
     j: int
 
 
+_CROSSING_BYTES = 1 << 23
+
+
 def first_crossing(family: SetFamily) -> Optional[CrossingPair]:
     """Lexicographically first pair of member sets that are neither nested nor
-    disjoint, or None if the family is directed."""
-    masks = family.masks
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i + 1, len(masks)):
-            mj = masks[j]
-            inter = mi & mj
-            if inter and inter != mi and inter != mj:
-                return CrossingPair(i, j)
+    disjoint, or None if the family is directed.
+
+    Sets i and j cross exactly when 0 < |S_i & S_j| < min(|S_i|, |S_j|).  The
+    intersection sizes come from products of membership rows, exact in
+    float32 below 2^24 elements.  Row chunks, in order, are multiplied with
+    column chunks of the same height, so that the working arrays fit
+    _CROSSING_BYTES; the first crossing of a chunk in row-major order is the
+    first of the family once the chunks above it have none."""
+    n, u = len(family.sets), family.universe.size
+    lens = [len(s) for s in family.sets]
+    elements = np.fromiter(chain.from_iterable(family.sets), np.int64, sum(lens))
+    member = np.zeros((n, u), dtype=bool)
+    member[np.repeat(np.arange(n), lens), elements] = True
+    sizes = np.array(lens, dtype=np.float32)
+    # per chunk: two float32 (side, u) blocks, the float32 (side, n) product
+    # and two (side, n) masks
+    side = max(1, _CROSSING_BYTES // (8 * (u + n)))
+    for lo in range(0, n, side):
+        rows = member[lo : lo + side].astype(np.float32)
+        inter = np.empty((len(rows), n), dtype=np.float32)
+        for jlo in range(0, n, side):
+            inter[:, jlo : jlo + side] = rows @ member[jlo : jlo + side].astype(np.float32).T
+        cross = inter > 0
+        cross &= inter < sizes
+        cross &= inter < sizes[lo : lo + side, None]
+        cross &= np.arange(n) > np.arange(lo, lo + len(rows))[:, None]
+        first = int(np.argmax(cross))
+        if cross.flat[first]:
+            return CrossingPair(lo + first // n, first % n)
     return None
 
 

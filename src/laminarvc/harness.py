@@ -91,6 +91,9 @@ class GrowthRow:
     seed: int
     type_count: int
     ms: int
+    # JSON only: the cell's refinement cost (setsystem.SweepCost)
+    batch_calls: int
+    tuples_refined: int
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,7 @@ class GrowthReport:
     ceiling: float
     passed: bool
     complete: bool
+    quotient: bool
 
     def to_json(self) -> dict:
         return {
@@ -115,6 +119,7 @@ class GrowthReport:
             "ceiling": self.ceiling,
             "passed": self.passed,
             "complete": self.complete,
+            "quotient": self.quotient,
         }
 
 
@@ -198,7 +203,8 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
         ms = int(round((time.perf_counter() - t0) * 1000))
         return GrowthRow(
             model.label, formula.name, config.arity, m, t, config.seed,
-            space_result.count, ms,
+            space_result.count, ms, space_result.cost.batch_calls,
+            space_result.cost.tuples_refined,
         )
 
     jobs = [(m, t) for m in config.sizes for t in range(config.trials)]
@@ -243,6 +249,7 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
         ceiling=config.ceiling,
         passed=passed,
         complete=complete,
+        quotient=representatives is not None,
     )
 
 

@@ -140,6 +140,30 @@ class UltrametricModel:
         return mat
 
     @cached_property
+    def ancestor_by_depth(self) -> np.ndarray:
+        """(L, height + 1) matrix: per carrier index, its leaf's ancestor at
+        each depth, and the leaf itself at every depth below the leaf's own."""
+        parent = np.array(self.parent)
+        depth = np.array(self.depth)
+        leaves = np.array(self.leaves)
+        table = np.repeat(leaves[:, None], depth.max() + 1, axis=1).astype(np.int32)
+        rows, nodes = np.arange(self.size), leaves
+        while len(nodes):
+            table[rows, depth[nodes]] = nodes
+            up = parent[nodes]
+            keep = up != -1
+            rows, nodes = rows[keep], up[keep]
+        return table
+
+    def lca_of(self, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+        """lca node ids of the leaves at carrier index arrays y0, y1: their
+        ancestor_by_depth rows agree down to the lca's depth and nowhere below
+        it, since a leaf is nobody's ancestor."""
+        a, b = self.ancestor_by_depth[y0], self.ancestor_by_depth[y1]
+        d = np.count_nonzero(a == b, axis=-1) - 1
+        return np.take_along_axis(a, d[..., None], axis=-1)[..., 0]
+
+    @cached_property
     def _anc_arrays(self) -> dict[int, np.ndarray]:
         return {}
 
@@ -151,22 +175,45 @@ class UltrametricModel:
             )
         return self._anc_arrays[k]
 
-    # ball membership: x, or else the y arguments, may be an index array
+    # ball membership.  x is a carrier index or an array of them, and y0, y1
+    # are indices, index arrays of object columns, or (k, 1) parameter
+    # blocks; with object columns, x may itself be a (k, 1) block.  A block
+    # gives a (k, T) matrix, one row per member.
+
+    def _rows(self, nodes, x):
+        """x in the ball of one node, or of each node of a (k, 1) block: the
+        block's distinct node rows first, the x columns last."""
+        if np.ndim(nodes) == 0:
+            return self.ball_bool[nodes][x]
+        distinct, inverse = np.unique(nodes[:, 0], return_inverse=True)
+        return self.ball_bool[distinct].take(x, axis=1)[inverse]
+
+    @staticmethod
+    def _per_x(x, row):
+        """row(x), or the rows of a (k, 1) block of x stacked: each row
+        gathers 1-D, as one x does."""
+        if np.ndim(x) == 0:
+            return row(x)
+        return np.stack([row(xi) for xi in x[:, 0]])
 
     def in_lca_ball(self, x, y0, y1):
         """x is in the ball at lca(y0, y1)."""
+        if np.ndim(y0) == 1:
+            # object columns: x's column first, the (y0, y1) gather last
+            nodes = self.lca_node_matrix[y0, y1]
+            return self._per_x(x, lambda xi: self.ball_bool[:, xi][nodes])
         if np.ndim(y0) == 0:
-            # one pair: walk up to its lca rather than build the (L, L) matrix
-            return self.ball_bool[self.lca(self.leaves[y0], self.leaves[y1])][x]
-        return self.ball_bool[:, x][self.lca_node_matrix[y0, y1]]
+            # one pair: walk up to its lca rather than build any table
+            return self._rows(self.lca(self.leaves[y0], self.leaves[y1]), x)
+        return self._rows(self.lca_of(y0, y1), x)
 
     def in_ball_above(self, x, y, k: int):
         """x is in the ball k levels above y, clamped at the root."""
         anc = self.ancestor_array(k)
-        if np.ndim(y) == 0:
-            return self.ball_bool[anc[y]][x]
-        # one x against many y: x's column per leaf first, the y gather last
-        return self.ball_bool[:, x][anc][y]
+        if np.ndim(y) == 1:
+            # object column: x's column per leaf first, the y gather last
+            return self._per_x(x, lambda xi: self.ball_bool[:, xi][anc][y])
+        return self._rows(anc[y], x)
 
 
 @dataclass(frozen=True)
@@ -212,11 +259,12 @@ def random_ultrametric(leaf_count: int, max_branching: int, seed: int) -> Ultram
 
 def ball_family(model: UltrametricModel) -> DirectedFamily:
     """The family {ball(v) : v a tree node}, indexed by node id; directed by
-    construction."""
-    fam = SetFamily(
-        Universe(model.size), tuple(model.ball(v) for v in range(model.n_nodes))
-    )
-    return DirectedFamily(fam)
+    construction.  The sets are read off the rows of ball_bool at once."""
+    nodes, leaves = np.nonzero(model.ball_bool)
+    flat = leaves.tolist()
+    ends = np.cumsum(np.bincount(nodes, minlength=model.n_nodes)).tolist()
+    sets = tuple(frozenset(flat[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    return DirectedFamily(SetFamily(Universe(model.size), sets))
 
 
 def order_family(model: OrderModel, include_empty: bool = False) -> DirectedFamily:

@@ -24,6 +24,7 @@ VC_UNIVERSE_CAP = 24
 ENUM_CAP = 1 << 26
 _PROFILE_BYTES = 1 << 23
 _SWEEP_TUPLES = 1 << 18
+_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -192,15 +193,23 @@ def sauer_check(family: SetFamily, cap: int = VC_UNIVERSE_CAP) -> bool:
 class ParametrizedFormula:
     """A total decidable predicate phi(x-tuple; y-tuple) over a carrier model.
 
-    `batch` evaluates one parameter tuple against a whole (T, object_arity)
-    array of object tuples at once, and must agree with `eval_fn` pointwise.
+    `batch(model, objs, params)` evaluates parameters against a whole
+    (T, object_arity) int array of object tuples at once, and must agree with
+    `eval_fn` pointwise.  `params` is either one plain tuple of ints, giving a
+    (T,) bool array, or a block of k parameter tuples given as a tuple of
+    `param_arity` int arrays of shape (k, 1), giving a (k, T) bool matrix
+    whose row i belongs to the i-th tuple of the block.  Columns such as
+    `objs[:, 0] < params[0]` broadcast to both forms; a result that does not
+    depend on the parameters may stay (T,).  The refinement engine sizes its
+    blocks so that one block's bits take at most _BLOCK_BYTES bytes, and
+    passes a block of one as the plain tuple.
     """
 
     name: str
     object_arity: int
     param_arity: int
     eval_fn: Callable[[object, tuple[int, ...], tuple[int, ...]], bool]
-    batch: Callable[[object, np.ndarray, tuple[int, ...]], np.ndarray]
+    batch: Callable[[object, np.ndarray, tuple], np.ndarray]
 
     def __post_init__(self):
         if self.object_arity < 1 or self.param_arity < 1:
@@ -210,6 +219,15 @@ class ParametrizedFormula:
         return bool(self.eval_fn(model, objs, params))
 
 
+@dataclass
+class SweepCost:
+    """What a refinement sweep cost: `batch` calls made and object tuples
+    refined (a tuple refined in several chunks counts once per chunk)."""
+
+    batch_calls: int = 0
+    tuples_refined: int = 0
+
+
 @dataclass(frozen=True, eq=False)
 class TypeSpace:
     """Deduplicated realized sign vectors of carrier tuples over B x formulas.
@@ -217,7 +235,8 @@ class TypeSpace:
     `complete` is False when the space was sampled rather than enumerated; the
     count is then only a lower bound.  `vectors`, in lexicographic order, hold
     one 0/1 byte per (parameter, formula) slot, param-major; they are built on
-    first access from `_rows`, which yields one sign row per class.
+    first access from `_rows`, which yields one sign row per class.  `cost`
+    counts the sweep that found the classes, not the building of `vectors`.
     """
 
     params: tuple[tuple[int, ...], ...]
@@ -225,6 +244,7 @@ class TypeSpace:
     count: int
     complete: bool
     _rows: Callable[[], Sequence[bytes]] = field(repr=False)
+    cost: SweepCost = field(default_factory=SweepCost)
 
     @cached_property
     def vectors(self) -> tuple[bytes, ...]:
@@ -247,25 +267,88 @@ def _decode_tuples(indices: np.ndarray, carrier_size: int, arity: int) -> np.nda
     return objs
 
 
-def _refine(formulas, params, carrier, objs: np.ndarray) -> np.ndarray:
+def _slot_blocks(formulas, params, carrier, objs: np.ndarray, cost: Optional[SweepCost] = None):
+    """The sign bits of `objs` over params x formulas, as one (slots, T) bool
+    matrix per block of parameter tuples, slots in param-major order.
+
+    A block holds k = max(1, _BLOCK_BYTES // (len(formulas) * T)) parameter
+    tuples and costs one `batch` call per formula; a block of one is passed
+    as the plain tuple."""
+    t, n_f = len(objs), len(formulas)
+    k = max(1, _BLOCK_BYTES // max(1, n_f * t))
+    table = np.asarray(params, dtype=np.int64)
+    for lo in range(0, len(params), k):
+        hi = min(lo + k, len(params))
+        if hi - lo == 1:
+            block = params[lo]
+        else:
+            block = tuple(table[lo:hi, i : i + 1] for i in range(table.shape[1]))
+        rows = [np.broadcast_to(f.batch(carrier, objs, block), (hi - lo, t)) for f in formulas]
+        if cost is not None:
+            cost.batch_calls += n_f
+        yield rows[0] if n_f == 1 else np.stack(rows, axis=1).reshape(-1, t)
+
+
+def _refine(formulas, params, carrier, objs: np.ndarray,
+            cost: Optional[SweepCost] = None) -> np.ndarray:
     """Positions in `objs` of one tuple per distinct sign row, in lexicographic
     row order.
 
-    Partition refinement: every tuple carries an integer class label, and each
-    (parameter, formula) slot splits the classes by its bit, label << 1 | bit.
-    Before a label would overflow, np.unique renumbers the labels by rank,
-    which keeps the lexicographic order of the row prefixes seen so far.
+    Partition refinement: every tuple carries an integer class label, and the
+    (parameter, formula) slots split the classes by their bits in param-major
+    order, eight slots to a byte: label << 8 | byte.  Each tuple's byte is
+    built in place, a slot at a time, on uint64 words that hold eight tuples'
+    0/1 bytes; a 0/1 byte shifted by at most 7 stays inside its byte.  Before
+    a label would overflow, np.unique renumbers the labels by rank, which
+    keeps the lexicographic order of the row prefixes seen so far.
+
+    Two kinds of slots split and reorder nothing, since rows that agree
+    before such a slot agree on it: a slot whose bits over `objs` equal an
+    earlier slot's, skipped while the packed bits of the slots seen, kept to
+    at most _BLOCK_BYTES bytes, recognize it; and the zero slots that fill
+    the last byte.
     """
-    labels = np.zeros(len(objs), dtype=np.int64)
-    room = 63  # shifts left before the largest label could overflow
-    for b in params:
-        for f in formulas:
-            if room == 0:
-                uniq, labels = np.unique(labels, return_inverse=True)
-                room = 63 - (len(uniq) - 1).bit_length()
-            labels <<= 1
-            labels |= f.batch(carrier, objs, b)
-            room -= 1
+    t = len(objs)
+    t8 = -(-t // 8) * 8
+    labels = np.zeros(t, dtype=np.int64)
+    room = 56  # shifts left, a multiple of 8, before a label could overflow
+    byte = np.zeros(t8 // 8, dtype=np.uint64)
+    shifted = np.empty_like(byte)
+    filled = 0
+    seen: set[bytes] = set()
+    seen_cap = _BLOCK_BYTES // max(1, t8 // 8)
+
+    def fold():
+        nonlocal labels, room, filled
+        if room == 0:
+            uniq, labels = np.unique(labels, return_inverse=True)
+            room = (63 - (len(uniq) - 1).bit_length()) // 8 * 8
+        labels <<= 8
+        labels |= byte.view(np.uint8)[:t]
+        room -= 8
+        byte[:] = 0
+        filled = 0
+
+    for bits in _slot_blocks(formulas, params, carrier, objs, cost):
+        if t == t8 and bits.dtype == bool and bits.flags.c_contiguous:
+            words = bits.view(np.uint64)
+        else:
+            padded = np.zeros((len(bits), t8), dtype=np.uint8)
+            padded[:, :t] = bits
+            words = padded.view(np.uint64)
+        for row, key in zip(words, np.packbits(bits, axis=1)):
+            key = key.tobytes()
+            if key in seen:
+                continue
+            if len(seen) < seen_cap:
+                seen.add(key)
+            np.left_shift(row, 7 - filled, out=shifted)
+            byte |= shifted
+            filled += 1
+            if filled == 8:
+                fold()
+    if filled:
+        fold()
     return np.unique(labels, return_index=True)[1]
 
 
@@ -275,6 +358,7 @@ def class_representatives(
     carrier,
     object_arity: int,
     tuple_indices: Optional[Sequence[int]] = None,
+    cost: Optional[SweepCost] = None,
 ) -> np.ndarray:
     """Indices of one object tuple per distinct sign row over params x
     formulas, in lexicographic row order.
@@ -283,7 +367,7 @@ def class_representatives(
     its base-`carrier.size` numeral.  The sweep
     runs in chunks of _SWEEP_TUPLES tuples, each refined together with the
     representatives found so far, so memory stays bounded by the chunk plus
-    the classes.
+    the classes.  `cost`, if given, accumulates what the sweep cost.
     """
     n = carrier.size
     if tuple_indices is None:
@@ -301,7 +385,9 @@ def class_representatives(
     for chunk in chunks:
         candidates = np.concatenate([reps, chunk])
         objs = _decode_tuples(candidates, n, object_arity)
-        reps = candidates[_refine(formulas, params, carrier, objs)]
+        if cost is not None:
+            cost.tuples_refined += len(candidates)
+        reps = candidates[_refine(formulas, params, carrier, objs, cost)]
     return reps
 
 
@@ -309,10 +395,9 @@ def _sign_rows(formulas, params, carrier, objs: np.ndarray) -> list[bytes]:
     """One 0/1 byte row per object tuple, param-major."""
     mat = np.empty((len(objs), len(params) * len(formulas)), dtype=np.uint8)
     col = 0
-    for b in params:
-        for f in formulas:
-            mat[:, col] = f.batch(carrier, objs, b)
-            col += 1
+    for bits in _slot_blocks(formulas, params, carrier, objs):
+        mat[:, col : col + len(bits)] = bits.T
+        col += len(bits)
     return [row.tobytes() for row in mat]
 
 
@@ -379,11 +464,12 @@ def type_space(
             tuple_indices = [rng.randrange(total) for _ in range(budget)]
         complete = False
 
-    reps = class_representatives(formulas, params, carrier, object_arity, tuple_indices)
+    cost = SweepCost()
+    reps = class_representatives(formulas, params, carrier, object_arity, tuple_indices, cost)
     objs = _decode_tuples(reps, n, object_arity)
     return TypeSpace(
         tuple(params), names, len(reps), complete,
-        partial(_sign_rows, formulas, params, carrier, objs),
+        partial(_sign_rows, formulas, params, carrier, objs), cost,
     )
 
 

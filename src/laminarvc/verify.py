@@ -47,6 +47,23 @@ class LemmaReport:
         return self.failures == 0
 
 
+class _Failures:
+    """Failure count of a suite, and the first failure's RNG key and
+    witness: LemmaReport.detail reads "<key>: <witness>"."""
+
+    def __init__(self):
+        self.count = 0
+        self.detail = ""
+
+    def add(self, key: str, witness: str) -> None:
+        if not self.count:
+            self.detail = f"{key}: {witness}"
+        self.count += 1
+
+    def report(self, lemma: str, trials: int) -> LemmaReport:
+        return LemmaReport(lemma, trials, self.count, self.detail)
+
+
 def _random_forest(rng: Random, max_nodes: int = 12):
     """A random quasi-forest of ultrametric balls, duplicates allowed so the
     quotient is exercised."""
@@ -62,15 +79,17 @@ def verify_directed_linear_bound(seed: int, trials: int = 500,
                                  max_leaves: int = 64, max_params: int = 32) -> LemmaReport:
     """Ball families are directed and realized type counts over them stay
     within |delta|*|C| + 1, with every realized type among the virtual ones."""
-    failures = 0
+    fails = _Failures()
     for t in range(trials):
-        rng = Random(f"{seed}/linear/{t}")
+        key = f"{seed}/linear/{t}"
+        rng = Random(key)
         model = random_ultrametric(
             rng.randint(4, max_leaves), rng.randint(2, 4), rng.randrange(1 << 30)
         )
         fam = ball_family(model)
-        if not isinstance(check_directed(fam.base), DirectedFamily):
-            failures += 1
+        crossing = check_directed(fam.base)
+        if not isinstance(crossing, DirectedFamily):
+            fails.add(key, f"balls {crossing.i} and {crossing.j} of {model.label} cross")
             continue
         delta = [growth_formula("lca-ball", 1)]
         n_params = rng.randint(1, max_params)
@@ -80,43 +99,47 @@ def verify_directed_linear_bound(seed: int, trials: int = 500,
         ]
         realized = type_space(delta, C, model, 1)
         virtual = virtual_type_space(C, delta, model)
-        if realized.count > len(delta) * len(C) + 1:
-            failures += 1
+        bound = len(delta) * len(C) + 1
+        if realized.count > bound:
+            fails.add(key, f"{realized.count} realized types > {bound}")
         elif not realized.vector_set() <= virtual.entry_set():
-            failures += 1
-        elif virtual.count > len(delta) * len(C) + 1:
-            failures += 1
-    return LemmaReport("directedness+linear-bound", trials, failures)
+            stray = min(realized.vector_set() - virtual.entry_set())
+            fails.add(key, f"realized type {stray.hex()} is not virtual")
+        elif virtual.count > bound:
+            fails.add(key, f"{virtual.count} virtual types > {bound}")
+    return fails.report("directedness+linear-bound", trials)
 
 
 def verify_convexity(seed: int, trials: int = 1000) -> LemmaReport:
     """Default-ordered convex orders keep every ball's type set an interval
     and extend inclusion."""
-    failures = 0
+    fails = _Failures()
     for t in range(trials):
-        rng = Random(f"{seed}/convex/{t}")
+        key = f"{seed}/convex/{t}"
+        rng = Random(key)
         forest = _random_forest(rng)
         tree = type_tree(forest)
         order = convex_order(tree)
         if not check_convexity(order):
-            failures += 1
+            fails.add(key, "some ball's types are not an interval of the order")
             continue
-        ok = True
-        for p in tree.nodes:
-            for q in tree.nodes:
-                if p < q and order.position[tree.index[p]] >= order.position[tree.index[q]]:
-                    ok = False
-        if not ok:
-            failures += 1
-    return LemmaReport("convex-ordering", trials, failures)
+        broken = [
+            (p, q) for p in tree.nodes for q in tree.nodes
+            if p < q and order.position[tree.index[p]] >= order.position[tree.index[q]]
+        ]
+        if broken:
+            p, q = broken[0]
+            fails.add(key, f"type {sorted(p)} is placed after its superset {sorted(q)}")
+    return fails.report("convex-ordering", trials)
 
 
 def verify_sum_dist(seed: int, trials: int = 1000, subsequences: int = 3) -> LemmaReport:
     """Summed consecutive distances along the full convex enumeration (and
     along random subsequences) stay within twice the raw forest size."""
-    failures = 0
+    fails = _Failures()
     for t in range(trials):
-        rng = Random(f"{seed}/sumdist/{t}")
+        key = f"{seed}/sumdist/{t}"
+        rng = Random(key)
         if t % 4 == 0:
             # the params x formulas form, so the bound reads 2|C||Delta|
             model = random_ultrametric(rng.randint(2, 8), rng.randint(2, 4), rng.randrange(1 << 30))
@@ -132,24 +155,26 @@ def verify_sum_dist(seed: int, trials: int = 1000, subsequences: int = 3) -> Lem
         order = convex_order(tree)
         full = sum_dist_check(order)
         if not full.ok:
-            failures += 1
+            fails.add(key, f"full enumeration: distance sum {full.total} > {full.bound}")
             continue
         nodes_in_order = [tree.nodes[i] for i in order.sequence]
         for _ in range(subsequences):
             k = rng.randint(1, len(nodes_in_order))
             idxs = sorted(rng.sample(range(len(nodes_in_order)), k))
             sub = [nodes_in_order[i] for i in idxs]
-            if not sum_dist_check(order, sub).ok:
-                failures += 1
+            part = sum_dist_check(order, sub)
+            if not part.ok:
+                fails.add(key, f"subsequence {idxs}: distance sum {part.total} > {part.bound}")
                 break
-    return LemmaReport("sum-of-distances", trials, failures)
+    return fails.report("sum-of-distances", trials)
 
 
 def verify_sauer(seed: int, trials: int = 1000,
                  max_universe: int = 14, max_sets: int = 20) -> LemmaReport:
-    failures = 0
+    fails = _Failures()
     for t in range(trials):
-        rng = Random(f"{seed}/sauer/{t}")
+        key = f"{seed}/sauer/{t}"
+        rng = Random(key)
         n = rng.randint(1, max_universe)
         k_sets = rng.randint(1, max_sets)
         sets = []
@@ -158,26 +183,28 @@ def verify_sauer(seed: int, trials: int = 1000,
             sets.append(frozenset(i for i in range(n) if mask >> i & 1))
         fam = SetFamily.of(n, sets)
         if not sauer_check(fam):
-            failures += 1
-    return LemmaReport("sauer-shelah", trials, failures)
+            fails.add(key, f"sets {[sorted(s) for s in sets]} over {n} elements")
+    return fails.report("sauer-shelah", trials)
 
 
 def verify_components(seed: int, trials: int = 500) -> LemmaReport:
     """Decompositions of <=3-ball unions: exact cover, brute-force minimal
     length, and invariance under pool permutation."""
-    failures = 0
+    fails = _Failures()
     for t in range(trials):
-        rng = Random(f"{seed}/components/{t}")
+        key = f"{seed}/components/{t}"
+        rng = Random(key)
         model = random_ultrametric(rng.randint(4, 16), rng.randint(2, 4), rng.randrange(1 << 30))
         pool = ball_family(model)
         picks = [rng.randrange(model.n_nodes) for _ in range(rng.randint(1, 3))]
         target = frozenset().union(*(model.ball(v) for v in picks))
         result = components(target, pool)
         if isinstance(result, ComponentsFailure):
-            failures += 1
+            fails.add(key, f"target {sorted(target)}: point {result.uncovered} is not covered")
             continue
         if frozenset().union(*result) != target:
-            failures += 1
+            covered = sorted(frozenset().union(*result))
+            fails.add(key, f"target {sorted(target)}: components cover {covered}")
             continue
         distinct = sorted(set(pool.sets) - {frozenset()}, key=lambda s: (min(s), len(s)))
         brute_min = None
@@ -189,21 +216,23 @@ def verify_components(seed: int, trials: int = 500) -> LemmaReport:
             if brute_min is not None:
                 break
         if brute_min is None or len(result) != brute_min:
-            failures += 1
+            fails.add(
+                key, f"target {sorted(target)}: {len(result)} components, brute force {brute_min}"
+            )
             continue
         shuffled = list(pool.sets)
         rng.shuffle(shuffled)
         permuted = DirectedFamily(SetFamily(pool.base.universe, tuple(shuffled)))
         if components(target, permuted) != result:
-            failures += 1
-    return LemmaReport("components-canonicity", trials, failures)
+            fails.add(key, f"target {sorted(target)}: a shuffled pool gives other components")
+    return fails.report("components-canonicity", trials)
 
 
 def verify_determination(seed: int, carrier_sizes=(5, 9, 14, 20), b_sizes=(2, 4, 6)) -> LemmaReport:
     """On the built-in linear-order instance: equal psi-types give identical
     forests (read off the type and rebuilt from extents), and every realized
     one-variable type lands in the matching virtual space."""
-    failures = 0
+    fails = _Failures()
     trials = 0
     for n in carrier_sizes:
         instance = dlo_instance(n)
@@ -212,7 +241,8 @@ def verify_determination(seed: int, carrier_sizes=(5, 9, 14, 20), b_sizes=(2, 4,
             if m > n:
                 continue
             trials += 1
-            B = sorted(Random(f"{seed}/det/{n}/{m}").sample(range(n), m))
+            trial_key = f"{seed}/det/{n}/{m}"
+            B = sorted(Random(trial_key).sample(range(n), m))
             groups: dict[bytes, list[int]] = {}
             types = {}
             for a1 in range(n):
@@ -220,36 +250,39 @@ def verify_determination(seed: int, carrier_sizes=(5, 9, 14, 20), b_sizes=(2, 4,
                 key = p.tobytes()
                 groups.setdefault(key, []).append(a1)
                 types[key] = p
-            ok = True
+            witnesses = []
             for key, members in groups.items():
                 read_off = forest_from_type(types[key], B, len(instance.delta0))
                 virtual = p_virtual_space(types[key], B, len(instance.delta0))
-                built = [
-                    build_forest([(a1, b) for b in B], instance.delta0, instance.carrier)
-                    for a1 in members
-                ]
-                if any(not read_off.same_order(f) for f in built):
-                    ok = False
+                for a1 in members:
+                    built = build_forest([(a1, b) for b in B], instance.delta0, instance.carrier)
+                    if not read_off.same_order(built):
+                        witnesses.append(f"a1={a1}: its forest is not the one its psi-type gives")
                 for a1 in members:
                     realized = type_space(
                         instance.delta0, [(a1, b) for b in B], instance.carrier, 1
                     )
                     if not realized.vector_set() <= virtual.entry_set():
-                        ok = False
-            if not ok:
-                failures += 1
-    return LemmaReport("forest+type-determination", trials, failures)
+                        witnesses.append(f"a1={a1}: a realized type is not virtual")
+            if witnesses:
+                fails.add(trial_key, f"B={B}, {witnesses[0]}")
+    return fails.report("forest+type-determination", trials)
 
 
 def verify_incremental(seed: int, b_sizes=(4, 8, 16)) -> LemmaReport:
-    failures = 0
+    fails = _Failures()
     for m in b_sizes:
+        key = f"{seed}/fullvcmin/{m}"
         instance = dlo_instance(3 * m)
-        B = sorted(Random(f"{seed}/fullvcmin/{m}").sample(range(instance.carrier.size), m))
+        B = sorted(Random(key).sample(range(instance.carrier.size), m))
         report = incremental_count_check(instance, B)
         if not report.all_ok:
-            failures += 1
-    return LemmaReport("incremental-count", len(b_sizes), failures)
+            broken = [
+                name for name in ("per_step_ok", "sum_dist_ok", "aggregate_ok", "containment_ok")
+                if not getattr(report, name)
+            ]
+            fails.add(key, f"B={B}, {' and '.join(broken)} false")
+    return fails.report("incremental-count", len(b_sizes))
 
 
 def run_all(seed: int, trials: int = 1000) -> list[LemmaReport]:

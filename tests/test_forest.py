@@ -13,6 +13,7 @@ from laminarvc import (
     DomainError,
     QuasiForest,
     SetFamily,
+    Universe,
     ValidationError,
     build_forest,
     check_convexity,
@@ -24,6 +25,8 @@ from laminarvc import (
     type_tree,
     virtual_type_space,
 )
+from laminarvc import forest as forest_module
+from laminarvc.forest import first_crossing
 from laminarvc.models import ball_family, growth_formula, random_ultrametric
 
 
@@ -59,6 +62,56 @@ def test_check_directed_disjoint_chain_crossing():
 def test_directed_family_rejects_crossing():
     with pytest.raises(ValidationError):
         DirectedFamily(SetFamily.of(3, [{0, 1}, {1, 2}]))
+
+
+def pair_loop_crossing(family):
+    """The reference scan: the first (i, j), i < j, in loop order whose sets
+    are neither nested nor disjoint."""
+    masks = family.masks
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            inter = masks[i] & masks[j]
+            if inter and inter != masks[i] and inter != masks[j]:
+                return CrossingPair(i, j)
+    return None
+
+
+def random_families(rng):
+    """Ball families (directed), the same with a few random sets mixed in
+    (mostly crossing), and small random families with empty and repeated sets."""
+    model = random_ultrametric(rng.randint(2, 40), rng.randint(2, 4), rng.randrange(1 << 20))
+    balls = list(ball_family(model).sets)
+    yield SetFamily(Universe(model.size), tuple(balls))
+    for _ in range(rng.randint(1, 3)):
+        balls.insert(
+            rng.randrange(len(balls) + 1),
+            frozenset(rng.sample(range(model.size), rng.randint(0, model.size))),
+        )
+    yield SetFamily(Universe(model.size), tuple(balls))
+    n = rng.randint(1, 9)
+    sets = [frozenset(x for x in range(n) if rng.random() < 0.4) for _ in range(rng.randint(0, 8))]
+    yield SetFamily.of(n, sets + sets[:2])
+
+
+@pytest.mark.parametrize("budget", [1, 4096, forest_module._CROSSING_BYTES])
+@pytest.mark.parametrize("seed", range(4))
+def test_first_crossing_matches_pair_loop(seed, budget, monkeypatch):
+    # a budget of 1 byte takes one row and one column at a time, 4096 bytes a
+    # few rows of these families
+    monkeypatch.setattr(forest_module, "_CROSSING_BYTES", budget)
+    rng = Random(seed)
+    found = 0
+    for _ in range(10):
+        for family in random_families(rng):
+            want = pair_loop_crossing(family)
+            assert first_crossing(family) == want
+            if want is None:
+                assert isinstance(check_directed(family), DirectedFamily)
+            else:
+                found += 1
+                with pytest.raises(ValidationError, match=f"sets {want.i} and {want.j} cross$"):
+                    DirectedFamily(family)
+    assert found > 5
 
 
 # --- forest construction -------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import threading
 import time
 
@@ -7,10 +8,12 @@ import pytest
 
 from laminarvc import (
     DomainError, OrderModel, ResourceCapError, UltrametricModel, harness, save_model, type_space,
+    verify,
 )
 from laminarvc.cli import main
 from laminarvc.harness import CSV_HEADER, ExperimentConfig, csv_text, run_growth, thread_budget
 from laminarvc.models import SetFamily, growth_formula, random_ultrametric
+from laminarvc.setsystem import sauer_check
 
 
 def rows_without_ms(report):
@@ -133,6 +136,20 @@ def test_report_json_round_trip():
     assert doc["passed"] is True
     assert doc["rows"][0]["m"] == 4
     assert doc["median_exponent"] == pytest.approx(report.median_exponent)
+
+
+def test_report_json_carries_cell_cost_and_quotient():
+    # 32 leaves: every cell sweeps the 32 carrier elements in one block
+    doc = run_growth(small_config()).to_json()
+    assert doc["quotient"] is False
+    assert [(r["batch_calls"], r["tuples_refined"]) for r in doc["rows"]] == [(1, 32)] * 6
+    # 16 leaves at arity 2: the quotient runs, and cells refine its classes only
+    report = run_growth(small_config(formula_kind="twin-ball-1", arity=2, sizes=(2, 4, 8)))
+    doc = report.to_json()
+    assert doc["quotient"] is True
+    assert all(0 < r["tuples_refined"] < 16**2 and r["batch_calls"] >= 1 for r in doc["rows"])
+    assert csv_text(report).splitlines()[0] == ",".join(CSV_HEADER)
+    assert all(len(line.split(",")) == len(CSV_HEADER) for line in csv_text(report).splitlines())
 
 
 # --- CLI -------------------------------------------------------------------------
@@ -298,3 +315,25 @@ def test_cli_verify_lemmas_small_run(capsys):
         "incremental-count",
     }
     assert all(entry["failures"] == 0 for entry in doc)
+
+
+def test_lemma_failure_names_trial_key_and_witness(monkeypatch, capsys):
+    drawn = []
+
+    def sauer_failing_third_trial(family):
+        drawn.append(family)
+        return len(drawn) != 3 and sauer_check(family)
+
+    monkeypatch.setattr(verify, "sauer_check", sauer_failing_third_trial)
+    assert main(["verify-lemmas", "--trials", "4", "--seed", "5"]) == 1
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()}
+    line = lines["sauer-shelah"]
+    # the prefix that the benchmark parses is unchanged
+    prefix = re.match(r"^(\S+)\s+trials=\s*(\d+)\s+failures=\s*(\d+)", line)
+    assert prefix.groups() == ("sauer-shelah", "4", "1")
+    sets = [sorted(x) for x in drawn[2].sets]
+    assert line.endswith(f" FAIL 5/sauer/2: sets {sets} over {drawn[2].universe.size} elements")
+    assert lines["convex-ordering"].endswith(" ok")
+    drawn.clear()
+    report = verify.verify_sauer(5, trials=4)
+    assert report.failures == 1 and report.detail.startswith("5/sauer/2: ")
