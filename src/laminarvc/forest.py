@@ -8,7 +8,7 @@ class level while raw counts give the stated bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
@@ -66,11 +66,16 @@ def first_crossing(family: SetFamily) -> Optional[CrossingPair]:
 
 @dataclass(frozen=True)
 class DirectedFamily:
-    """A SetFamily validated as pairwise nested-or-disjoint."""
+    """A SetFamily validated as pairwise nested-or-disjoint.  Pass
+    checked=True only for a family already scanned, or directed by
+    construction; it is then not scanned again."""
 
     base: SetFamily
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked: bool):
+        if checked:
+            return
         witness = first_crossing(self.base)
         if witness is not None:
             raise ValidationError(
@@ -86,7 +91,7 @@ def check_directed(family: SetFamily) -> Union[DirectedFamily, CrossingPair]:
     witness = first_crossing(family)
     if witness is not None:
         return witness
-    return DirectedFamily(family)
+    return DirectedFamily(family, checked=True)
 
 
 # --- quasi-forests ---------------------------------------------------------

@@ -8,7 +8,6 @@ import statistics
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from itertools import product
 from random import Random
 from typing import Optional
 
@@ -29,7 +28,9 @@ from .setsystem import (
     ENUM_CAP,
     GrowthPoint,
     GrowthSeries,
-    class_representatives,
+    SweepCost,
+    _decode_tuples,
+    distinct_rows,
     type_space,
 )
 
@@ -91,7 +92,8 @@ class GrowthRow:
     seed: int
     type_count: int
     ms: int
-    # JSON only: the cell's refinement cost (setsystem.SweepCost)
+    # JSON only: the cell's cost (setsystem.SweepCost); a factored cell
+    # makes no batch calls and dedupes tuples_refined candidate rows
     batch_calls: int
     tuples_refined: int
 
@@ -107,7 +109,7 @@ class GrowthReport:
     ceiling: float
     passed: bool
     complete: bool
-    quotient: bool
+    engine: str  # "factored" at arity 2, else "refine" (type_space)
 
     def to_json(self) -> dict:
         return {
@@ -119,7 +121,7 @@ class GrowthReport:
             "ceiling": self.ceiling,
             "passed": self.passed,
             "complete": self.complete,
-            "quotient": self.quotient,
+            "engine": self.engine,
         }
 
 
@@ -152,27 +154,25 @@ def _sample_params(rng: Random, space: int, arity: int, m: int, carrier_size: in
         idxs = [rng.randrange(space) for _ in range(m)]
     else:
         idxs = rng.sample(range(space), m)
-    out = []
-    for idx in idxs:
-        t = []
-        for _ in range(arity):
-            idx, r = divmod(idx, carrier_size)
-            t.append(r)
-        out.append(tuple(reversed(t)))
-    return out
+    decoded = _decode_tuples(np.array(idxs, dtype=np.int64), carrier_size, arity)
+    return list(map(tuple, decoded.tolist()))
 
 
-def _carrier_quotient(config: ExperimentConfig, model: CarrierModel, formula) -> Optional[np.ndarray]:
-    """One object tuple per class of sign rows over every carrier parameter
-    tuple, or None where that sweep would cost more than the cells it serves
-    or some cell is over the cap anyway."""
-    space = model.size**formula.param_arity
-    if space > sum(config.sizes) * config.trials:
-        return None
-    if model.size**config.arity * max(config.sizes) > config.cap:
-        return None
-    params = list(product(range(model.size), repeat=formula.param_arity))
-    return class_representatives([formula], params, model, config.arity)
+def _factored_count(config: ExperimentConfig, model: CarrierModel,
+                    params: list[tuple[int, ...]]) -> tuple[int, SweepCost]:
+    """Realized types of object pairs over the parameter column: the distinct
+    rows among the corpus entry's candidate rows.  The cap is checked against
+    the L^2 * m evaluations of the full enumeration, as type_space does, and
+    bounds the (at most L^2, ceil(m/8)) packed candidate matrix."""
+    evals = model.size**2 * len(params)
+    if evals > config.cap:
+        raise ResourceCapError(
+            f"enumerating {model.size**2} tuples x {len(params)} slots = {evals} "
+            f"evaluations exceeds cap {config.cap}"
+        )
+    xs = np.array(params, dtype=np.int64)[:, 0]
+    candidates = CORPUS[config.formula_kind].rows(model, xs)
+    return len(distinct_rows(candidates)), SweepCost(tuples_refined=len(candidates))
 
 
 def run_growth(config: ExperimentConfig) -> GrowthReport:
@@ -180,14 +180,13 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
     the median against the ceiling.  Rows are sorted before aggregation so the
     output is independent of scheduling.
 
-    When it is cheaper than the cells, one sweep first splits the object
-    tuples into classes over every parameter tuple, and each cell counts over
-    one tuple per class only; the counts are the same."""
+    An arity-2 cell counts from the corpus entry's per-element profiles over
+    its parameters (`_factored_count`); an arity-1 cell runs type_space."""
     threads = thread_budget()
     model = resolve_model(config)
     formula = growth_formula(config.formula_kind, config.arity)
     space = model.size**formula.param_arity
-    representatives = _carrier_quotient(config, model, formula)
+    engine = "factored" if config.arity == 2 else "refine"
 
     def cell(args) -> GrowthRow:
         m, t = args
@@ -196,15 +195,15 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
             rng, space, formula.param_arity, m, model.size, config.allow_duplicate_params
         )
         t0 = time.perf_counter()
-        space_result = type_space(
-            [formula], params, model, config.arity, cap=config.cap,
-            representatives=representatives,
-        )
+        if engine == "factored":
+            count, cost = _factored_count(config, model, params)
+        else:
+            space_result = type_space([formula], params, model, config.arity, cap=config.cap)
+            count, cost = space_result.count, space_result.cost
         ms = int(round((time.perf_counter() - t0) * 1000))
         return GrowthRow(
             model.label, formula.name, config.arity, m, t, config.seed,
-            space_result.count, ms, space_result.cost.batch_calls,
-            space_result.cost.tuples_refined,
+            count, ms, cost.batch_calls, cost.tuples_refined,
         )
 
     jobs = [(m, t) for m in config.sizes for t in range(config.trials)]
@@ -249,7 +248,7 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
         ceiling=config.ceiling,
         passed=passed,
         complete=complete,
-        quotient=representatives is not None,
+        engine=engine,
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, ModelFormatError
 from .forest import DirectedFamily
-from .setsystem import ParametrizedFormula, SetFamily, Universe
+from .setsystem import ParametrizedFormula, SetFamily, Universe, distinct_rows
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,9 @@ class UltrametricModel:
 
     @cached_property
     def lca_node_matrix(self) -> np.ndarray:
-        """(L, L) matrix: lca node id of the leaves at carrier indices (i, j)."""
+        """(L, L) matrix: lca node id of the leaves at carrier indices (i, j).
+        No counting path reads it (they call lca_of); the benchmark's model
+        views timing still builds it."""
         mat = np.full((self.size, self.size), self.root, dtype=np.int32)
         for node in self._topo_order:
             if node == self.root:
@@ -168,12 +170,19 @@ class UltrametricModel:
         return {}
 
     def ancestor_array(self, k: int) -> np.ndarray:
-        """Per carrier index, the node id k levels above its leaf."""
+        """Per carrier index, the node id k levels above its leaf, clamped at
+        the root: its ancestor_by_depth entry at the leaf's depth minus k."""
         if k not in self._anc_arrays:
-            self._anc_arrays[k] = np.array(
-                [self.ancestor_up(leaf, k) for leaf in self.leaves], dtype=np.int32
-            )
+            depth = np.array(self.depth)[list(self.leaves)]
+            self._anc_arrays[k] = self.ancestor_by_depth[
+                np.arange(self.size), np.maximum(depth - k, 0)
+            ]
         return self._anc_arrays[k]
+
+    def ball_profiles(self, k: int, xs: np.ndarray) -> np.ndarray:
+        """(L, ceil(m/8)) packed rows: per carrier index y, which of the m
+        parameters xs lie in the ball k levels above y."""
+        return np.packbits(self.ball_bool[:, xs][self.ancestor_array(k)], axis=1)
 
     # ball membership.  x is a carrier index or an array of them, and y0, y1
     # are indices, index arrays of object columns, or (k, 1) parameter
@@ -199,8 +208,8 @@ class UltrametricModel:
     def in_lca_ball(self, x, y0, y1):
         """x is in the ball at lca(y0, y1)."""
         if np.ndim(y0) == 1:
-            # object columns: x's column first, the (y0, y1) gather last
-            nodes = self.lca_node_matrix[y0, y1]
+            # object columns: the pairs' lcas once, x's column gathered at them
+            nodes = self.lca_of(y0, y1)
             return self._per_x(x, lambda xi: self.ball_bool[:, xi][nodes])
         if np.ndim(y0) == 0:
             # one pair: walk up to its lca rather than build any table
@@ -259,12 +268,13 @@ def random_ultrametric(leaf_count: int, max_branching: int, seed: int) -> Ultram
 
 def ball_family(model: UltrametricModel) -> DirectedFamily:
     """The family {ball(v) : v a tree node}, indexed by node id; directed by
-    construction.  The sets are read off the rows of ball_bool at once."""
+    construction, so it is not scanned for crossings (check_directed does
+    that).  The sets are read off the rows of ball_bool at once."""
     nodes, leaves = np.nonzero(model.ball_bool)
     flat = leaves.tolist()
     ends = np.cumsum(np.bincount(nodes, minlength=model.n_nodes)).tolist()
     sets = tuple(frozenset(flat[a:b]) for a, b in zip([0] + ends[:-1], ends))
-    return DirectedFamily(SetFamily(Universe(model.size), sets))
+    return DirectedFamily(SetFamily(Universe(model.size), sets), checked=True)
 
 
 def order_family(model: OrderModel, include_empty: bool = False) -> DirectedFamily:
@@ -287,28 +297,52 @@ class CorpusFormula:
     y1, may be index arrays; `name` is the formula column of the growth CSV,
     `carriers` the model types that can evaluate it and `arities` the object
     arities a growth run may read it at.
+
+    `rows(model, xs)` is the formula at object arity 2 factored through
+    per-element profiles over the parameter column xs (m carrier indices): a
+    packed (R, ceil(m/8)) uint8 matrix whose rows, possibly repeated, are
+    exactly the sign rows over xs that some object pair (y0, y1) realizes.
     """
 
     name: str
     carriers: tuple[type, ...]
     arities: tuple[int, ...]
     pred: Callable
+    rows: Callable
+
+
+def _pair_unions(profiles: np.ndarray) -> np.ndarray:
+    """a | b over every ordered pair (a, b) of distinct packed profile rows,
+    a = b included: the rows of x in S(y0) or x in S(y1)."""
+    d = distinct_rows(profiles)
+    return (d[:, None] | d[None]).reshape(-1, d.shape[1])
 
 
 def _twin_ball(k: int) -> CorpusFormula:
     return CorpusFormula(
         f"twin-ball-{k}", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_ball_above(x, y0, k) | M.in_ball_above(x, y1, k),
+        lambda M, xs: _pair_unions(M.ball_profiles(k, xs)),
     )
 
 
-# lca-ball: x in the ball at lca(y0, y1).
+def _boolean_mix_rows(M: UltrametricModel, xs: np.ndarray) -> np.ndarray:
+    # packbits pads with 0 bits, so a & ~b keeps the padding 0
+    pos, neg = distinct_rows(M.ball_profiles(2, xs)), distinct_rows(M.ball_profiles(1, xs))
+    return (pos[:, None] & ~neg[None]).reshape(-1, pos.shape[1])
+
+
+# lca-ball: x in the ball at lca(y0, y1).  Its rows are every node's ball:
+# a leaf v is lca(v, v), a node with two children is the lca of a leaf
+# below each, and a node with one child has that child's ball.
 # twin-ball-k: x in ball_k(y0) | ball_k(y1), ball_k(b) sitting k levels above b.
 # boolean-mix: x in ball_2(y0) and not in ball_1(y1).
 # pair-equality: x = y0 or x = y1, the quadratic-growth witness at arity 2.
 CORPUS = {
     "lca-ball": CorpusFormula(
-        "lca-ball", (UltrametricModel,), (1, 2), lambda M, x, y0, y1: M.in_lca_ball(x, y0, y1)
+        "lca-ball", (UltrametricModel,), (1, 2),
+        lambda M, x, y0, y1: M.in_lca_ball(x, y0, y1),
+        lambda M, xs: np.packbits(M.ball_bool[:, xs], axis=1),
     ),
     "twin-ball-0": _twin_ball(0),
     "twin-ball-1": _twin_ball(1),
@@ -316,10 +350,12 @@ CORPUS = {
     "boolean-mix": CorpusFormula(
         "boolean-mix-2-1", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_ball_above(x, y0, 2) & ~M.in_ball_above(x, y1, 1),
+        _boolean_mix_rows,
     ),
     "pair-equality": CorpusFormula(
         "pair-equality", (UltrametricModel, OrderModel), (2,),
         lambda M, x, y0, y1: (x == y0) | (x == y1),
+        lambda M, xs: _pair_unions(np.packbits(np.arange(M.size)[:, None] == xs, axis=1)),
     ),
 }
 

@@ -391,6 +391,17 @@ def class_representatives(
     return reps
 
 
+def distinct_rows(packed: np.ndarray) -> np.ndarray:
+    """The distinct rows of a 2-D uint8 matrix, in lexicographic order.
+
+    One 1-D np.unique over a void view, one item per row: far faster than
+    np.unique(axis=0), which sorts structured rows."""
+    packed = np.ascontiguousarray(packed)
+    width = packed.shape[1]
+    items = packed.view(np.dtype((np.void, width)))[:, 0]
+    return np.unique(items).view(np.uint8).reshape(-1, width)
+
+
 def _sign_rows(formulas, params, carrier, objs: np.ndarray) -> list[bytes]:
     """One 0/1 byte row per object tuple, param-major."""
     mat = np.empty((len(objs), len(params) * len(formulas)), dtype=np.uint8)
@@ -408,7 +419,6 @@ def type_space(
     object_arity: int,
     cap: int = ENUM_CAP,
     sample: Optional[int] = None,
-    representatives: Optional[np.ndarray] = None,
     seed: int = 0,
 ) -> TypeSpace:
     """Realized type space of carrier `object_arity`-tuples over params x formulas.
@@ -420,12 +430,6 @@ def type_space(
     T = carrier.size ** object_arity tuple indices, budget = min(sample, T)
     distinct ones by rng.sample(range(T), budget) when T <= 8 * budget, else
     budget independent rng.randrange(T) draws.
-
-    `representatives`, indices of object tuples as returned by
-    class_representatives over every carrier parameter tuple, replaces the
-    full sweep.  The result is exact: tuples with equal sign rows over all
-    parameter tuples have equal rows over any subset of them.  The cap still
-    applies to the full enumeration.
     """
     formulas = list(formulas)
     params = [tuple(b) for b in params]
@@ -449,7 +453,7 @@ def type_space(
     total = _tuple_count(n, object_arity)
     evals = total * slots
     complete = True
-    tuple_indices = representatives
+    tuple_indices = None
     if evals > cap:
         if sample is None:
             raise ResourceCapError(

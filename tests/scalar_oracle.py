@@ -82,3 +82,14 @@ def corpus_rows(kinds, arity, params, model, tuples=None):
         tuples = product(range(model.size), repeat=arity)
     preds = [corpus_pred(kind, arity, model) for kind in kinds]
     return sign_rows(preds, params, tuples)
+
+
+def with_unary_nodes(model, rng, count):
+    """The model's tree with `count` unary nodes, each inserted above a random
+    node (the root included); the leaves and their carrier order stay."""
+    parent = list(model.parent)
+    for _ in range(count):
+        v = rng.randrange(len(parent))
+        parent.append(parent[v])
+        parent[v] = len(parent) - 1
+    return type(model)(tuple(parent), seed=model.seed)

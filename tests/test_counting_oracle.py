@@ -1,18 +1,21 @@
-"""The refinement engine behind type_space, its sample and representatives
-paths and the growth harness's carrier quotient, checked against the
-brute-force oracle in scalar_oracle: the same sign rows in the same order."""
+"""The refinement engine behind type_space, its sample path and
+class_representatives, and the growth harness's factored arity-2 count,
+checked against the brute-force oracle in scalar_oracle: the same sign rows,
+in the same order where the engine gives an order."""
 
+import json
 from itertools import product
 from random import Random
 
 import numpy as np
 import pytest
-from scalar_oracle import Tree, corpus_rows
+from scalar_oracle import Tree, corpus_rows, with_unary_nodes
 
-from laminarvc import harness, setsystem
+from laminarvc import harness, save_model, setsystem
+from laminarvc.cli import main
 from laminarvc.harness import ExperimentConfig, _sample_params, resolve_model, run_growth
-from laminarvc.models import GROWTH_KINDS, OrderModel, growth_formula, random_ultrametric
-from laminarvc.setsystem import class_representatives, type_space
+from laminarvc.models import CORPUS, GROWTH_KINDS, OrderModel, growth_formula, random_ultrametric
+from laminarvc.setsystem import class_representatives, distinct_rows, type_space
 
 
 def engine_rows(space):
@@ -89,17 +92,15 @@ def test_sample_path_matches_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_representatives_path_matches_oracle(seed):
-    rng = Random(200 + seed)
+    # one tuple per class over every carrier parameter tuple, in row order
     for model in random_models(200 + seed):
         for kind, arity in growth_cases(model):
             f = growth_formula(kind, arity)
             every = list(product(range(model.size), repeat=f.param_arity))
             reps = class_representatives([f], every, model, arity)
-            assert len(reps) == len(corpus_rows([kind], arity, every, model))
-            params = random_params(rng, model, f.param_arity, rng.randint(1, 6))
-            got = type_space([f], params, model, arity, representatives=reps)
-            assert engine_rows(got) == corpus_rows([kind], arity, params, model), (kind, arity)
-            assert got.complete
+            tuples = setsystem._decode_tuples(reps, model.size, arity).tolist()
+            got = [corpus_rows([kind], arity, every, model, [tuple(t)])[0] for t in tuples]
+            assert got == corpus_rows([kind], arity, every, model), (kind, arity)
 
 
 @pytest.mark.parametrize("arity", [1, 2])
@@ -129,17 +130,9 @@ def test_single_formula_past_one_label_word():
     "kind,arity,trials",
     [(k, 2, 2) for k in GROWTH_KINDS] + [("lca-ball", 1, 19), ("boolean-mix", 1, 19)],
 )
-def test_growth_quotient_counts_match_oracle(kind, arity, trials, monkeypatch):
-    sweeps = []
-
-    def counting(*args, **kwargs):
-        sweeps.append(args)
-        return class_representatives(*args, **kwargs)
-
-    monkeypatch.setattr(harness, "class_representatives", counting)
+def test_growth_counts_match_oracle(kind, arity, trials):
     config = ExperimentConfig(kind, arity, (2, 4, 8), trials=trials, seed=5)
     report = run_growth(config)
-    assert len(sweeps) == 1  # 16 carrier elements: the quotient runs
     model = resolve_model(config)
     f = growth_formula(kind, arity)
     space = model.size**f.param_arity
@@ -151,11 +144,80 @@ def test_growth_quotient_counts_match_oracle(kind, arity, trials, monkeypatch):
         assert row.type_count == len(corpus_rows([kind], arity, params, model))
 
 
-def test_growth_quotient_skipped_when_sweep_costs_more(monkeypatch):
-    sweeps = []
-    monkeypatch.setattr(harness, "class_representatives", lambda *a, **k: sweeps.append(a))
-    report = run_growth(ExperimentConfig("lca-ball", 1, (2, 4, 8), trials=2, seed=5))
-    assert sweeps == [] and report.complete
+# --- factored arity-2 rows ---------------------------------------------------------
+
+
+def factored_models(seed):
+    """Random trees, the same trees with unary nodes, and an order."""
+    rng = Random(seed)
+    trees = [random_ultrametric(rng.randint(2, 12), rng.randint(2, 4), rng.randrange(1 << 20))
+             for _ in range(2)]
+    unary = [with_unary_nodes(t, rng, rng.randint(1, 6)) for t in trees]
+    return trees + unary + [OrderModel(rng.randint(2, 12), seed=seed)]
+
+
+def unpacked(packed, m):
+    return sorted(bytes(row) for row in np.unpackbits(packed, axis=1)[:, :m])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_factored_rows_match_oracle(seed):
+    rng = Random(600 + seed)
+    for model in factored_models(600 + seed):
+        # a few parameters, repeated ones, and every carrier element (m = L)
+        columns = [
+            rng.sample(range(model.size), rng.randint(1, model.size)),
+            [rng.randrange(model.size) for _ in range(rng.randint(2, 20))],
+            list(range(model.size)),
+        ]
+        for kind, spec in CORPUS.items():
+            if not isinstance(model, spec.carriers):
+                continue
+            for xs in columns:
+                got = distinct_rows(spec.rows(model, np.array(xs)))
+                want = corpus_rows([kind], 2, [(x,) for x in xs], model)
+                assert unpacked(got, len(xs)) == want, (kind, model, xs)
+
+
+def growth_rows_match_oracle(config, model):
+    report = run_growth(config)
+    assert report.complete and report.engine == "factored"
+    for row in report.rows:
+        params = _sample_params(
+            Random(f"{config.seed}/{row.m}/{row.trial}"), model.size, 1, row.m, model.size,
+            config.allow_duplicate_params,
+        )
+        assert row.type_count == len(corpus_rows([config.formula_kind], 2, params, model))
+        assert row.batch_calls == 0 and row.type_count <= row.tuples_refined
+
+
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_factored_growth_on_model_files_matches_oracle(duplicates, tmp_path):
+    # 7 leaves and sizes up to 7: the last cell's parameters are the whole
+    # carrier when drawn without duplicates
+    tree = with_unary_nodes(random_ultrametric(7, 3, 4), Random(4), 5)
+    order = OrderModel(7, seed=1)
+    for model in (tree, order):
+        path = tmp_path / f"{type(model).__name__}.model.json"
+        save_model(model, path)
+        for kind, spec in CORPUS.items():
+            if isinstance(model, spec.carriers):
+                config = ExperimentConfig(
+                    kind, 2, (2, 5, 7), trials=3, seed=8, model_path=str(path),
+                    allow_duplicate_params=duplicates,
+                )
+                growth_rows_match_oracle(config, model)
+
+
+def test_factored_growth_keeps_the_enumeration_cap(tmp_path, capsys):
+    # 16 leaves and a largest size of 8: 16^2 * 8 evaluations
+    argv = ["growth", "--formula", "twin-ball-1", "--arity", "2", "--sizes", "2,4,8",
+            "--trials", "2", "--seed", "5"]
+    assert main(argv + ["--cap", str(16**2 * 8)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--cap", str(16**2 * 8 - 1), "--json"]) == 3
+    doc = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+    assert json.loads(doc[0])["complete"] is False
 
 
 # --- parameter blocks ----------------------------------------------------------

@@ -28,6 +28,7 @@ from laminarvc import (
 from laminarvc import forest as forest_module
 from laminarvc.forest import first_crossing
 from laminarvc.models import ball_family, growth_formula, random_ultrametric
+from laminarvc.verify import verify_directed_linear_bound
 
 
 def balanced_binary_extents():
@@ -57,6 +58,25 @@ def test_check_directed_disjoint_chain_crossing():
     assert isinstance(check_directed(SetFamily.of(3, [{0}, {0, 1}, {0, 1, 2}])), DirectedFamily)
     got = check_directed(SetFamily.of(3, [{0, 1}, {1, 2}]))
     assert got == CrossingPair(0, 1)
+
+
+def test_directed_families_are_scanned_once(monkeypatch):
+    scans = []
+
+    def counting(family):
+        scans.append(family)
+        return first_crossing(family)
+
+    monkeypatch.setattr(forest_module, "first_crossing", counting)
+    assert isinstance(check_directed(SetFamily.of(3, [{0}, {0, 1}, {2}])), DirectedFamily)
+    assert len(scans) == 1
+    assert check_directed(SetFamily.of(3, [{0, 1}, {1, 2}])) == CrossingPair(0, 1)
+    assert len(scans) == 2
+    scans.clear()
+    # per trial: the ball family once, in check_directed, and the lca-ball
+    # instance family once, in build_forest
+    report = verify_directed_linear_bound(seed=3, trials=6)
+    assert report.failures == 0 and len(scans) == 2 * 6
 
 
 def test_directed_family_rejects_crossing():

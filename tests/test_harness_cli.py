@@ -3,6 +3,7 @@ import math
 import re
 import threading
 import time
+from random import Random
 
 import pytest
 
@@ -11,7 +12,9 @@ from laminarvc import (
     verify,
 )
 from laminarvc.cli import main
-from laminarvc.harness import CSV_HEADER, ExperimentConfig, csv_text, run_growth, thread_budget
+from laminarvc.harness import (
+    CSV_HEADER, ExperimentConfig, _sample_params, csv_text, run_growth, thread_budget,
+)
 from laminarvc.models import SetFamily, growth_formula, random_ultrametric
 from laminarvc.setsystem import sauer_check
 
@@ -93,6 +96,33 @@ def test_duplicate_parameter_columns_do_not_change_counts():
     assert type_space([eq], B + [B[0]], model, 2).count == base
 
 
+def divmod_loop_params(rng, space, arity, m, carrier_size, with_replacement):
+    """The parameter tuples of one cell, each draw decoded by a divmod loop."""
+    if with_replacement:
+        idxs = [rng.randrange(space) for _ in range(m)]
+    else:
+        idxs = rng.sample(range(space), m)
+    out = []
+    for idx in idxs:
+        t = []
+        for _ in range(arity):
+            idx, r = divmod(idx, carrier_size)
+            t.append(r)
+        out.append(tuple(reversed(t)))
+    return out
+
+
+@pytest.mark.parametrize("with_replacement", [False, True])
+def test_sample_params_decode_matches_divmod_loop(with_replacement):
+    for seed in range(4):
+        for carrier_size, arity, m in ((2, 1, 2), (7, 2, 49), (512, 1, 300), (4096, 2, 64), (3, 3, 20)):
+            space = carrier_size**arity
+            args = (space, arity, m, carrier_size, with_replacement)
+            got = _sample_params(Random(f"{seed}/{m}"), *args)
+            assert got == divmod_loop_params(Random(f"{seed}/{m}"), *args)
+            assert all(type(v) is int for t in got for v in t)
+
+
 def test_growth_with_duplicates_flag_runs():
     report = run_growth(small_config(allow_duplicate_params=True, sizes=(4, 8, 16)))
     assert report.complete
@@ -141,13 +171,14 @@ def test_report_json_round_trip():
 def test_report_json_carries_cell_cost_and_quotient():
     # 32 leaves: every cell sweeps the 32 carrier elements in one block
     doc = run_growth(small_config()).to_json()
-    assert doc["quotient"] is False
+    assert doc["engine"] == "refine" and "quotient" not in doc
     assert [(r["batch_calls"], r["tuples_refined"]) for r in doc["rows"]] == [(1, 32)] * 6
-    # 16 leaves at arity 2: the quotient runs, and cells refine its classes only
+    # arity 2: cells dedupe the corpus entry's candidate rows, with no batch call
     report = run_growth(small_config(formula_kind="twin-ball-1", arity=2, sizes=(2, 4, 8)))
     doc = report.to_json()
-    assert doc["quotient"] is True
-    assert all(0 < r["tuples_refined"] < 16**2 and r["batch_calls"] >= 1 for r in doc["rows"])
+    assert doc["engine"] == "factored"
+    assert all(r["batch_calls"] == 0 for r in doc["rows"])
+    assert all(r["type_count"] <= r["tuples_refined"] <= 16**2 for r in doc["rows"])
     assert csv_text(report).splitlines()[0] == ",".join(CSV_HEADER)
     assert all(len(line.split(",")) == len(CSV_HEADER) for line in csv_text(report).splitlines())
 

@@ -3,7 +3,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from scalar_oracle import Tree, holds, positive_part
+from scalar_oracle import Tree, holds, positive_part, with_unary_nodes
 
 from laminarvc import (
     CrossingPair,
@@ -199,6 +199,16 @@ def test_batched_corpus_matches_scalar():
                     else:
                         want = [holds(kind, tree, p[0], *row) for row in objs.tolist()]
                     assert fast == scalar == want, (kind, arity, p)
+
+
+def test_ancestor_array_matches_ancestor_up_with_unary_nodes():
+    rng = Random(12)
+    for _ in range(20):
+        base = random_ultrametric(rng.randint(2, 30), rng.randint(2, 4), rng.randrange(1 << 20))
+        model = with_unary_nodes(base, rng, rng.randint(1, 10))
+        for k in range(model.n_nodes):
+            want = [model.ancestor_up(leaf, k) for leaf in model.leaves]
+            assert model.ancestor_array(k).tolist() == want, k
 
 
 def test_ball_bool_matches_ancestor_walk():
