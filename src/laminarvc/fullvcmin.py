@@ -24,7 +24,7 @@ from .forest import (
     type_tree,
     virtual_space_from_forest,
 )
-from .models import OrderModel
+from .models import CarrierModel, OrderModel
 from .setsystem import ParametrizedFormula, type_space
 
 
@@ -34,7 +34,7 @@ class PsiFamily:
     predicates psi[i][j](x1; y, y') = forall x0 (delta0[j](x0; x1, y') ->
     delta0[i](x0; x1, y))."""
 
-    carrier: OrderModel
+    carrier: CarrierModel
     delta0: tuple[ParametrizedFormula, ...]
 
     def __post_init__(self):
@@ -141,7 +141,7 @@ class DecompositionCertificate:
 
 @dataclass(frozen=True)
 class FullVCMinInstance:
-    carrier: OrderModel
+    carrier: CarrierModel
     delta0: tuple[ParametrizedFormula, ...]
     certificate: DecompositionCertificate
 

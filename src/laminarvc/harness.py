@@ -4,10 +4,12 @@ counts per size, per-trial exponent fits, and CSV/JSON emission."""
 from __future__ import annotations
 
 import os
+import platform
 import statistics
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from random import Random
 from typing import Optional
 
@@ -25,13 +27,14 @@ from .models import (
     random_ultrametric,
 )
 from .setsystem import (
+    _BLOCK_BYTES,
     ENUM_CAP,
     GrowthPoint,
     GrowthSeries,
     SweepCost,
     _decode_tuples,
+    _refine,
     distinct_rows,
-    type_space,
 )
 
 CSV_HEADER = ("model", "formula", "arity", "m", "trial", "seed", "type_count", "ms")
@@ -49,6 +52,37 @@ def thread_budget() -> int:
     if threads < 1:
         raise DomainError(f"LAMINAR_VC_THREADS must be a positive integer, got {env!r}")
     return threads
+
+
+def git_sha(root: Path) -> Optional[str]:
+    """The commit checked out at `root`, or None when `root` is not the top
+    of a git checkout (or git cannot say)."""
+    import subprocess  # here, not at the top: it adds about 7 ms to CLI startup
+
+    try:
+        proc = subprocess.run(
+            ["git", "-C", str(root), "rev-parse", "--show-toplevel", "HEAD"],
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    out = proc.stdout.splitlines()
+    if proc.returncode != 0 or len(out) < 2 or Path(out[0]).resolve() != root.resolve():
+        return None
+    return out[1]
+
+
+def env_stamp() -> dict:
+    """What a run's timings depend on: interpreter, NumPy, CPUs, the thread
+    budget, and the commit of the checkout this package runs from (None
+    when it is installed elsewhere)."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "threads": thread_budget(),
+        "git_sha": git_sha(Path(__file__).resolve().parents[2]),
+    }
 
 
 @dataclass(frozen=True)
@@ -93,7 +127,7 @@ class GrowthRow:
     type_count: int
     ms: int
     # JSON only: the cell's cost (setsystem.SweepCost); a factored cell
-    # makes no batch calls and dedupes tuples_refined candidate rows
+    # makes no batch calls and dedupes tuples_refined candidate rows or sets
     batch_calls: int
     tuples_refined: int
 
@@ -109,7 +143,7 @@ class GrowthReport:
     ceiling: float
     passed: bool
     complete: bool
-    engine: str  # "factored" at arity 2, else "refine" (type_space)
+    engine: str = "factored"  # every cell counts through _factored_count
 
     def to_json(self) -> dict:
         return {
@@ -122,6 +156,7 @@ class GrowthReport:
             "passed": self.passed,
             "complete": self.complete,
             "engine": self.engine,
+            "env": env_stamp(),
         }
 
 
@@ -160,19 +195,35 @@ def _sample_params(rng: Random, space: int, arity: int, m: int, carrier_size: in
 
 def _factored_count(config: ExperimentConfig, model: CarrierModel,
                     params: list[tuple[int, ...]]) -> tuple[int, SweepCost]:
-    """Realized types of object pairs over the parameter column: the distinct
-    rows among the corpus entry's candidate rows.  The cap is checked against
-    the L^2 * m evaluations of the full enumeration, as type_space does, and
-    bounds the (at most L^2, ceil(m/8)) packed candidate matrix."""
-    evals = model.size**2 * len(params)
+    """Realized types over the parameters, counted from the corpus entry's
+    packed rows, with no object tuple enumerated.
+
+    Arity 2: the distinct rows among the entry's candidate rows over the
+    parameter column.  Arity 1: x's sign row is column x of the parameters'
+    sets, so the distinct sets are unpacked in blocks of at most _BLOCK_BYTES
+    and their columns' classes counted by partition refinement.  The cap is
+    checked against the L^arity * m evaluations of the full enumeration, as
+    type_space does, and bounds the (at most L^2, ceil(m/8)) packed candidate
+    matrix of arity 2."""
+    size = model.size
+    evals = size**config.arity * len(params)
     if evals > config.cap:
         raise ResourceCapError(
-            f"enumerating {model.size**2} tuples x {len(params)} slots = {evals} "
+            f"enumerating {size**config.arity} tuples x {len(params)} slots = {evals} "
             f"evaluations exceeds cap {config.cap}"
         )
-    xs = np.array(params, dtype=np.int64)[:, 0]
-    candidates = CORPUS[config.formula_kind].rows(model, xs)
-    return len(distinct_rows(candidates)), SweepCost(tuples_refined=len(candidates))
+    spec = CORPUS[config.formula_kind]
+    table = np.array(params, dtype=np.int64)
+    if config.arity == 2:
+        candidates = spec.rows(model, table[:, 0])
+        return len(distinct_rows(candidates)), SweepCost(tuples_refined=len(candidates))
+    sets = distinct_rows(spec.sets(model, table[:, 0], table[:, 1]))
+    k = max(1, _BLOCK_BYTES // size)
+    blocks = (
+        np.unpackbits(sets[lo : lo + k], axis=1, count=size).view(bool)
+        for lo in range(0, len(sets), k)
+    )
+    return len(_refine(blocks, size)), SweepCost(tuples_refined=len(params))
 
 
 def run_growth(config: ExperimentConfig) -> GrowthReport:
@@ -180,13 +231,12 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
     the median against the ceiling.  Rows are sorted before aggregation so the
     output is independent of scheduling.
 
-    An arity-2 cell counts from the corpus entry's per-element profiles over
-    its parameters (`_factored_count`); an arity-1 cell runs type_space."""
+    Every cell counts from the corpus entry's packed rows over its
+    parameters (`_factored_count`)."""
     threads = thread_budget()
     model = resolve_model(config)
     formula = growth_formula(config.formula_kind, config.arity)
     space = model.size**formula.param_arity
-    engine = "factored" if config.arity == 2 else "refine"
 
     def cell(args) -> GrowthRow:
         m, t = args
@@ -195,11 +245,7 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
             rng, space, formula.param_arity, m, model.size, config.allow_duplicate_params
         )
         t0 = time.perf_counter()
-        if engine == "factored":
-            count, cost = _factored_count(config, model, params)
-        else:
-            space_result = type_space([formula], params, model, config.arity, cap=config.cap)
-            count, cost = space_result.count, space_result.cost
+        count, cost = _factored_count(config, model, params)
         ms = int(round((time.perf_counter() - t0) * 1000))
         return GrowthRow(
             model.label, formula.name, config.arity, m, t, config.seed,
@@ -248,7 +294,6 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
         ceiling=config.ceiling,
         passed=passed,
         complete=complete,
-        engine=engine,
     )
 
 

@@ -113,20 +113,36 @@ class UltrametricModel:
 
     # cached numpy views used by batched formula evaluation
 
-    @cached_property
-    def ball_bool(self) -> np.ndarray:
-        """(nodes, L) matrix: is the leaf at carrier index i below node v.
-        Built by walking every leaf up to the root at once, one level per step."""
+    def _leaf_walk(self):
+        """Every leaf walked up to the root at once, one level per step: per
+        step, (nodes, cols) arrays pairing each node reached with the carrier
+        index of the leaf below it."""
         parent = np.array(self.parent)
-        mat = np.zeros((self.n_nodes, self.size), dtype=bool)
         cols = np.arange(self.size)
         nodes = np.array(self.leaves)
         while len(nodes):
-            mat[nodes, cols] = True
+            yield nodes, cols
             up = parent[nodes]
             keep = up != -1
             nodes, cols = up[keep], cols[keep]
+
+    @cached_property
+    def ball_bool(self) -> np.ndarray:
+        """(nodes, L) matrix: is the leaf at carrier index i below node v."""
+        mat = np.zeros((self.n_nodes, self.size), dtype=bool)
+        for nodes, cols in self._leaf_walk():
+            mat[nodes, cols] = True
         return mat
+
+    @cached_property
+    def ball_bits(self) -> np.ndarray:
+        """(nodes, ceil(L/8)) uint8 matrix: ball_bool's rows packed big-endian,
+        as np.packbits(axis=1) packs them, built from the same walk."""
+        bits = np.zeros((self.n_nodes, -(-self.size // 8)), dtype=np.uint8)
+        for nodes, cols in self._leaf_walk():
+            # leaves of one byte may meet at a node: OR their bits in
+            np.bitwise_or.at(bits, (nodes, cols >> 3), (0x80 >> (cols & 7)).astype(np.uint8))
+        return bits
 
     @cached_property
     def lca_node_matrix(self) -> np.ndarray:
@@ -178,6 +194,10 @@ class UltrametricModel:
                 np.arange(self.size), np.maximum(depth - k, 0)
             ]
         return self._anc_arrays[k]
+
+    def balls_above(self, k: int, y: np.ndarray) -> np.ndarray:
+        """(len(y), ceil(L/8)) packed rows: the ball k levels above each y."""
+        return self.ball_bits[self.ancestor_array(k)[y]]
 
     def ball_profiles(self, k: int, xs: np.ndarray) -> np.ndarray:
         """(L, ceil(m/8)) packed rows: per carrier index y, which of the m
@@ -302,6 +322,12 @@ class CorpusFormula:
     per-element profiles over the parameter column xs (m carrier indices): a
     packed (R, ceil(m/8)) uint8 matrix whose rows, possibly repeated, are
     exactly the sign rows over xs that some object pair (y0, y1) realizes.
+
+    `sets(model, y0, y1)`, declared by the entries with object arity 1, is
+    the formula at that arity factored through its parameters: for m pairs
+    given as index arrays y0, y1, a packed (m, ceil(L/8)) uint8 matrix whose
+    row j is the set {x : phi(x; y0[j], y1[j])}, so that x's sign row over
+    the pairs is column x.
     """
 
     name: str
@@ -309,6 +335,7 @@ class CorpusFormula:
     arities: tuple[int, ...]
     pred: Callable
     rows: Callable
+    sets: Optional[Callable] = None
 
 
 def _pair_unions(profiles: np.ndarray) -> np.ndarray:
@@ -323,6 +350,7 @@ def _twin_ball(k: int) -> CorpusFormula:
         f"twin-ball-{k}", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_ball_above(x, y0, k) | M.in_ball_above(x, y1, k),
         lambda M, xs: _pair_unions(M.ball_profiles(k, xs)),
+        lambda M, y0, y1: M.balls_above(k, y0) | M.balls_above(k, y1),
     )
 
 
@@ -343,6 +371,7 @@ CORPUS = {
         "lca-ball", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_lca_ball(x, y0, y1),
         lambda M, xs: np.packbits(M.ball_bool[:, xs], axis=1),
+        lambda M, y0, y1: M.ball_bits[M.lca_of(y0, y1)],
     ),
     "twin-ball-0": _twin_ball(0),
     "twin-ball-1": _twin_ball(1),
@@ -351,6 +380,8 @@ CORPUS = {
         "boolean-mix-2-1", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_ball_above(x, y0, 2) & ~M.in_ball_above(x, y1, 1),
         _boolean_mix_rows,
+        # the padding bits of ~ are 1, and & with a ball row clears them
+        lambda M, y0, y1: M.balls_above(2, y0) & ~M.balls_above(1, y1),
     ),
     "pair-equality": CorpusFormula(
         "pair-equality", (UltrametricModel, OrderModel), (2,),

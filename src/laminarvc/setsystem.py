@@ -289,18 +289,18 @@ def _slot_blocks(formulas, params, carrier, objs: np.ndarray, cost: Optional[Swe
         yield rows[0] if n_f == 1 else np.stack(rows, axis=1).reshape(-1, t)
 
 
-def _refine(formulas, params, carrier, objs: np.ndarray,
-            cost: Optional[SweepCost] = None) -> np.ndarray:
-    """Positions in `objs` of one tuple per distinct sign row, in lexicographic
-    row order.
+def _refine(blocks: Iterable[np.ndarray], t: int) -> np.ndarray:
+    """Positions, among t tuples, of one tuple per distinct sign row, in
+    lexicographic row order; `blocks` gives the rows' slots as (k, t) bool
+    matrices, one slot per row, in order.
 
     Partition refinement: every tuple carries an integer class label, and the
-    (parameter, formula) slots split the classes by their bits in param-major
-    order, eight slots to a byte: label << 8 | byte.  Each tuple's byte is
-    built in place, a slot at a time, on uint64 words that hold eight tuples'
-    0/1 bytes; a 0/1 byte shifted by at most 7 stays inside its byte.  Before
-    a label would overflow, np.unique renumbers the labels by rank, which
-    keeps the lexicographic order of the row prefixes seen so far.
+    slots split the classes by their bits in order, eight slots to a byte:
+    label << 8 | byte.  Each tuple's byte is built in place, a slot at a time,
+    on uint64 words that hold eight tuples' 0/1 bytes; a 0/1 byte shifted by
+    at most 7 stays inside its byte.  Before a label would overflow,
+    np.unique renumbers the labels by rank, which keeps the lexicographic
+    order of the row prefixes seen so far.
 
     Two kinds of slots split and reorder nothing, since rows that agree
     before such a slot agree on it: a slot whose bits over `objs` equal an
@@ -308,7 +308,6 @@ def _refine(formulas, params, carrier, objs: np.ndarray,
     at most _BLOCK_BYTES bytes, recognize it; and the zero slots that fill
     the last byte.
     """
-    t = len(objs)
     t8 = -(-t // 8) * 8
     labels = np.zeros(t, dtype=np.int64)
     room = 56  # shifts left, a multiple of 8, before a label could overflow
@@ -329,7 +328,7 @@ def _refine(formulas, params, carrier, objs: np.ndarray,
         byte[:] = 0
         filled = 0
 
-    for bits in _slot_blocks(formulas, params, carrier, objs, cost):
+    for bits in blocks:
         if t == t8 and bits.dtype == bool and bits.flags.c_contiguous:
             words = bits.view(np.uint64)
         else:
@@ -387,7 +386,8 @@ def class_representatives(
         objs = _decode_tuples(candidates, n, object_arity)
         if cost is not None:
             cost.tuples_refined += len(candidates)
-        reps = candidates[_refine(formulas, params, carrier, objs, cost)]
+        blocks = _slot_blocks(formulas, params, carrier, objs, cost)
+        reps = candidates[_refine(blocks, len(objs))]
     return reps
 
 

@@ -1,7 +1,7 @@
 """The refinement engine behind type_space, its sample path and
-class_representatives, and the growth harness's factored arity-2 count,
-checked against the brute-force oracle in scalar_oracle: the same sign rows,
-in the same order where the engine gives an order."""
+class_representatives, and the growth harness's factored counts at arity 1
+and 2, checked against the brute-force oracle in scalar_oracle: the same sign
+rows, in the same order where the engine gives an order."""
 
 import json
 from itertools import product
@@ -216,6 +216,84 @@ def test_factored_growth_keeps_the_enumeration_cap(tmp_path, capsys):
     assert main(argv + ["--cap", str(16**2 * 8)]) == 0
     capsys.readouterr()
     assert main(argv + ["--cap", str(16**2 * 8 - 1), "--json"]) == 3
+    doc = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+    assert json.loads(doc[0])["complete"] is False
+
+
+# --- factored arity-1 sets ---------------------------------------------------------
+
+
+ARITY_1_KINDS = [kind for kind, spec in CORPUS.items() if 1 in spec.arities]
+
+
+def test_only_arity_1_entries_declare_sets():
+    for kind, spec in CORPUS.items():
+        assert (spec.sets is not None) == (1 in spec.arities), kind
+
+
+def x_rows(packed, size):
+    """Sorted distinct columns of packed per-parameter sets: the x rows."""
+    bits = np.unpackbits(packed, axis=1, count=size)
+    return sorted({bytes(bits[:, x]) for x in range(size)})
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_factored_sets_match_oracle(seed):
+    rng = Random(700 + seed)
+    for model in factored_models(700 + seed)[:4]:  # the trees: an order has no arity 1
+        size = model.size
+        pool = random_params(rng, model, 2, 3)
+        # sampled pairs, repeated pairs, and as many pairs as elements (m = L)
+        columns = [
+            random_params(rng, model, 2, rng.randint(1, 12)),
+            [rng.choice(pool) for _ in range(rng.randint(2, 20))],
+            random_params(rng, model, 2, size),
+        ]
+        for kind in ARITY_1_KINDS:
+            for params in columns:
+                y0, y1 = np.array(params).T
+                got = CORPUS[kind].sets(model, y0, y1)
+                assert got.dtype == np.uint8 and got.shape == (len(params), -(-size // 8))
+                # the padding bits stay 0
+                assert (np.packbits(np.unpackbits(got, axis=1, count=size), axis=1) == got).all()
+                assert x_rows(got, size) == corpus_rows([kind], 1, params, model), (kind, params)
+
+
+@pytest.mark.parametrize("block_sets", [1, 3, None])
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_factored_arity_1_growth_on_model_files_matches_oracle(duplicates, block_sets, tmp_path,
+                                                               monkeypatch):
+    # 7 leaves and sizes up to 49: the last cell's parameters are every pair
+    # when drawn without duplicates; the distinct sets are unpacked
+    # block_sets at a time, or all at once
+    if block_sets is not None:
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", block_sets * 7)
+    model = with_unary_nodes(random_ultrametric(7, 3, 4), Random(4), 5)
+    path = tmp_path / "tree.model.json"
+    save_model(model, path)
+    for kind in ARITY_1_KINDS:
+        config = ExperimentConfig(
+            kind, 1, (2, 9, 49), trials=3, seed=8, model_path=str(path),
+            allow_duplicate_params=duplicates,
+        )
+        report = run_growth(config)
+        assert report.complete and report.engine == "factored"
+        for row in report.rows:
+            params = _sample_params(
+                Random(f"{config.seed}/{row.m}/{row.trial}"), model.size**2, 2, row.m,
+                model.size, duplicates,
+            )
+            assert row.type_count == len(corpus_rows([kind], 1, params, model)), (kind, row)
+            assert row.batch_calls == 0 and row.tuples_refined == row.m
+
+
+def test_factored_arity_1_growth_keeps_the_enumeration_cap(capsys):
+    # 16 leaves and a largest size of 8: 16 * 8 evaluations
+    argv = ["growth", "--formula", "boolean-mix", "--arity", "1", "--sizes", "2,4,8",
+            "--trials", "2", "--seed", "5"]
+    assert main(argv + ["--cap", str(16 * 8)]) == 0
+    capsys.readouterr()
+    assert main(argv + ["--cap", str(16 * 8 - 1), "--json"]) == 3
     doc = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
     assert json.loads(doc[0])["complete"] is False
 

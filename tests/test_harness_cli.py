@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import platform
 import re
+import shutil
+import subprocess
 import threading
 import time
+from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 
 from laminarvc import (
@@ -147,7 +153,7 @@ def test_growth_cancels_queued_cells_after_cap_error(monkeypatch):
         time.sleep(0.3 if first else 0.005)
         raise ResourceCapError("over the cap")
 
-    monkeypatch.setattr(harness, "type_space", over_cap)
+    monkeypatch.setattr(harness, "_factored_count", over_cap)
     report = run_growth(small_config(sizes=(4, 8, 16, 32), trials=10))
     assert not report.complete
     assert len(calls) < 40
@@ -169,10 +175,12 @@ def test_report_json_round_trip():
 
 
 def test_report_json_carries_cell_cost_and_quotient():
-    # 32 leaves: every cell sweeps the 32 carrier elements in one block
+    # arity 1: cells dedupe their m parameters' sets, with no batch call
     doc = run_growth(small_config()).to_json()
-    assert doc["engine"] == "refine" and "quotient" not in doc
-    assert [(r["batch_calls"], r["tuples_refined"]) for r in doc["rows"]] == [(1, 32)] * 6
+    assert doc["engine"] == "factored" and "quotient" not in doc
+    assert [(r["batch_calls"], r["tuples_refined"]) for r in doc["rows"]] == [
+        (0, m) for m in (4, 4, 8, 8, 16, 16)
+    ]
     # arity 2: cells dedupe the corpus entry's candidate rows, with no batch call
     report = run_growth(small_config(formula_kind="twin-ball-1", arity=2, sizes=(2, 4, 8)))
     doc = report.to_json()
@@ -181,6 +189,44 @@ def test_report_json_carries_cell_cost_and_quotient():
     assert all(r["type_count"] <= r["tuples_refined"] <= 16**2 for r in doc["rows"])
     assert csv_text(report).splitlines()[0] == ",".join(CSV_HEADER)
     assert all(len(line.split(",")) == len(CSV_HEADER) for line in csv_text(report).splitlines())
+
+
+def test_growth_json_carries_an_environment_stamp(monkeypatch, capsys):
+    monkeypatch.setenv("LAMINAR_VC_THREADS", "3")
+    argv = ["growth", "--formula", "lca-ball", "--arity", "1", "--sizes", "4,8,16",
+            "--trials", "2", "--seed", "3"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    doc = json.loads(lines[-1])
+    root = Path(harness.__file__).resolve().parents[2]
+    assert doc["env"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "threads": 3,
+        "git_sha": harness.git_sha(root),
+    }
+    # the CSV is the same with and without the stamp, but for the ms column
+    csv = lines[:-1]
+    assert csv[0] == ",".join(CSV_HEADER)
+    assert [line.rsplit(",", 1)[0] for line in csv] == [
+        line.rsplit(",", 1)[0] for line in plain.splitlines()
+    ]
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs the git executable")
+def test_git_sha_names_the_checkout_at_its_top_only(tmp_path):
+    assert harness.git_sha(tmp_path) is None  # not a checkout
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git + ["init", "-q"], check=True)
+    assert harness.git_sha(tmp_path) is None  # a checkout with no commit
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "c"], check=True)
+    head = subprocess.run(git + ["rev-parse", "HEAD"], capture_output=True, text=True, check=True)
+    assert harness.git_sha(tmp_path) == head.stdout.strip()
+    (tmp_path / "sub").mkdir()
+    assert harness.git_sha(tmp_path / "sub") is None  # inside, not at the top
 
 
 # --- CLI -------------------------------------------------------------------------

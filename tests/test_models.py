@@ -15,6 +15,7 @@ from laminarvc import (
     ball_family,
     check_directed,
     components,
+    harness,
     load_model,
     order_family,
     random_ultrametric,
@@ -218,6 +219,35 @@ def test_ball_bool_matches_ancestor_walk():
         tree = Tree(model)
         want = [[tree.in_ball(x, v) for x in range(model.size)] for v in range(model.n_nodes)]
         assert model.ball_bool.tolist() == want
+
+
+def test_ball_bits_equal_packed_ball_bool():
+    rng = Random(10)
+    for _ in range(20):
+        base = random_ultrametric(rng.randint(2, 40), rng.randint(2, 4), rng.randrange(1 << 20))
+        for model in (base, with_unary_nodes(base, rng, rng.randint(1, 8))):
+            bits = model.ball_bits
+            assert "ball_bool" not in model.__dict__
+            assert bits.dtype == np.uint8 and bits.shape == (model.n_nodes, -(-model.size // 8))
+            assert (bits == np.packbits(model.ball_bool, axis=1)).all()
+
+
+def test_arity_1_growth_at_4096_leaves_builds_no_ball_bool(monkeypatch):
+    # the cells read packed balls only; the (nodes, L) bool matrix would be
+    # about 29 MB here
+    models = []
+    resolve = harness.resolve_model
+
+    def keep(config):
+        models.append(resolve(config))
+        return models[-1]
+
+    monkeypatch.setattr(harness, "resolve_model", keep)
+    for kind in ("lca-ball", "boolean-mix", "twin-ball-1"):
+        report = harness.run_growth(harness.ExperimentConfig(kind, 1, (8, 64, 2048), trials=1, seed=2))
+        assert report.complete and models[-1].size == 4096
+        assert "ball_bits" in models[-1].__dict__
+        assert "ball_bool" not in models[-1].__dict__, kind
 
 
 # --- model files -------------------------------------------------------------------
