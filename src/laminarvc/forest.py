@@ -195,7 +195,12 @@ def forest_from_extents(
     carrier_size: int,
     labels: Optional[Sequence[Hashable]] = None,
 ) -> QuasiForest:
-    """Quasi-forest of concrete ball extents under reverse inclusion."""
+    """Quasi-forest of concrete ball extents under reverse inclusion.
+
+    An empty extent lies inside every extent, so its node sits above every
+    node, and the forest needs every two extents nested.  When they are
+    not, a DomainError names the first empty instance.  Empty nodes are
+    kept: each counts towards n_raw."""
     extents = tuple(frozenset(e) for e in extents)
     if labels is None:
         labels = tuple(range(len(extents)))
@@ -206,7 +211,16 @@ def forest_from_extents(
         tuple((mj & mi) == mj for mj in masks) for mi in masks
     )
     forest = QuasiForest(tuple(labels), leq, extents, carrier_size)
-    forest._validate_chains()
+    try:
+        forest._validate_chains()
+    except ValidationError as err:
+        empty = next((i for i, e in enumerate(extents) if not e), None)
+        if empty is None:
+            raise
+        raise DomainError(
+            f"instance {labels[empty]} has an empty extent, which sits above every "
+            "node, so every two extents must be nested, and some are not"
+        ) from err
     return forest
 
 

@@ -27,14 +27,13 @@ from .models import (
     random_ultrametric,
 )
 from .setsystem import (
-    _BLOCK_BYTES,
     ENUM_CAP,
     GrowthPoint,
     GrowthSeries,
     SweepCost,
     _decode_tuples,
-    _refine,
     distinct_rows,
+    packed_columns,
 )
 
 CSV_HEADER = ("model", "formula", "arity", "m", "trial", "seed", "type_count", "ms")
@@ -200,11 +199,12 @@ def _factored_count(config: ExperimentConfig, model: CarrierModel,
 
     Arity 2: the distinct rows among the entry's candidate rows over the
     parameter column.  Arity 1: x's sign row is column x of the parameters'
-    sets, so the distinct sets are unpacked in blocks of at most _BLOCK_BYTES
-    and their columns' classes counted by partition refinement.  The cap is
-    checked against the L^arity * m evaluations of the full enumeration, as
-    type_space does, and bounds the (at most L^2, ceil(m/8)) packed candidate
-    matrix of arity 2."""
+    sets, so the count is the number of distinct rows of the (L, ceil(m'/8))
+    packed transpose of the m' distinct sets.  Both arities count with
+    distinct_rows.  The cap is checked against the L^arity * m evaluations
+    of the full enumeration, as type_space does, and bounds the (at most
+    L^2, ceil(m/8)) packed candidate matrix of arity 2 and the L * ceil(m'/8)
+    bytes of the transpose of arity 1."""
     size = model.size
     evals = size**config.arity * len(params)
     if evals > config.cap:
@@ -218,12 +218,7 @@ def _factored_count(config: ExperimentConfig, model: CarrierModel,
         candidates = spec.rows(model, table[:, 0])
         return len(distinct_rows(candidates)), SweepCost(tuples_refined=len(candidates))
     sets = distinct_rows(spec.sets(model, table[:, 0], table[:, 1]))
-    k = max(1, _BLOCK_BYTES // size)
-    blocks = (
-        np.unpackbits(sets[lo : lo + k], axis=1, count=size).view(bool)
-        for lo in range(0, len(sets), k)
-    )
-    return len(_refine(blocks, size)), SweepCost(tuples_refined=len(params))
+    return len(distinct_rows(packed_columns(sets, size))), SweepCost(tuples_refined=len(params))
 
 
 def run_growth(config: ExperimentConfig) -> GrowthReport:

@@ -292,7 +292,9 @@ def _slot_blocks(formulas, params, carrier, objs: np.ndarray, cost: Optional[Swe
 def _refine(blocks: Iterable[np.ndarray], t: int) -> np.ndarray:
     """Positions, among t tuples, of one tuple per distinct sign row, in
     lexicographic row order; `blocks` gives the rows' slots as (k, t) bool
-    matrices, one slot per row, in order.
+    matrices, one slot per row, in order.  This is the engine of
+    class_representatives, and so of type_space; growth cells count with
+    distinct_rows.
 
     Partition refinement: every tuple carries an integer class label, and the
     slots split the classes by their bits in order, eight slots to a byte:
@@ -394,12 +396,75 @@ def class_representatives(
 def distinct_rows(packed: np.ndarray) -> np.ndarray:
     """The distinct rows of a 2-D uint8 matrix, in lexicographic order.
 
-    One 1-D np.unique over a void view, one item per row: far faster than
-    np.unique(axis=0), which sorts structured rows."""
-    packed = np.ascontiguousarray(packed)
-    width = packed.shape[1]
-    items = packed.view(np.dtype((np.void, width)))[:, 0]
-    return np.unique(items).view(np.uint8).reshape(-1, width)
+    Each row, zero-padded to whole words (a copy only when the width is not
+    a multiple of 8), is read as big-endian uint64 words, which compare in
+    the order their bytes do.  np.lexsort sorts the rows by their words, the
+    first word most significant, and a row is kept unless every word equals
+    its sorted predecessor's."""
+    n, width = packed.shape
+    if width % 8:
+        padded = np.zeros((n, width + -width % 8), dtype=np.uint8)
+        padded[:, :width] = packed
+    else:
+        padded = np.ascontiguousarray(packed)
+    order = np.lexsort(padded.view(">u8").T[::-1])
+    keep = np.zeros(n, dtype=bool)
+    keep[:1] = True
+    for word in padded.view(np.uint64).T:
+        word = word[order]
+        keep[1:] |= word[1:] != word[:-1]
+    return packed[order[keep]]
+
+
+# the three masked delta swaps (shift, mask) of Hacker's Delight's transpose8
+_TRANSPOSE8_SWAPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in (
+        (7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0),
+    )
+)
+
+
+def packed_columns(packed: np.ndarray, size: int) -> np.ndarray:
+    """The (size, ceil(m/8)) packed transpose of an (m, ceil(size/8)) uint8
+    matrix of bit rows packed big-endian, as np.packbits packs them: row x
+    holds bit x of every row, equal to np.packbits(np.unpackbits(packed,
+    axis=1, count=size).T, axis=1), with no byte per bit.
+
+    Eight rows of one byte column are an 8x8 bit block, loaded as one
+    big-endian uint64 (row 0 in the high byte) and transposed in place by
+    three masked delta swaps.  The rows go in groups of whole blocks, each
+    group written into a column slice of the preallocated result, so that
+    each of the two working arrays, the group's words and their scratch,
+    holds at most _BLOCK_BYTES bytes.  Rows missing from the last block are
+    zero, which leaves the padding bits of the result 0; the rows past
+    `size` that the last byte column gives are dropped."""
+    m, width = packed.shape
+    blocks = -(-m // 8)
+    out = np.empty((8 * width, blocks), dtype=np.uint8)
+    group = max(1, _BLOCK_BYTES // (8 * width))
+    for lo in range(0, blocks, group):
+        hi = min(lo + group, blocks)
+        rows = packed[8 * lo : 8 * hi]
+        full, rest = divmod(len(rows), 8)
+        # words[i, j] holds rows 8i..8i+7 of byte column j
+        words = np.zeros((hi - lo, width, 8), dtype=np.uint8)
+        words[:full] = rows[: 8 * full].reshape(full, 8, width).transpose(0, 2, 1)
+        words[full:, :, :rest] = rows[8 * full :].T
+        x = words.view(np.uint64)[..., 0]
+        x.byteswap(inplace=True)
+        t = np.empty_like(x)
+        for shift, mask in _TRANSPOSE8_SWAPS:
+            np.right_shift(x, shift, out=t)
+            t ^= x
+            t &= mask
+            x ^= t
+            t <<= shift
+            x ^= t
+        # byte c of words[i, j] is now byte lo + i of result row 8j + c
+        x.byteswap(inplace=True)
+        out[:, lo:hi] = words.transpose(1, 2, 0).reshape(8 * width, hi - lo)
+    return out[:size]
 
 
 def _sign_rows(formulas, params, carrier, objs: np.ndarray) -> list[bytes]:

@@ -1,7 +1,9 @@
 """The refinement engine behind type_space, its sample path and
 class_representatives, and the growth harness's factored counts at arity 1
 and 2, checked against the brute-force oracle in scalar_oracle: the same sign
-rows, in the same order where the engine gives an order."""
+rows, in the same order where the engine gives an order.  The packed
+transpose and row dedupe of the factored counts are checked against their
+unpacked NumPy equivalents."""
 
 import json
 from itertools import product
@@ -15,7 +17,7 @@ from laminarvc import harness, save_model, setsystem
 from laminarvc.cli import main
 from laminarvc.harness import ExperimentConfig, _sample_params, resolve_model, run_growth
 from laminarvc.models import CORPUS, GROWTH_KINDS, OrderModel, growth_formula, random_ultrametric
-from laminarvc.setsystem import class_representatives, distinct_rows, type_space
+from laminarvc.setsystem import class_representatives, distinct_rows, packed_columns, type_space
 
 
 def engine_rows(space):
@@ -264,10 +266,10 @@ def test_factored_sets_match_oracle(seed):
 def test_factored_arity_1_growth_on_model_files_matches_oracle(duplicates, block_sets, tmp_path,
                                                                monkeypatch):
     # 7 leaves and sizes up to 49: the last cell's parameters are every pair
-    # when drawn without duplicates; the distinct sets are unpacked
-    # block_sets at a time, or all at once
+    # when drawn without duplicates; the distinct sets, one byte each, are
+    # transposed in row groups of 8 * block_sets sets, or all at once
     if block_sets is not None:
-        monkeypatch.setattr(harness, "_BLOCK_BYTES", block_sets * 7)
+        monkeypatch.setattr(setsystem, "_BLOCK_BYTES", 8 * block_sets)
     model = with_unary_nodes(random_ultrametric(7, 3, 4), Random(4), 5)
     path = tmp_path / "tree.model.json"
     save_model(model, path)
@@ -296,6 +298,46 @@ def test_factored_arity_1_growth_keeps_the_enumeration_cap(capsys):
     assert main(argv + ["--cap", str(16 * 8 - 1), "--json"]) == 3
     doc = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
     assert json.loads(doc[0])["complete"] is False
+
+
+SIDES = [1, 7, 8, 9, 63, 64, 65]
+
+
+@pytest.mark.parametrize("group", [1, 2, None])
+@pytest.mark.parametrize("size", SIDES)
+def test_packed_columns_match_unpacked_transpose(size, group, monkeypatch):
+    # row groups of 1 or 2 blocks of eight rows, or all rows in one group
+    width = -(-size // 8)
+    if group is not None:
+        monkeypatch.setattr(setsystem, "_BLOCK_BYTES", 8 * group * width)
+    rng = np.random.default_rng(size)
+    for m in SIDES:
+        packed = np.packbits(rng.integers(0, 2, (m, size), dtype=np.uint8), axis=1)
+        want = np.packbits(np.unpackbits(packed, axis=1, count=size).T, axis=1)
+        got = packed_columns(packed, size)
+        assert got.dtype == np.uint8 and got.shape == want.shape, (m, size)
+        assert (got == want).all(), (m, size)
+
+
+def test_distinct_rows_match_numpy_unique():
+    rng = np.random.default_rng(5)
+    cases = [
+        # bytes from {0, 1, 255}: rows often share their first words and
+        # differ later, and some repeat
+        rng.choice(np.array([0, 1, 255], dtype=np.uint8), (n, width))
+        for width in (1, 3, 8, 9, 16, 17, 24) for n in (2, 40, 300)
+    ]
+    cases += [
+        np.array([[7, 0, 3]], dtype=np.uint8),  # one row
+        np.full((6, 11), 9, dtype=np.uint8),  # all rows equal
+        # equal first words, different last ones, unsorted
+        np.array([[0] * 8 + [2], [0] * 8 + [1], [0] * 8 + [2]], dtype=np.uint8),
+    ]
+    for packed in cases:
+        want = np.unique(packed, axis=0)
+        got = distinct_rows(packed)
+        assert got.dtype == np.uint8 and got.shape == want.shape, packed.shape
+        assert (got == want).all(), packed.shape
 
 
 # --- parameter blocks ----------------------------------------------------------

@@ -27,7 +27,7 @@ from laminarvc import (
 )
 from laminarvc import forest as forest_module
 from laminarvc.forest import first_crossing
-from laminarvc.models import ball_family, growth_formula, random_ultrametric
+from laminarvc.models import OrderModel, ball_family, growth_formula, random_ultrametric
 from laminarvc.verify import verify_directed_linear_bound
 
 
@@ -171,8 +171,28 @@ def test_build_forest_rejects_crossing_instances():
 
 
 def test_forest_chain_condition_guard():
-    with pytest.raises(ValidationError):
-        forest_from_extents([frozenset(), frozenset({0}), frozenset({1})], 2)
+    # {0, 1} and {0, 2} both contain {0}, so both sit below it, incomparable
+    with pytest.raises(ValidationError, match="incomparable below 0"):
+        forest_from_extents([frozenset({0}), frozenset({0, 1}), frozenset({0, 2})], 3)
+
+
+def test_empty_extent_is_named_when_it_breaks_the_chain_condition():
+    # x = y for y > 0: the extent at parameter 0 is empty, and it sits above
+    # the disjoint points {1} and {2}
+    from laminarvc.setsystem import ParametrizedFormula
+
+    point = ParametrizedFormula(
+        "point-above-0", 1, 1, lambda M, x, p: x[0] == p[0] > 0,
+        lambda M, objs, p: (objs[:, 0] == p[0]) & (p[0] > 0),
+    )
+    with pytest.raises(DomainError, match=r"instance \(0, 0\) has an empty extent"):
+        build_forest([(0,), (1,), (2,)], [point], OrderModel(6))
+    with pytest.raises(DomainError, match="instance 1 has an empty extent"):
+        forest_from_extents([frozenset({0}), frozenset(), frozenset({1}), frozenset()], 2)
+    # above a chain the empty node is kept: it counts as a raw node
+    chain = build_forest([(0,), (1,)], [point], OrderModel(6))
+    assert chain.n_nodes == 2 and chain.n_classes == 2
+    assert chain.class_leq[1][0] and not chain.class_leq[0][1]
 
 
 def first_axiom_failure(leq):
