@@ -126,7 +126,8 @@ class GrowthRow:
     type_count: int
     ms: int
     # JSON only: the cell's cost (setsystem.SweepCost); a factored cell
-    # makes no batch calls and dedupes tuples_refined candidate rows or sets
+    # makes no batch calls, and tuples_refined is its number of candidate
+    # rows at arity 2 and its number of parameter pairs m at arity 1
     batch_calls: int
     tuples_refined: int
 
@@ -181,30 +182,31 @@ def resolve_model(config: ExperimentConfig) -> CarrierModel:
 
 
 def _sample_params(rng: Random, space: int, arity: int, m: int, carrier_size: int,
-                   with_replacement: bool) -> list[tuple[int, ...]]:
+                   with_replacement: bool) -> np.ndarray:
+    """(m, arity) int64 array of parameter tuples drawn from rng."""
     if not with_replacement and m > space:
         raise DomainError(f"cannot sample {m} distinct parameter tuples from {space}")
     if with_replacement:
         idxs = [rng.randrange(space) for _ in range(m)]
     else:
         idxs = rng.sample(range(space), m)
-    decoded = _decode_tuples(np.array(idxs, dtype=np.int64), carrier_size, arity)
-    return list(map(tuple, decoded.tolist()))
+    return _decode_tuples(np.array(idxs, dtype=np.int64), carrier_size, arity)
 
 
 def _factored_count(config: ExperimentConfig, model: CarrierModel,
-                    params: list[tuple[int, ...]]) -> tuple[int, SweepCost]:
-    """Realized types over the parameters, counted from the corpus entry's
-    packed rows, with no object tuple enumerated.
+                    params: np.ndarray) -> tuple[int, SweepCost]:
+    """Realized types over the (m, param arity) parameter array, counted
+    from the corpus entry's packed rows, with no object tuple enumerated.
 
     Arity 2: the distinct rows among the entry's candidate rows over the
     parameter column.  Arity 1: x's sign row is column x of the parameters'
     sets, so the count is the number of distinct rows of the (L, ceil(m'/8))
-    packed transpose of the m' distinct sets.  Both arities count with
-    distinct_rows.  The cap is checked against the L^arity * m evaluations
-    of the full enumeration, as type_space does, and bounds the (at most
-    L^2, ceil(m/8)) packed candidate matrix of arity 2 and the L * ceil(m'/8)
-    bytes of the transpose of arity 1."""
+    packed transpose of the m' <= m sets the entry returns, each distinct
+    set at least once.  Both arities count with distinct_rows.  The cap is
+    checked against the L^arity * m evaluations of the full enumeration, as
+    type_space does, and bounds the (at most L^2, ceil(m/8)) packed
+    candidate matrix of arity 2 and the L * ceil(m'/8) bytes of the
+    transpose of arity 1."""
     size = model.size
     evals = size**config.arity * len(params)
     if evals > config.cap:
@@ -213,11 +215,10 @@ def _factored_count(config: ExperimentConfig, model: CarrierModel,
             f"evaluations exceeds cap {config.cap}"
         )
     spec = CORPUS[config.formula_kind]
-    table = np.array(params, dtype=np.int64)
     if config.arity == 2:
-        candidates = spec.rows(model, table[:, 0])
+        candidates = spec.rows(model, params[:, 0])
         return len(distinct_rows(candidates)), SweepCost(tuples_refined=len(candidates))
-    sets = distinct_rows(spec.sets(model, table[:, 0], table[:, 1]))
+    sets = spec.sets(model, params[:, 0], params[:, 1])
     return len(distinct_rows(packed_columns(sets, size))), SweepCost(tuples_refined=len(params))
 
 

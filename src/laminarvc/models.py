@@ -158,11 +158,16 @@ class UltrametricModel:
         return mat
 
     @cached_property
+    def depth_array(self) -> np.ndarray:
+        """depth as an array indexed by node id."""
+        return np.array(self.depth)
+
+    @cached_property
     def ancestor_by_depth(self) -> np.ndarray:
         """(L, height + 1) matrix: per carrier index, its leaf's ancestor at
         each depth, and the leaf itself at every depth below the leaf's own."""
         parent = np.array(self.parent)
-        depth = np.array(self.depth)
+        depth = self.depth_array
         leaves = np.array(self.leaves)
         table = np.repeat(leaves[:, None], depth.max() + 1, axis=1).astype(np.int32)
         rows, nodes = np.arange(self.size), leaves
@@ -189,15 +194,18 @@ class UltrametricModel:
         """Per carrier index, the node id k levels above its leaf, clamped at
         the root: its ancestor_by_depth entry at the leaf's depth minus k."""
         if k not in self._anc_arrays:
-            depth = np.array(self.depth)[list(self.leaves)]
+            depth = self.depth_array[list(self.leaves)]
             self._anc_arrays[k] = self.ancestor_by_depth[
                 np.arange(self.size), np.maximum(depth - k, 0)
             ]
         return self._anc_arrays[k]
 
-    def balls_above(self, k: int, y: np.ndarray) -> np.ndarray:
-        """(len(y), ceil(L/8)) packed rows: the ball k levels above each y."""
-        return self.ball_bits[self.ancestor_array(k)[y]]
+    def above(self, u: np.ndarray, v: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Per entry, is node u node v or an ancestor of it, so that
+        ball(v) is a subset of ball(u); y is the carrier index of a leaf below
+        v, whose ancestor_by_depth row holds v's ancestors."""
+        d = self.depth_array[u]
+        return (d <= self.depth_array[v]) & (self.ancestor_by_depth[y, d] == u)
 
     def ball_profiles(self, k: int, xs: np.ndarray) -> np.ndarray:
         """(L, ceil(m/8)) packed rows: per carrier index y, which of the m
@@ -325,9 +333,12 @@ class CorpusFormula:
 
     `sets(model, y0, y1)`, declared by the entries with object arity 1, is
     the formula at that arity factored through its parameters: for m pairs
-    given as index arrays y0, y1, a packed (m, ceil(L/8)) uint8 matrix whose
-    row j is the set {x : phi(x; y0[j], y1[j])}, so that x's sign row over
-    the pairs is column x.
+    given as index arrays y0, y1, a packed (m', ceil(L/8)) uint8 matrix,
+    m' <= m, whose rows, possibly repeated and in any order, are exactly the
+    sets {x : phi(x; y0[j], y1[j])}.  Each set is fixed by one or two tree
+    nodes, so the entry dedupes those nodes' int keys and gathers ball_bits
+    rows for the distinct keys only.  A repeated set repeats a column of the
+    x sign rows, so it cannot change their count.
     """
 
     name: str
@@ -345,12 +356,34 @@ def _pair_unions(profiles: np.ndarray) -> np.ndarray:
     return (d[:, None] | d[None]).reshape(-1, d.shape[1])
 
 
+def _ball_pairs(M: UltrametricModel, u: np.ndarray, v: np.ndarray, op: Callable) -> np.ndarray:
+    """op(ball(u), ball(v)) as packed rows, once per distinct node pair
+    (u, v); v = n_nodes stands for no second ball and gives ball(u)."""
+    none = M.n_nodes
+    # int64 keys: node ids are int32, and their products could overflow it
+    u, v = np.divmod(np.unique(u.astype(np.int64) * (none + 1) + v), none + 1)
+    rows = M.ball_bits[u]
+    two = v < none
+    rows[two] = op(rows[two], M.ball_bits[v[two]])
+    return rows
+
+
+def _twin_ball_sets(k: int, M: UltrametricModel, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    # ball(a) | ball(b) is the larger ball when the two nest, else it is keyed
+    # by the unordered pair {a, b}
+    a, b = M.ancestor_array(k)[y0], M.ancestor_array(k)[y1]
+    a_top, b_top = M.above(a, b, y1), M.above(b, a, y0)
+    u = np.where(a_top, a, np.where(b_top, b, np.minimum(a, b)))
+    v = np.where(a_top | b_top, M.n_nodes, np.maximum(a, b))
+    return _ball_pairs(M, u, v, np.bitwise_or)
+
+
 def _twin_ball(k: int) -> CorpusFormula:
     return CorpusFormula(
         f"twin-ball-{k}", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_ball_above(x, y0, k) | M.in_ball_above(x, y1, k),
         lambda M, xs: _pair_unions(M.ball_profiles(k, xs)),
-        lambda M, y0, y1: M.balls_above(k, y0) | M.balls_above(k, y1),
+        lambda M, y0, y1: _twin_ball_sets(k, M, y0, y1),
     )
 
 
@@ -358,6 +391,18 @@ def _boolean_mix_rows(M: UltrametricModel, xs: np.ndarray) -> np.ndarray:
     # packbits pads with 0 bits, so a & ~b keeps the padding 0
     pos, neg = distinct_rows(M.ball_profiles(2, xs)), distinct_rows(M.ball_profiles(1, xs))
     return (pos[:, None] & ~neg[None]).reshape(-1, pos.shape[1])
+
+
+def _boolean_mix_sets(M: UltrametricModel, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    # ball(p) minus ball(n), keyed (p, n) when n lies below p, p alone when
+    # the balls are disjoint, and (root, root), the empty set, when p is n or
+    # lies below it
+    p, n = M.ancestor_array(2)[y0], M.ancestor_array(1)[y1]
+    empty = M.above(n, p, y0)
+    u = np.where(empty, M.root, p)
+    v = np.where(empty, M.root, np.where(M.above(p, n, y1), n, M.n_nodes))
+    # the padding bits of ~ are 1, and & with a ball row clears them
+    return _ball_pairs(M, u, v, lambda pos, neg: pos & ~neg)
 
 
 # lca-ball: x in the ball at lca(y0, y1).  Its rows are every node's ball:
@@ -371,7 +416,7 @@ CORPUS = {
         "lca-ball", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_lca_ball(x, y0, y1),
         lambda M, xs: np.packbits(M.ball_bool[:, xs], axis=1),
-        lambda M, y0, y1: M.ball_bits[M.lca_of(y0, y1)],
+        lambda M, y0, y1: M.ball_bits[np.unique(M.lca_of(y0, y1))],
     ),
     "twin-ball-0": _twin_ball(0),
     "twin-ball-1": _twin_ball(1),
@@ -380,8 +425,7 @@ CORPUS = {
         "boolean-mix-2-1", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_ball_above(x, y0, 2) & ~M.in_ball_above(x, y1, 1),
         _boolean_mix_rows,
-        # the padding bits of ~ are 1, and & with a ball row clears them
-        lambda M, y0, y1: M.balls_above(2, y0) & ~M.balls_above(1, y1),
+        _boolean_mix_sets,
     ),
     "pair-equality": CorpusFormula(
         "pair-equality", (UltrametricModel, OrderModel), (2,),

@@ -400,8 +400,11 @@ def distinct_rows(packed: np.ndarray) -> np.ndarray:
     a multiple of 8), is read as big-endian uint64 words, which compare in
     the order their bytes do.  np.lexsort sorts the rows by their words, the
     first word most significant, and a row is kept unless every word equals
-    its sorted predecessor's."""
+    its sorted predecessor's.  Zero-width rows are all equal: one of them,
+    or none when there are no rows."""
     n, width = packed.shape
+    if width == 0:
+        return packed[:1]
     if width % 8:
         padded = np.zeros((n, width + -width % 8), dtype=np.uint8)
         padded[:, :width] = packed

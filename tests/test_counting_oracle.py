@@ -11,12 +11,14 @@ from random import Random
 
 import numpy as np
 import pytest
-from scalar_oracle import Tree, corpus_rows, with_unary_nodes
+from scalar_oracle import Tree, corpus_rows, holds, with_unary_nodes
 
 from laminarvc import harness, save_model, setsystem
 from laminarvc.cli import main
 from laminarvc.harness import ExperimentConfig, _sample_params, resolve_model, run_growth
-from laminarvc.models import CORPUS, GROWTH_KINDS, OrderModel, growth_formula, random_ultrametric
+from laminarvc.models import (
+    CORPUS, GROWTH_KINDS, OrderModel, UltrametricModel, growth_formula, random_ultrametric,
+)
 from laminarvc.setsystem import class_representatives, distinct_rows, packed_columns, type_space
 
 
@@ -130,7 +132,8 @@ def test_single_formula_past_one_label_word():
 
 @pytest.mark.parametrize(
     "kind,arity,trials",
-    [(k, 2, 2) for k in GROWTH_KINDS] + [("lca-ball", 1, 19), ("boolean-mix", 1, 19)],
+    [(k, 2, 2) for k in GROWTH_KINDS]
+    + [(k, 1, 19) for k in GROWTH_KINDS if k != "pair-equality"],
 )
 def test_growth_counts_match_oracle(kind, arity, trials):
     config = ExperimentConfig(kind, arity, (2, 4, 8), trials=trials, seed=5)
@@ -233,10 +236,13 @@ def test_only_arity_1_entries_declare_sets():
         assert (spec.sets is not None) == (1 in spec.arities), kind
 
 
-def x_rows(packed, size):
-    """Sorted distinct columns of packed per-parameter sets: the x rows."""
-    bits = np.unpackbits(packed, axis=1, count=size)
-    return sorted({bytes(bits[:, x]) for x in range(size)})
+def realized_sets(kind, model, params):
+    """The distinct sets {x : phi(x; y0, y1)} over the parameter pairs."""
+    t = Tree(model)
+    return {
+        frozenset(x for x in range(model.size) if holds(kind, t, x, y0, y1))
+        for y0, y1 in params
+    }
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -255,10 +261,13 @@ def test_factored_sets_match_oracle(seed):
             for params in columns:
                 y0, y1 = np.array(params).T
                 got = CORPUS[kind].sets(model, y0, y1)
-                assert got.dtype == np.uint8 and got.shape == (len(params), -(-size // 8))
+                assert got.dtype == np.uint8 and got.ndim == 2, (kind, params)
+                assert got.shape[1] == -(-size // 8) and len(got) <= len(params), (kind, params)
                 # the padding bits stay 0
                 assert (np.packbits(np.unpackbits(got, axis=1, count=size), axis=1) == got).all()
-                assert x_rows(got, size) == corpus_rows([kind], 1, params, model), (kind, params)
+                rows = {frozenset(np.flatnonzero(row).tolist())
+                        for row in np.unpackbits(got, axis=1, count=size)}
+                assert rows == realized_sets(kind, model, params), (kind, params)
 
 
 @pytest.mark.parametrize("block_sets", [1, 3, None])
@@ -278,15 +287,35 @@ def test_factored_arity_1_growth_on_model_files_matches_oracle(duplicates, block
             kind, 1, (2, 9, 49), trials=3, seed=8, model_path=str(path),
             allow_duplicate_params=duplicates,
         )
-        report = run_growth(config)
-        assert report.complete and report.engine == "factored"
-        for row in report.rows:
-            params = _sample_params(
-                Random(f"{config.seed}/{row.m}/{row.trial}"), model.size**2, 2, row.m,
-                model.size, duplicates,
-            )
-            assert row.type_count == len(corpus_rows([kind], 1, params, model)), (kind, row)
-            assert row.batch_calls == 0 and row.tuples_refined == row.m
+        arity_1_rows_match_oracle(config, model)
+
+
+def arity_1_rows_match_oracle(config, model):
+    report = run_growth(config)
+    assert report.complete and report.engine == "factored"
+    for row in report.rows:
+        params = _sample_params(
+            Random(f"{config.seed}/{row.m}/{row.trial}"), model.size**2, 2, row.m,
+            model.size, config.allow_duplicate_params,
+        )
+        want = len(corpus_rows([config.formula_kind], 1, params, model))
+        assert row.type_count == want, (config.formula_kind, row)
+        assert row.batch_calls == 0 and row.tuples_refined == row.m
+    return report
+
+
+def test_root_clamped_ancestors_on_a_star_tree(tmp_path):
+    # every leaf hangs from the root, so the ancestors 1 and 2 levels up
+    # clamp to the root, and every boolean-mix set ball(root) minus
+    # ball(root) is empty: one type in every cell
+    model = UltrametricModel((-1, 0, 0, 0, 0))
+    path = tmp_path / "star.model.json"
+    save_model(model, path)
+    for kind in ARITY_1_KINDS:
+        config = ExperimentConfig(kind, 1, (2, 5, 16), trials=3, seed=8, model_path=str(path))
+        report = arity_1_rows_match_oracle(config, model)
+        if kind == "boolean-mix":
+            assert all(row.type_count == 1 for row in report.rows)
 
 
 def test_factored_arity_1_growth_keeps_the_enumeration_cap(capsys):
@@ -332,6 +361,10 @@ def test_distinct_rows_match_numpy_unique():
         np.full((6, 11), 9, dtype=np.uint8),  # all rows equal
         # equal first words, different last ones, unsorted
         np.array([[0] * 8 + [2], [0] * 8 + [1], [0] * 8 + [2]], dtype=np.uint8),
+        # zero-width rows: one distinct row, or none without rows; no rows
+        np.zeros((3, 0), dtype=np.uint8),
+        np.zeros((0, 0), dtype=np.uint8),
+        np.zeros((0, 5), dtype=np.uint8),
     ]
     for packed in cases:
         want = np.unique(packed, axis=0)

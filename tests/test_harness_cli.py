@@ -125,8 +125,9 @@ def test_sample_params_decode_matches_divmod_loop(with_replacement):
             space = carrier_size**arity
             args = (space, arity, m, carrier_size, with_replacement)
             got = _sample_params(Random(f"{seed}/{m}"), *args)
-            assert got == divmod_loop_params(Random(f"{seed}/{m}"), *args)
-            assert all(type(v) is int for t in got for v in t)
+            want = np.array(divmod_loop_params(Random(f"{seed}/{m}"), *args), dtype=np.int64)
+            assert got.dtype == np.int64 and got.shape == (m, arity)
+            assert (got == want).all()
 
 
 def test_growth_with_duplicates_flag_runs():
