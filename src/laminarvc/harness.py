@@ -33,6 +33,7 @@ from .setsystem import (
     SweepCost,
     _decode_tuples,
     distinct_rows,
+    laminar_union_count,
     packed_columns,
 )
 
@@ -126,8 +127,10 @@ class GrowthRow:
     type_count: int
     ms: int
     # JSON only: the cell's cost (setsystem.SweepCost); a factored cell
-    # makes no batch calls, and tuples_refined is its number of candidate
-    # rows at arity 2 and its number of parameter pairs m at arity 1
+    # makes no batch calls, and tuples_refined is its number of parameter
+    # pairs m at arity 1, and at arity 2 its number of candidate rows, or for
+    # the union kinds the d^2 ordered pairs of its d distinct profiles, whose
+    # unions it counts
     batch_calls: int
     tuples_refined: int
 
@@ -198,28 +201,40 @@ def _factored_count(config: ExperimentConfig, model: CarrierModel,
     """Realized types over the (m, param arity) parameter array, counted
     from the corpus entry's packed rows, with no object tuple enumerated.
 
-    Arity 2: the distinct rows among the entry's candidate rows over the
-    parameter column.  Arity 1: x's sign row is column x of the parameters'
-    sets, so the count is the number of distinct rows of the (L, ceil(m'/8))
-    packed transpose of the m' <= m sets the entry returns, each distinct
-    set at least once.  Both arities count with distinct_rows.  The cap is
-    checked against the L^arity * m evaluations of the full enumeration, as
-    type_space does, and bounds the (at most L^2, ceil(m/8)) packed
-    candidate matrix of arity 2 and the L * ceil(m'/8) bytes of the
-    transpose of arity 1."""
-    size = model.size
-    evals = size**config.arity * len(params)
-    if evals > config.cap:
-        raise ResourceCapError(
-            f"enumerating {size**config.arity} tuples x {len(params)} slots = {evals} "
-            f"evaluations exceeds cap {config.cap}"
-        )
+    Arity 2, union kinds: the distinct unions of two of the entry's profiles
+    over the parameter column, counted by laminar_union_count from the d
+    distinct profiles.  Arity 2, other kinds: the distinct rows among the
+    entry's R candidate rows over the parameter column.  Arity 1: x's sign
+    row is column x of the parameters' sets, so the count is the number of
+    distinct rows of the (L, ceil(m'/8)) packed transpose of the m' <= m sets
+    the entry returns, each distinct set at least once.
+
+    The cap bounds the work the cell does, each term checked before the
+    matrix it counts is built: its L * m sign or profile bits, then at
+    arity 2 the d^2 entries of the containment matrix, or the R * m bits of
+    the candidate rows."""
+    size, m = model.size, len(params)
+
+    def afford(work: int, what: str) -> None:
+        if work > config.cap:
+            raise ResourceCapError(f"cell work {what} = {work} exceeds cap {config.cap}")
+
+    afford(size * m, f"{size} elements x {m} parameters")
     spec = CORPUS[config.formula_kind]
-    if config.arity == 2:
-        candidates = spec.rows(model, params[:, 0])
-        return len(distinct_rows(candidates)), SweepCost(tuples_refined=len(candidates))
-    sets = spec.sets(model, params[:, 0], params[:, 1])
-    return len(distinct_rows(packed_columns(sets, size))), SweepCost(tuples_refined=len(params))
+    if config.arity == 1:
+        sets = spec.sets(model, params[:, 0], params[:, 1])
+        return len(distinct_rows(packed_columns(sets, size))), SweepCost(tuples_refined=m)
+    xs = params[:, 0]
+    if spec.profiles is not None:
+        profiles = distinct_rows(spec.profiles(model, xs))
+        d = len(profiles)
+        afford(size * m + d * d,
+               f"{size} elements x {m} parameters + {d}^2 profile pairs")
+        return laminar_union_count(profiles), SweepCost(tuples_refined=d * d)
+    candidates = spec.rows(
+        model, xs, lambda r: afford(r * m, f"{r} candidate rows x {m} parameters")
+    )
+    return len(distinct_rows(candidates)), SweepCost(tuples_refined=len(candidates))
 
 
 def run_growth(config: ExperimentConfig) -> GrowthReport:

@@ -208,9 +208,10 @@ class UltrametricModel:
         return (d <= self.depth_array[v]) & (self.ancestor_by_depth[y, d] == u)
 
     def ball_profiles(self, k: int, xs: np.ndarray) -> np.ndarray:
-        """(L, ceil(m/8)) packed rows: per carrier index y, which of the m
-        parameters xs lie in the ball k levels above y."""
-        return np.packbits(self.ball_bool[:, xs][self.ancestor_array(k)], axis=1)
+        """(u, ceil(m/8)) packed rows, u <= L: per distinct node k levels
+        above some leaf, which of the m parameters xs lie in its ball."""
+        nodes = np.unique(self.ancestor_array(k))
+        return np.packbits(self.ball_bool[nodes].take(xs, axis=1), axis=1)
 
     # ball membership.  x is a carrier index or an array of them, and y0, y1
     # are indices, index arrays of object columns, or (k, 1) parameter
@@ -326,10 +327,26 @@ class CorpusFormula:
     `carriers` the model types that can evaluate it and `arities` the object
     arities a growth run may read it at.
 
-    `rows(model, xs)` is the formula at object arity 2 factored through
-    per-element profiles over the parameter column xs (m carrier indices): a
-    packed (R, ceil(m/8)) uint8 matrix whose rows, possibly repeated, are
-    exactly the sign rows over xs that some object pair (y0, y1) realizes.
+    At object arity 2 an entry declares one of two factorings through the
+    parameter column xs (m carrier indices):
+
+    `profiles(model, xs)`, declared by the union kinds phi = x in S(y0) or
+    x in S(y1): a packed (u, ceil(m/8)) uint8 matrix, u <= L, whose rows,
+    possibly repeated, are exactly the profiles xs ∩ S(y) of the carrier
+    elements y.  The sign rows over xs that object pairs realize are exactly
+    the unions of two profiles.  The entry promises that the profiles form a
+    laminar family (any two nested or disjoint), so that
+    setsystem.laminar_union_count counts the unions without building them.
+    It holds because the sets S(y) form one: the S(y) = ball_k(y) of
+    twin-ball-k are balls of one tree, which nest or are disjoint, the
+    S(y) = {y} of pair-equality are singletons, and intersecting every set
+    with xs keeps each pair nested or disjoint.
+
+    `rows(model, xs, afford)`, declared by the other kinds: a packed
+    (R, ceil(m/8)) uint8 matrix whose rows, possibly repeated, are exactly
+    the sign rows over xs that some object pair (y0, y1) realizes.  The
+    entry calls afford(R) before it builds the matrix, which raises
+    ResourceCapError when R rows cost more than the cell may spend.
 
     `sets(model, y0, y1)`, declared by the entries with object arity 1, is
     the formula at that arity factored through its parameters: for m pairs
@@ -345,15 +362,9 @@ class CorpusFormula:
     carriers: tuple[type, ...]
     arities: tuple[int, ...]
     pred: Callable
-    rows: Callable
+    rows: Optional[Callable] = None
+    profiles: Optional[Callable] = None
     sets: Optional[Callable] = None
-
-
-def _pair_unions(profiles: np.ndarray) -> np.ndarray:
-    """a | b over every ordered pair (a, b) of distinct packed profile rows,
-    a = b included: the rows of x in S(y0) or x in S(y1)."""
-    d = distinct_rows(profiles)
-    return (d[:, None] | d[None]).reshape(-1, d.shape[1])
 
 
 def _ball_pairs(M: UltrametricModel, u: np.ndarray, v: np.ndarray, op: Callable) -> np.ndarray:
@@ -382,14 +393,20 @@ def _twin_ball(k: int) -> CorpusFormula:
     return CorpusFormula(
         f"twin-ball-{k}", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_ball_above(x, y0, k) | M.in_ball_above(x, y1, k),
-        lambda M, xs: _pair_unions(M.ball_profiles(k, xs)),
-        lambda M, y0, y1: _twin_ball_sets(k, M, y0, y1),
+        profiles=lambda M, xs: M.ball_profiles(k, xs),
+        sets=lambda M, y0, y1: _twin_ball_sets(k, M, y0, y1),
     )
 
 
-def _boolean_mix_rows(M: UltrametricModel, xs: np.ndarray) -> np.ndarray:
-    # packbits pads with 0 bits, so a & ~b keeps the padding 0
+def _lca_ball_rows(M: UltrametricModel, xs: np.ndarray, afford: Callable) -> np.ndarray:
+    afford(M.n_nodes)
+    return np.packbits(M.ball_bool.take(xs, axis=1), axis=1)
+
+
+def _boolean_mix_rows(M: UltrametricModel, xs: np.ndarray, afford: Callable) -> np.ndarray:
     pos, neg = distinct_rows(M.ball_profiles(2, xs)), distinct_rows(M.ball_profiles(1, xs))
+    afford(len(pos) * len(neg))
+    # packbits pads with 0 bits, so a & ~b keeps the padding 0
     return (pos[:, None] & ~neg[None]).reshape(-1, pos.shape[1])
 
 
@@ -415,8 +432,8 @@ CORPUS = {
     "lca-ball": CorpusFormula(
         "lca-ball", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_lca_ball(x, y0, y1),
-        lambda M, xs: np.packbits(M.ball_bool[:, xs], axis=1),
-        lambda M, y0, y1: M.ball_bits[np.unique(M.lca_of(y0, y1))],
+        rows=_lca_ball_rows,
+        sets=lambda M, y0, y1: M.ball_bits[np.unique(M.lca_of(y0, y1))],
     ),
     "twin-ball-0": _twin_ball(0),
     "twin-ball-1": _twin_ball(1),
@@ -424,13 +441,13 @@ CORPUS = {
     "boolean-mix": CorpusFormula(
         "boolean-mix-2-1", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_ball_above(x, y0, 2) & ~M.in_ball_above(x, y1, 1),
-        _boolean_mix_rows,
-        _boolean_mix_sets,
+        rows=_boolean_mix_rows,
+        sets=_boolean_mix_sets,
     ),
     "pair-equality": CorpusFormula(
         "pair-equality", (UltrametricModel, OrderModel), (2,),
         lambda M, x, y0, y1: (x == y0) | (x == y1),
-        lambda M, xs: _pair_unions(np.packbits(np.arange(M.size)[:, None] == xs, axis=1)),
+        profiles=lambda M, xs: np.packbits(np.arange(M.size)[:, None] == xs, axis=1),
     ),
 }
 

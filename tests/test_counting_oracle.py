@@ -13,13 +13,15 @@ import numpy as np
 import pytest
 from scalar_oracle import Tree, corpus_rows, holds, with_unary_nodes
 
-from laminarvc import harness, save_model, setsystem
+from laminarvc import ResourceCapError, harness, save_model, setsystem
 from laminarvc.cli import main
 from laminarvc.harness import ExperimentConfig, _sample_params, resolve_model, run_growth
 from laminarvc.models import (
     CORPUS, GROWTH_KINDS, OrderModel, UltrametricModel, growth_formula, random_ultrametric,
 )
-from laminarvc.setsystem import class_representatives, distinct_rows, packed_columns, type_space
+from laminarvc.setsystem import (
+    class_representatives, distinct_rows, laminar_union_count, packed_columns, type_space,
+)
 
 
 def engine_rows(space):
@@ -165,6 +167,32 @@ def unpacked(packed, m):
     return sorted(bytes(row) for row in np.unpackbits(packed, axis=1)[:, :m])
 
 
+def pair_unions(profiles):
+    """a | b over every ordered pair (a, b) of distinct packed profile rows,
+    a = b included: the rows of x in S(y0) or x in S(y1)."""
+    d = distinct_rows(profiles)
+    return (d[:, None] | d[None]).reshape(-1, d.shape[1])
+
+
+def union_count_oracle(profiles):
+    return len(distinct_rows(pair_unions(profiles)))
+
+
+def is_laminar(packed):
+    sets = [frozenset(np.flatnonzero(row).tolist()) for row in np.unpackbits(packed, axis=1)]
+    return all(a <= b or b <= a or not a & b for a in sets for b in sets)
+
+
+def arity_2_rows(spec, model, xs):
+    """The distinct sign rows the corpus entry gives over the column xs: the
+    unions of two profiles, or its candidate rows."""
+    if spec.profiles is not None:
+        profiles = spec.profiles(model, xs)
+        assert is_laminar(profiles)
+        return distinct_rows(pair_unions(profiles))
+    return distinct_rows(spec.rows(model, xs, lambda r: None))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_factored_rows_match_oracle(seed):
     rng = Random(600 + seed)
@@ -178,10 +206,48 @@ def test_factored_rows_match_oracle(seed):
         for kind, spec in CORPUS.items():
             if not isinstance(model, spec.carriers):
                 continue
+            assert (spec.profiles is None) != (spec.rows is None), kind
             for xs in columns:
-                got = distinct_rows(spec.rows(model, np.array(xs)))
+                got = arity_2_rows(spec, model, np.array(xs))
                 want = corpus_rows([kind], 2, [(x,) for x in xs], model)
                 assert unpacked(got, len(xs)) == want, (kind, model, xs)
+                if spec.profiles is not None:
+                    profiles = distinct_rows(spec.profiles(model, np.array(xs)))
+                    assert laminar_union_count(profiles) == len(want), (kind, model, xs)
+
+
+UNION_KINDS = [kind for kind, spec in CORPUS.items() if spec.profiles is not None]
+
+
+def union_count_models(seed):
+    """Random trees up to 512 leaves, the same trees with unary nodes, a star
+    tree and an order."""
+    rng = Random(seed)
+    trees = [random_ultrametric(size, rng.randint(2, 4), rng.randrange(1 << 20))
+             for size in (rng.randint(16, 64), rng.randint(100, 512))]
+    unary = [with_unary_nodes(t, rng, rng.randint(1, 40)) for t in trees]
+    star = UltrametricModel((-1,) + (0,) * rng.randint(2, 40))
+    return trees + unary + [star, OrderModel(rng.randint(16, 512), seed=seed)]
+
+
+@pytest.mark.parametrize("duplicates", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_laminar_union_count_matches_pair_unions(seed, duplicates, monkeypatch):
+    # seed 0 masks the containment matrix a few rows at a time
+    if seed == 0:
+        monkeypatch.setattr(setsystem, "_BLOCK_BYTES", 256)
+    rng = Random(f"{seed}/{duplicates}")
+    for model in union_count_models(seed):
+        for m in (2, 8, 64, 256):
+            if duplicates:
+                xs = [rng.randrange(model.size) for _ in range(m)]
+            else:
+                xs = rng.sample(range(model.size), min(m, model.size))
+            for kind in UNION_KINDS:
+                if isinstance(model, CORPUS[kind].carriers):
+                    profiles = CORPUS[kind].profiles(model, np.array(xs))
+                    got = laminar_union_count(distinct_rows(profiles))
+                    assert got == union_count_oracle(profiles), (kind, model.label, xs)
 
 
 def growth_rows_match_oracle(config, model):
@@ -201,8 +267,9 @@ def test_factored_growth_on_model_files_matches_oracle(duplicates, tmp_path):
     # 7 leaves and sizes up to 7: the last cell's parameters are the whole
     # carrier when drawn without duplicates
     tree = with_unary_nodes(random_ultrametric(7, 3, 4), Random(4), 5)
+    star = UltrametricModel((-1,) + (0,) * 7)
     order = OrderModel(7, seed=1)
-    for model in (tree, order):
+    for model in (tree, star, order):
         path = tmp_path / f"{type(model).__name__}.model.json"
         save_model(model, path)
         for kind, spec in CORPUS.items():
@@ -214,15 +281,54 @@ def test_factored_growth_on_model_files_matches_oracle(duplicates, tmp_path):
                 growth_rows_match_oracle(config, model)
 
 
-def test_factored_growth_keeps_the_enumeration_cap(tmp_path, capsys):
-    # 16 leaves and a largest size of 8: 16^2 * 8 evaluations
-    argv = ["growth", "--formula", "twin-ball-1", "--arity", "2", "--sizes", "2,4,8",
-            "--trials", "2", "--seed", "5"]
-    assert main(argv + ["--cap", str(16**2 * 8)]) == 0
-    capsys.readouterr()
-    assert main(argv + ["--cap", str(16**2 * 8 - 1), "--json"]) == 3
-    doc = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
-    assert json.loads(doc[0])["complete"] is False
+def arity_2_cell_work(kind, model, xs):
+    """What an arity-2 cell over the column xs may spend: L * m profile bits
+    plus d^2 profile pairs for a union kind, R * m candidate bits otherwise."""
+    spec, m = CORPUS[kind], len(xs)
+    if spec.profiles is not None:
+        return model.size * m + len(distinct_rows(spec.profiles(model, xs)))**2
+    rows = []
+    spec.rows(model, xs, rows.append)
+    return rows[0] * m
+
+
+def test_factored_growth_keeps_the_enumeration_cap(capsys):
+    # the cap bounds the work of the costliest cell: exit 0 at that work,
+    # exit 3 one below it; the pair sweep's 16^2 * 8 evaluations would
+    # allow more
+    for kind in GROWTH_KINDS:
+        argv = ["growth", "--formula", kind, "--arity", "2", "--sizes", "2,4,8",
+                "--trials", "2", "--seed", "5"]
+        model = resolve_model(ExperimentConfig(kind, 2, (2, 4, 8), trials=2, seed=5))
+        work = max(
+            arity_2_cell_work(kind, model, _sample_params(
+                Random(f"5/{m}/{t}"), model.size, 1, m, model.size, False)[:, 0])
+            for m in (2, 4, 8) for t in range(2)
+        )
+        assert work < model.size**2 * 8, kind
+        assert main(argv + ["--cap", str(work)]) == 0, kind
+        capsys.readouterr()
+        assert main(argv + ["--cap", str(work - 1), "--json"]) == 3, kind
+        doc = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+        assert json.loads(doc[0])["complete"] is False, kind
+
+
+def test_arity_2_cap_names_the_cell_work_before_the_matrix_it_bounds(monkeypatch):
+    # one short of a cell's work: a union cell never starts the count, which
+    # builds the containment matrix, and the message names what was counted
+    model = random_ultrametric(64, 3, 2)
+    xs = np.arange(0, 64, 2)
+
+    def no_count(packed):
+        raise AssertionError("the containment matrix was built")
+
+    monkeypatch.setattr(harness, "laminar_union_count", no_count)
+    for kind, spec in CORPUS.items():
+        work = arity_2_cell_work(kind, model, xs)
+        config = ExperimentConfig(kind, 2, (2, 4, 8), cap=work - 1)
+        what = "profile pairs" if spec.profiles is not None else "candidate rows"
+        with pytest.raises(ResourceCapError, match=f"{what}.* = {work} exceeds cap {work - 1}$"):
+            harness._factored_count(config, model, xs[:, None])
 
 
 # --- factored arity-1 sets ---------------------------------------------------------
@@ -371,6 +477,37 @@ def test_distinct_rows_match_numpy_unique():
         got = distinct_rows(packed)
         assert got.dtype == np.uint8 and got.shape == want.shape, packed.shape
         assert (got == want).all(), packed.shape
+
+
+def packed_sets(sets, width=2):
+    rows = np.zeros((len(sets), 8 * width), dtype=bool)
+    for i, members in enumerate(sets):
+        rows[i, list(members)] = True
+    return np.packbits(rows, axis=1)
+
+
+@pytest.mark.parametrize("sets,unions", [
+    # {3, 9} split exactly by its two children: the disjoint pair adds nothing
+    ([{3, 9}, {3}, {9}], 3),
+    # three children: three new pairwise unions
+    ([{3, 9, 14}, {3}, {9}, {14}], 7),
+    # two children that miss an element of their parent, and a chain:
+    # 6 members and 10 disjoint pairs
+    ([{0, 3, 9}, {3}, {9}, {12}, {12, 13}, {12, 13, 15}], 16),
+    # the empty row present, and absent
+    ([set(), {3}, {9}], 4),
+    ([{3}, {9}], 3),
+    # one row
+    ([{3, 14}], 1),
+    ([set()], 1),
+    # every row equal
+    ([{0, 9}] * 4, 1),
+    ([set()] * 3, 1),
+])
+def test_laminar_union_count_on_hand_built_families(sets, unions):
+    packed = packed_sets(sets)
+    assert union_count_oracle(packed) == unions
+    assert laminar_union_count(distinct_rows(packed)) == unions
 
 
 # --- parameter blocks ----------------------------------------------------------
