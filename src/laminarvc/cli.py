@@ -108,6 +108,7 @@ def cmd_growth(args) -> int:
             file=sys.stderr,
         )
     if not report.complete:
+        print(f"resource cap: {report.cap_error}", file=sys.stderr)
         return 3
     return 0 if report.passed else 1
 

@@ -147,6 +147,8 @@ class GrowthReport:
     passed: bool
     complete: bool
     engine: str = "factored"  # every cell counts through _factored_count
+    # why the run is incomplete: the first failed cell's ResourceCapError
+    cap_error: Optional[str] = None
 
     def to_json(self) -> dict:
         return {
@@ -159,6 +161,7 @@ class GrowthReport:
             "passed": self.passed,
             "complete": self.complete,
             "engine": self.engine,
+            "cap_error": self.cap_error,
             "env": env_stamp(),
         }
 
@@ -186,14 +189,54 @@ def resolve_model(config: ExperimentConfig) -> CarrierModel:
 
 def _sample_params(rng: Random, space: int, arity: int, m: int, carrier_size: int,
                    with_replacement: bool) -> np.ndarray:
-    """(m, arity) int64 array of parameter tuples drawn from rng."""
+    """(m, arity) int64 array of the parameter tuples with the indices
+    [rng.randrange(space) for _ in range(m)] when with_replacement, else
+    rng.sample(range(space), m), decoded as object tuples.
+
+    Both are read from rng's 32-bit Mersenne Twister output stream in numpy.
+    CPython draws one index as getrandbits(b), b = space.bit_length(): the
+    top b bits of one output, redrawn while it is >= space.  space <= L**2
+    <= 2**24 under the universe cap, so every draw is one output word.
+    randrange keeps every draw below space; sample, when its table of seen
+    indices is smaller than a pool of the space, keeps the first distinct
+    ones.  When a pool of the space is smaller, sample itself draws.  rng is
+    left further along its stream than the two calls would leave it."""
     if not with_replacement and m > space:
         raise DomainError(f"cannot sample {m} distinct parameter tuples from {space}")
-    if with_replacement:
-        idxs = [rng.randrange(space) for _ in range(m)]
+    # random.sample's pool/set threshold: 21, plus 4 ** ceil(log(3m, 4)) when
+    # m > 5; 3m is no power of 2, so its bit length is ceil(log2(3m))
+    setsize = 21 + (4 ** (((3 * m).bit_length() + 1) // 2) if m > 5 else 0)
+    if not with_replacement and space <= setsize:
+        idxs = np.array(rng.sample(range(space), m), dtype=np.int64)
     else:
-        idxs = rng.sample(range(space), m)
-    return _decode_tuples(np.array(idxs, dtype=np.int64), carrier_size, arity)
+        idxs = _stream_draws(rng, space, m, distinct=not with_replacement)
+    return _decode_tuples(idxs, carrier_size, arity)
+
+
+def _stream_draws(rng: Random, space: int, m: int, distinct: bool) -> np.ndarray:
+    """The first m draws below space (the first m distinct ones when
+    `distinct`), in stream order, of getrandbits(space.bit_length()) calls
+    on rng, as int64.  getrandbits(32 * c) returns rng's next c outputs, the
+    first in the least significant word."""
+    bits = space.bit_length()
+    out = np.empty(0, dtype=np.int64)
+    while len(out) < m:
+        need = m - len(out)
+        # words expected to hold `need` draws below space, plus some slack
+        c = ((need + need // 8 + 16) << bits) // space
+        words = np.frombuffer(rng.getrandbits(32 * c).to_bytes(4 * c, "little"), "<u4")
+        draws = (words >> (32 - bits)).astype(np.int64)
+        out = np.concatenate([out, draws[draws < space]])
+        if distinct:
+            # keep each value's first occurrence: a stable sort puts it first
+            # among its equals
+            order = np.argsort(out, kind="stable")
+            first = np.ones(len(out), dtype=bool)
+            first[1:] = out[order[1:]] != out[order[:-1]]
+            keep = np.empty_like(first)
+            keep[order] = first
+            out = out[keep]
+    return out[:m]
 
 
 def _factored_count(config: ExperimentConfig, model: CarrierModel,
@@ -265,7 +308,7 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
 
     jobs = [(m, t) for m in config.sizes for t in range(config.trials)]
     rows: list[GrowthRow] = []
-    complete = True
+    cap_error = None
     workers = min(threads, len(jobs))
     try:
         if workers <= 1:
@@ -279,8 +322,9 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
                 wait(futures, return_when=FIRST_EXCEPTION)
                 pool.shutdown(cancel_futures=True)
             rows.extend(f.result() for f in futures)
-    except ResourceCapError:
-        complete = False
+    except ResourceCapError as e:
+        cap_error = str(e)
+    complete = cap_error is None
     rows.sort(key=lambda r: (r.m, r.trial))
 
     series = []
@@ -305,6 +349,7 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
         ceiling=config.ceiling,
         passed=passed,
         complete=complete,
+        cap_error=cap_error,
     )
 
 

@@ -70,6 +70,12 @@ class UltrametricModel:
     def leaves(self) -> tuple[int, ...]:
         return tuple(i for i in range(len(self.parent)) if not self.children[i])
 
+    @cached_property
+    def non_unary(self) -> np.ndarray:
+        """Ids of the leaves and of the nodes with two or more children, whose
+        balls are the distinct balls: a unary node's ball is its child's."""
+        return np.flatnonzero([len(kids) != 1 for kids in self.children])
+
     @property
     def size(self) -> int:
         return len(self.leaves)
@@ -207,10 +213,16 @@ class UltrametricModel:
         d = self.depth_array[u]
         return (d <= self.depth_array[v]) & (self.ancestor_by_depth[y, d] == u)
 
+    def distinct_nodes(self, ids: np.ndarray) -> np.ndarray:
+        """The distinct node ids among ids, ascending, as np.unique gives
+        them.  np.unique would import numpy.ma on its first call in a
+        process: 14.5 ms of a growth command on a shared 2-core VM."""
+        return np.flatnonzero(np.bincount(ids, minlength=self.n_nodes))
+
     def ball_profiles(self, k: int, xs: np.ndarray) -> np.ndarray:
         """(u, ceil(m/8)) packed rows, u <= L: per distinct node k levels
         above some leaf, which of the m parameters xs lie in its ball."""
-        nodes = np.unique(self.ancestor_array(k))
+        nodes = self.distinct_nodes(self.ancestor_array(k))
         return np.packbits(self.ball_bool[nodes].take(xs, axis=1), axis=1)
 
     # ball membership.  x is a carrier index or an array of them, and y0, y1
@@ -372,7 +384,9 @@ def _ball_pairs(M: UltrametricModel, u: np.ndarray, v: np.ndarray, op: Callable)
     (u, v); v = n_nodes stands for no second ball and gives ball(u)."""
     none = M.n_nodes
     # int64 keys: node ids are int32, and their products could overflow it
-    u, v = np.divmod(np.unique(u.astype(np.int64) * (none + 1) + v), none + 1)
+    keys = np.sort(u.astype(np.int64) * (none + 1) + v)
+    # the distinct keys: each sorted key that differs from its predecessor
+    u, v = np.divmod(keys[np.diff(keys, prepend=-1) != 0], none + 1)
     rows = M.ball_bits[u]
     two = v < none
     rows[two] = op(rows[two], M.ball_bits[v[two]])
@@ -399,8 +413,11 @@ def _twin_ball(k: int) -> CorpusFormula:
 
 
 def _lca_ball_rows(M: UltrametricModel, xs: np.ndarray, afford: Callable) -> np.ndarray:
-    afford(M.n_nodes)
-    return np.packbits(M.ball_bool.take(xs, axis=1), axis=1)
+    nodes = M.non_unary
+    afford(len(nodes))
+    # a random tree has no unary node: gather its columns with no row copy
+    rows = M.ball_bool if len(nodes) == M.n_nodes else M.ball_bool[nodes]
+    return np.packbits(rows.take(xs, axis=1), axis=1)
 
 
 def _boolean_mix_rows(M: UltrametricModel, xs: np.ndarray, afford: Callable) -> np.ndarray:
@@ -422,9 +439,10 @@ def _boolean_mix_sets(M: UltrametricModel, y0: np.ndarray, y1: np.ndarray) -> np
     return _ball_pairs(M, u, v, lambda pos, neg: pos & ~neg)
 
 
-# lca-ball: x in the ball at lca(y0, y1).  Its rows are every node's ball:
-# a leaf v is lca(v, v), a node with two children is the lca of a leaf
-# below each, and a node with one child has that child's ball.
+# lca-ball: x in the ball at lca(y0, y1).  Its rows are the balls of the
+# leaves and the branching nodes: a leaf v is lca(v, v), a node with two
+# children is the lca of a leaf below each, and a node with one child has
+# that child's ball.
 # twin-ball-k: x in ball_k(y0) | ball_k(y1), ball_k(b) sitting k levels above b.
 # boolean-mix: x in ball_2(y0) and not in ball_1(y1).
 # pair-equality: x = y0 or x = y1, the quadratic-growth witness at arity 2.
@@ -433,7 +451,7 @@ CORPUS = {
         "lca-ball", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_lca_ball(x, y0, y1),
         rows=_lca_ball_rows,
-        sets=lambda M, y0, y1: M.ball_bits[np.unique(M.lca_of(y0, y1))],
+        sets=lambda M, y0, y1: M.ball_bits[M.distinct_nodes(M.lca_of(y0, y1))],
     ),
     "twin-ball-0": _twin_ball(0),
     "twin-ball-1": _twin_ball(1),

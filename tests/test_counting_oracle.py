@@ -306,11 +306,22 @@ def test_factored_growth_keeps_the_enumeration_cap(capsys):
             for m in (2, 4, 8) for t in range(2)
         )
         assert work < model.size**2 * 8, kind
-        assert main(argv + ["--cap", str(work)]) == 0, kind
-        capsys.readouterr()
+        assert main(argv + ["--cap", str(work), "--json"]) == 0, kind
+        out = capsys.readouterr()
+        assert json.loads(out.out.splitlines()[-1])["cap_error"] is None, kind
+        assert "resource cap" not in out.err, kind
         assert main(argv + ["--cap", str(work - 1), "--json"]) == 3, kind
-        doc = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
-        assert json.loads(doc[0])["complete"] is False, kind
+        assert_cap_reported(capsys.readouterr(), f"= {work} exceeds cap {work - 1}")
+
+
+def assert_cap_reported(out, tail):
+    """A growth --json run that hit the cap names the failed cell's work on
+    stderr and in its report, and its CSV header is the usual one."""
+    doc = json.loads(out.out.splitlines()[-1])
+    assert doc["complete"] is False
+    assert doc["cap_error"].startswith("cell work ") and doc["cap_error"].endswith(tail)
+    assert out.err.splitlines()[-1] == f"resource cap: {doc['cap_error']}"
+    assert out.out.splitlines()[0] == "model,formula,arity,m,trial,seed,type_count,ms"
 
 
 def test_arity_2_cap_names_the_cell_work_before_the_matrix_it_bounds(monkeypatch):
@@ -329,6 +340,36 @@ def test_arity_2_cap_names_the_cell_work_before_the_matrix_it_bounds(monkeypatch
         what = "profile pairs" if spec.profiles is not None else "candidate rows"
         with pytest.raises(ResourceCapError, match=f"{what}.* = {work} exceeds cap {work - 1}$"):
             harness._factored_count(config, model, xs[:, None])
+
+
+def test_lca_ball_rows_are_the_distinct_balls_only():
+    # a unary node's ball is its child's: the candidate rows are the balls of
+    # the leaves and branching nodes, each once, and at most 2L - 1 of them
+    rng = Random(11)
+    spec = CORPUS["lca-ball"]
+    for _ in range(6):
+        base = random_ultrametric(rng.randint(2, 40), 4, rng.randrange(1 << 20))
+        model = with_unary_nodes(base, rng, rng.randint(0, 30))
+        xs = np.arange(model.size)
+        afforded = []
+        rows = spec.rows(model, xs, afforded.append)
+        every_ball = np.packbits(model.ball_bool, axis=1)
+        assert afforded == [len(rows)] and len(rows) <= 2 * model.size - 1
+        assert len(distinct_rows(rows)) == len(rows)
+        assert (distinct_rows(rows) == distinct_rows(every_ball)).all()
+
+
+def test_lca_ball_on_a_unary_chain_affords_the_distinct_rows(tmp_path, capsys):
+    # a root chain of three unary nodes over two leaves: 6 nodes, 3 distinct
+    # balls, so a cell of 4 parameters builds 12 candidate bits, within the
+    # L^2 * m = 16 of the cap
+    path = tmp_path / "chain.model.json"
+    save_model(UltrametricModel((-1, 0, 1, 2, 3, 3)), path)
+    argv = ["growth", "--formula", "lca-ball", "--arity", "2", "--model", str(path),
+            "--sizes", "2,3,4", "--allow-duplicates", "--json"]
+    assert main(argv + ["--cap", "16"]) == 0
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert [r["tuples_refined"] for r in doc["rows"]] == [3] * 15
 
 
 # --- factored arity-1 sets ---------------------------------------------------------
@@ -431,8 +472,9 @@ def test_factored_arity_1_growth_keeps_the_enumeration_cap(capsys):
     assert main(argv + ["--cap", str(16 * 8)]) == 0
     capsys.readouterr()
     assert main(argv + ["--cap", str(16 * 8 - 1), "--json"]) == 3
-    doc = [line for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
-    assert json.loads(doc[0])["complete"] is False
+    assert_cap_reported(
+        capsys.readouterr(), "16 elements x 8 parameters = 128 exceeds cap 127"
+    )
 
 
 SIDES = [1, 7, 8, 9, 63, 64, 65]

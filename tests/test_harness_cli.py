@@ -5,6 +5,7 @@ import platform
 import re
 import shutil
 import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -12,6 +13,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laminarvc import (
     DomainError, OrderModel, ResourceCapError, UltrametricModel, harness, save_model, type_space,
@@ -118,16 +121,96 @@ def divmod_loop_params(rng, space, arity, m, carrier_size, with_replacement):
     return out
 
 
+class CountingRandom(Random):
+    """A Random that counts its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+# (carrier size, arity, m); random.sample keeps a set of seen indices when
+# the space is larger than 21 + 4 ** ceil(log(3m, 4)) (21 when m <= 5), and
+# draws from a pool of the space otherwise
+SAMPLE_CASES = (
+    (2, 1, 2), (7, 2, 49), (512, 1, 300), (4096, 2, 64), (3, 3, 20),
+    # the set path one above its threshold 85, with many redraws of seen
+    # indices, and the pool path at it
+    (86, 1, 6), (85, 1, 6),
+    # m on both sides of the threshold: 5 of 22 and 85 of 278 take the set
+    # path, 6 of 22 and 86 of 278 the pool
+    (22, 1, 5), (22, 1, 6), (278, 1, 85), (278, 1, 86),
+    # 25-bit draws from 4096^2 = 2^24, about half of them redrawn, and
+    # 13-bit draws from 2^13 - 1
+    (4096, 2, 2048), (8191, 1, 200),
+    # 341 of 1046: the first batch of words holds too few distinct draws
+    (1046, 1, 341),
+)
+
+
 @pytest.mark.parametrize("with_replacement", [False, True])
 def test_sample_params_decode_matches_divmod_loop(with_replacement):
+    batches = {}
     for seed in range(4):
-        for carrier_size, arity, m in ((2, 1, 2), (7, 2, 49), (512, 1, 300), (4096, 2, 64), (3, 3, 20)):
+        for carrier_size, arity, m in SAMPLE_CASES:
             space = carrier_size**arity
             args = (space, arity, m, carrier_size, with_replacement)
-            got = _sample_params(Random(f"{seed}/{m}"), *args)
+            rng = CountingRandom(f"{seed}/{m}")
+            got = _sample_params(rng, *args)
             want = np.array(divmod_loop_params(Random(f"{seed}/{m}"), *args), dtype=np.int64)
             assert got.dtype == np.int64 and got.shape == (m, arity)
-            assert (got == want).all()
+            assert (got == want).all(), (seed, carrier_size, arity, m)
+            batches.setdefault((carrier_size, m), []).append(rng.calls)
+    # one getrandbits call per batch of words: 341 of 1046 needs a second
+    # batch at some seed, and the pool path calls once per draw
+    if not with_replacement:
+        assert max(batches[1046, 341]) >= 2 and min(batches[22, 6]) >= 6
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    space=st.integers(2, 1 << 24), m=st.integers(2, 600), seed=st.integers(0, 1 << 32),
+    with_replacement=st.booleans(),
+)
+def test_sample_params_match_random_on_any_space(space, m, seed, with_replacement):
+    m = m if with_replacement else min(m, space)
+    args = (space, 1, m, space, with_replacement)
+    got = _sample_params(Random(seed), *args)
+    want = np.array(divmod_loop_params(Random(seed), *args), dtype=np.int64)
+    assert (got == want).all()
+
+
+NUMPY_MA_PROBE = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from laminarvc.cli import main
+sizes = ["--sizes", "4,8,16", "--trials", "2", "--seed", "3"]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for kind in ("lca-ball", "twin-ball-1", "boolean-mix"):
+        assert main(["growth", "--formula", kind, "--arity", "1"] + sizes) == 0
+    assert main(["growth", "--formula", "twin-ball-1", "--arity", "2"] + sizes) == 0
+loaded = "numpy.ma" in sys.modules
+np.unique(np.arange(3))
+print(loaded, "numpy.ma" in sys.modules)
+"""
+
+
+def test_growth_cells_do_not_import_numpy_ma():
+    """np.unique with no return_* flag imports numpy.ma the first time a
+    process calls it, which took 14.5 ms of a growth command in a fresh
+    interpreter on a shared 2-core VM.  Arity-1 cells of every kind and
+    twin-ball-k cells at arity 2 must not pay it; the probe's own np.unique
+    shows the check can fail."""
+    src = Path(harness.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, str(src)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_growth_with_duplicates_flag_runs():

@@ -22,7 +22,7 @@ from laminarvc import (
     save_model,
     vc_dimension,
 )
-from laminarvc.models import GROWTH_KINDS, UltrametricModel, growth_formula
+from laminarvc.models import GROWTH_KINDS, UltrametricModel, _ball_pairs, growth_formula
 
 
 def extent(model, formula, params):
@@ -230,6 +230,25 @@ def test_ball_bits_equal_packed_ball_bool():
             assert "ball_bool" not in model.__dict__
             assert bits.dtype == np.uint8 and bits.shape == (model.n_nodes, -(-model.size // 8))
             assert (bits == np.packbits(model.ball_bool, axis=1)).all()
+
+
+def test_node_dedupes_keep_each_node_or_pair_once_in_order():
+    # distinct_nodes and _ball_pairs dedupe without np.unique: the same
+    # ascending ids, and one row per distinct (u, v) pair in key order, with
+    # v = n_nodes standing for ball(u) alone
+    rng = np.random.default_rng(3)
+    model = random_ultrametric(40, 3, 5)
+    n = model.n_nodes
+    for _ in range(5):
+        u = rng.integers(0, n, 300, dtype=np.int32)
+        v = rng.integers(0, n + 1, 300, dtype=np.int32)
+        u[150:], v[150:] = u[:150], v[:150]  # every pair at least twice
+        for ids in (u, u[:20]):
+            assert (model.distinct_nodes(ids) == np.unique(ids)).all()
+        rows = _ball_pairs(model, u, v, np.bitwise_or)
+        pairs = sorted(set(zip(u.tolist(), v.tolist())))
+        bits = np.vstack([model.ball_bits, np.zeros_like(model.ball_bits[:1])])
+        assert rows.tolist() == [(bits[a] | bits[b]).tolist() for a, b in pairs]
 
 
 def test_arity_1_growth_at_4096_leaves_builds_no_ball_bool(monkeypatch):
