@@ -145,10 +145,13 @@ class GrowthReport:
     median_exponent: float
     ceiling: float
     passed: bool
-    complete: bool
     engine: str = "factored"  # every cell counts through _factored_count
     # why the run is incomplete: the first failed cell's ResourceCapError
     cap_error: Optional[str] = None
+
+    @property
+    def complete(self) -> bool:
+        return self.cap_error is None
 
     def to_json(self) -> dict:
         return {
@@ -348,7 +351,6 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
         median_exponent=median,
         ceiling=config.ceiling,
         passed=passed,
-        complete=complete,
         cap_error=cap_error,
     )
 

@@ -415,9 +415,7 @@ def _twin_ball(k: int) -> CorpusFormula:
 def _lca_ball_rows(M: UltrametricModel, xs: np.ndarray, afford: Callable) -> np.ndarray:
     nodes = M.non_unary
     afford(len(nodes))
-    # a random tree has no unary node: gather its columns with no row copy
-    rows = M.ball_bool if len(nodes) == M.n_nodes else M.ball_bool[nodes]
-    return np.packbits(rows.take(xs, axis=1), axis=1)
+    return np.packbits(M.ball_bool[nodes].take(xs, axis=1), axis=1)
 
 
 def _boolean_mix_rows(M: UltrametricModel, xs: np.ndarray, afford: Callable) -> np.ndarray:

@@ -202,15 +202,19 @@ def test_growth_cells_do_not_import_numpy_ma():
     """np.unique with no return_* flag imports numpy.ma the first time a
     process calls it, which took 14.5 ms of a growth command in a fresh
     interpreter on a shared 2-core VM.  Arity-1 cells of every kind and
-    twin-ball-k cells at arity 2 must not pay it; the probe's own np.unique
-    shows the check can fail."""
+    twin-ball-k cells at arity 2 must not pay it.  The probe's own np.unique
+    shows the check can fail; on a NumPy whose np.unique leaves numpy.ma
+    alone there is no cost to guard, and the test skips."""
     src = Path(harness.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_MA_PROBE, str(src)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    after_growth, after_unique = proc.stdout.split()
+    assert after_growth == "False"
+    if after_unique == "False":
+        pytest.skip("this NumPy's np.unique does not import numpy.ma")
 
 
 def test_growth_with_duplicates_flag_runs():
