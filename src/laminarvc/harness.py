@@ -30,7 +30,6 @@ from .setsystem import (
     ENUM_CAP,
     GrowthPoint,
     GrowthSeries,
-    SweepCost,
     _decode_tuples,
     distinct_rows,
     laminar_union_count,
@@ -126,12 +125,9 @@ class GrowthRow:
     seed: int
     type_count: int
     ms: int
-    # JSON only: the cell's cost (setsystem.SweepCost); a factored cell
-    # makes no batch calls, and tuples_refined is its number of parameter
-    # pairs m at arity 1, and at arity 2 its number of candidate rows, or for
-    # the union kinds the d^2 ordered pairs of its d distinct profiles, whose
-    # unions it counts
-    batch_calls: int
+    # JSON only: the rows the cell counted: its m parameter pairs at arity
+    # 1, and at arity 2 its candidate rows, or for the union kinds the d^2
+    # ordered pairs of its d distinct profiles, whose unions it counts
     tuples_refined: int
 
 
@@ -243,9 +239,10 @@ def _stream_draws(rng: Random, space: int, m: int, distinct: bool) -> np.ndarray
 
 
 def _factored_count(config: ExperimentConfig, model: CarrierModel,
-                    params: np.ndarray) -> tuple[int, SweepCost]:
+                    params: np.ndarray) -> tuple[int, int]:
     """Realized types over the (m, param arity) parameter array, counted
-    from the corpus entry's packed rows, with no object tuple enumerated.
+    from the corpus entry's packed rows, with no object tuple enumerated,
+    and the number of rows counted (GrowthRow.tuples_refined).
 
     Arity 2, union kinds: the distinct unions of two of the entry's profiles
     over the parameter column, counted by laminar_union_count from the d
@@ -269,18 +266,18 @@ def _factored_count(config: ExperimentConfig, model: CarrierModel,
     spec = CORPUS[config.formula_kind]
     if config.arity == 1:
         sets = spec.sets(model, params[:, 0], params[:, 1])
-        return len(distinct_rows(packed_columns(sets, size))), SweepCost(tuples_refined=m)
+        return len(distinct_rows(packed_columns(sets, size))), m
     xs = params[:, 0]
     if spec.profiles is not None:
         profiles = distinct_rows(spec.profiles(model, xs))
         d = len(profiles)
         afford(size * m + d * d,
                f"{size} elements x {m} parameters + {d}^2 profile pairs")
-        return laminar_union_count(profiles), SweepCost(tuples_refined=d * d)
+        return laminar_union_count(profiles), d * d
     candidates = spec.rows(
         model, xs, lambda r: afford(r * m, f"{r} candidate rows x {m} parameters")
     )
-    return len(distinct_rows(candidates)), SweepCost(tuples_refined=len(candidates))
+    return len(distinct_rows(candidates)), len(candidates)
 
 
 def run_growth(config: ExperimentConfig) -> GrowthReport:
@@ -302,11 +299,11 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
             rng, space, formula.param_arity, m, model.size, config.allow_duplicate_params
         )
         t0 = time.perf_counter()
-        count, cost = _factored_count(config, model, params)
+        count, tuples_refined = _factored_count(config, model, params)
         ms = int(round((time.perf_counter() - t0) * 1000))
         return GrowthRow(
             model.label, formula.name, config.arity, m, t, config.seed,
-            count, ms, cost.batch_calls, cost.tuples_refined,
+            count, ms, tuples_refined,
         )
 
     jobs = [(m, t) for m in config.sizes for t in range(config.trials)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
@@ -23,7 +23,6 @@ UNIVERSE_CAP = 4096
 VC_UNIVERSE_CAP = 24
 ENUM_CAP = 1 << 26
 _PROFILE_BYTES = 1 << 23
-_SWEEP_TUPLES = 1 << 18
 _BLOCK_BYTES = 1 << 17
 
 
@@ -200,9 +199,9 @@ class ParametrizedFormula:
     `param_arity` int arrays of shape (k, 1), giving a (k, T) bool matrix
     whose row i belongs to the i-th tuple of the block.  Columns such as
     `objs[:, 0] < params[0]` broadcast to both forms; a result that does not
-    depend on the parameters may stay (T,).  The refinement engine sizes its
-    blocks so that one block's bits take at most _BLOCK_BYTES bytes, and
-    passes a block of one as the plain tuple.
+    depend on the parameters may stay (T,).  type_space sizes its blocks so
+    that one block's bits take at most _BLOCK_BYTES bytes, and passes a block
+    of one as the plain tuple.
     """
 
     name: str
@@ -219,43 +218,33 @@ class ParametrizedFormula:
         return bool(self.eval_fn(model, objs, params))
 
 
-@dataclass
-class SweepCost:
-    """What a refinement sweep cost: `batch` calls made and object tuples
-    refined (a tuple refined in several chunks counts once per chunk)."""
-
-    batch_calls: int = 0
-    tuples_refined: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class TypeSpace:
     """Deduplicated realized sign vectors of carrier tuples over B x formulas.
 
     `complete` is False when the space was sampled rather than enumerated; the
-    count is then only a lower bound.  `vectors`, in lexicographic order, hold
-    one 0/1 byte per (parameter, formula) slot, param-major; they are built on
-    first access from `_rows`, which yields one sign row per class.  `cost`
-    counts the sweep that found the classes, not the building of `vectors`.
+    count is then only a lower bound.  `rows` holds the distinct sign rows
+    packed eight slots to a byte, as distinct_rows returns them; `vectors`,
+    in the same lexicographic order, hold one 0/1 byte per (parameter,
+    formula) slot, param-major, and are unpacked on first access.
     """
 
     params: tuple[tuple[int, ...], ...]
     formula_names: tuple[str, ...]
-    count: int
     complete: bool
-    _rows: Callable[[], Sequence[bytes]] = field(repr=False)
-    cost: SweepCost = field(default_factory=SweepCost)
+    rows: np.ndarray = field(repr=False)
+
+    @property
+    def count(self) -> int:
+        return len(self.rows)
 
     @cached_property
     def vectors(self) -> tuple[bytes, ...]:
-        return tuple(self._rows())
+        slots = len(self.params) * len(self.formula_names)
+        return tuple(row.tobytes() for row in np.unpackbits(self.rows, axis=1, count=slots))
 
     def vector_set(self) -> frozenset[bytes]:
         return frozenset(self.vectors)
-
-
-def _tuple_count(carrier_size: int, arity: int) -> int:
-    return carrier_size**arity
 
 
 def _decode_tuples(indices: np.ndarray, carrier_size: int, arity: int) -> np.ndarray:
@@ -267,7 +256,7 @@ def _decode_tuples(indices: np.ndarray, carrier_size: int, arity: int) -> np.nda
     return objs
 
 
-def _slot_blocks(formulas, params, carrier, objs: np.ndarray, cost: Optional[SweepCost] = None):
+def _slot_blocks(formulas, params, carrier, objs: np.ndarray):
     """The sign bits of `objs` over params x formulas, as one (slots, T) bool
     matrix per block of parameter tuples, slots in param-major order.
 
@@ -284,113 +273,7 @@ def _slot_blocks(formulas, params, carrier, objs: np.ndarray, cost: Optional[Swe
         else:
             block = tuple(table[lo:hi, i : i + 1] for i in range(table.shape[1]))
         rows = [np.broadcast_to(f.batch(carrier, objs, block), (hi - lo, t)) for f in formulas]
-        if cost is not None:
-            cost.batch_calls += n_f
         yield rows[0] if n_f == 1 else np.stack(rows, axis=1).reshape(-1, t)
-
-
-def _refine(blocks: Iterable[np.ndarray], t: int) -> np.ndarray:
-    """Positions, among t tuples, of one tuple per distinct sign row, in
-    lexicographic row order; `blocks` gives the rows' slots as (k, t) bool
-    matrices, one slot per row, in order.  This is the engine of
-    class_representatives, and so of type_space; growth cells count with
-    distinct_rows.
-
-    Partition refinement: every tuple carries an integer class label, and the
-    slots split the classes by their bits in order, eight slots to a byte:
-    label << 8 | byte.  Each tuple's byte is built in place, a slot at a time,
-    on uint64 words that hold eight tuples' 0/1 bytes; a 0/1 byte shifted by
-    at most 7 stays inside its byte.  Before a label would overflow,
-    np.unique renumbers the labels by rank, which keeps the lexicographic
-    order of the row prefixes seen so far.
-
-    Two kinds of slots split and reorder nothing, since rows that agree
-    before such a slot agree on it: a slot whose bits over `objs` equal an
-    earlier slot's, skipped while the packed bits of the slots seen, kept to
-    at most _BLOCK_BYTES bytes, recognize it; and the zero slots that fill
-    the last byte.
-    """
-    t8 = -(-t // 8) * 8
-    labels = np.zeros(t, dtype=np.int64)
-    room = 56  # shifts left, a multiple of 8, before a label could overflow
-    byte = np.zeros(t8 // 8, dtype=np.uint64)
-    shifted = np.empty_like(byte)
-    filled = 0
-    seen: set[bytes] = set()
-    seen_cap = _BLOCK_BYTES // max(1, t8 // 8)
-
-    def fold():
-        nonlocal labels, room, filled
-        if room == 0:
-            uniq, labels = np.unique(labels, return_inverse=True)
-            room = (63 - (len(uniq) - 1).bit_length()) // 8 * 8
-        labels <<= 8
-        labels |= byte.view(np.uint8)[:t]
-        room -= 8
-        byte[:] = 0
-        filled = 0
-
-    for bits in blocks:
-        if t == t8 and bits.dtype == bool and bits.flags.c_contiguous:
-            words = bits.view(np.uint64)
-        else:
-            padded = np.zeros((len(bits), t8), dtype=np.uint8)
-            padded[:, :t] = bits
-            words = padded.view(np.uint64)
-        for row, key in zip(words, np.packbits(bits, axis=1)):
-            key = key.tobytes()
-            if key in seen:
-                continue
-            if len(seen) < seen_cap:
-                seen.add(key)
-            np.left_shift(row, 7 - filled, out=shifted)
-            byte |= shifted
-            filled += 1
-            if filled == 8:
-                fold()
-    if filled:
-        fold()
-    return np.unique(labels, return_index=True)[1]
-
-
-def class_representatives(
-    formulas: Sequence[ParametrizedFormula],
-    params: Sequence[tuple[int, ...]],
-    carrier,
-    object_arity: int,
-    tuple_indices: Optional[Sequence[int]] = None,
-    cost: Optional[SweepCost] = None,
-) -> np.ndarray:
-    """Indices of one object tuple per distinct sign row over params x
-    formulas, in lexicographic row order.
-
-    Sweeps every carrier tuple, or only `tuple_indices`; a tuple's index is
-    its base-`carrier.size` numeral.  The sweep
-    runs in chunks of _SWEEP_TUPLES tuples, each refined together with the
-    representatives found so far, so memory stays bounded by the chunk plus
-    the classes.  `cost`, if given, accumulates what the sweep cost.
-    """
-    n = carrier.size
-    if tuple_indices is None:
-        total = _tuple_count(n, object_arity)
-        chunks = (
-            np.arange(lo, min(lo + _SWEEP_TUPLES, total), dtype=np.int64)
-            for lo in range(0, total, _SWEEP_TUPLES)
-        )
-    else:
-        indices = np.asarray(tuple_indices, dtype=np.int64)
-        chunks = (
-            indices[lo : lo + _SWEEP_TUPLES] for lo in range(0, len(indices), _SWEEP_TUPLES)
-        )
-    reps = np.empty(0, dtype=np.int64)
-    for chunk in chunks:
-        candidates = np.concatenate([reps, chunk])
-        objs = _decode_tuples(candidates, n, object_arity)
-        if cost is not None:
-            cost.tuples_refined += len(candidates)
-        blocks = _slot_blocks(formulas, params, carrier, objs, cost)
-        reps = candidates[_refine(blocks, len(objs))]
-    return reps
 
 
 def distinct_rows(packed: np.ndarray) -> np.ndarray:
@@ -488,7 +371,7 @@ def packed_columns(packed: np.ndarray, size: int) -> np.ndarray:
     m, width = packed.shape
     blocks = -(-m // 8)
     out = np.empty((8 * width, blocks), dtype=np.uint8)
-    group = max(1, _BLOCK_BYTES // (8 * width))
+    group = max(1, _BLOCK_BYTES // max(1, 8 * width))
     for lo in range(0, blocks, group):
         hi = min(lo + group, blocks)
         rows = packed[8 * lo : 8 * hi]
@@ -513,16 +396,6 @@ def packed_columns(packed: np.ndarray, size: int) -> np.ndarray:
     return out[:size]
 
 
-def _sign_rows(formulas, params, carrier, objs: np.ndarray) -> list[bytes]:
-    """One 0/1 byte row per object tuple, param-major."""
-    mat = np.empty((len(objs), len(params) * len(formulas)), dtype=np.uint8)
-    col = 0
-    for bits in _slot_blocks(formulas, params, carrier, objs):
-        mat[:, col : col + len(bits)] = bits.T
-        col += len(bits)
-    return [row.tobytes() for row in mat]
-
-
 def type_space(
     formulas: Sequence[ParametrizedFormula],
     params: Sequence[tuple[int, ...]],
@@ -541,6 +414,11 @@ def type_space(
     T = carrier.size ** object_arity tuple indices, budget = min(sample, T)
     distinct ones by rng.sample(range(T), budget) when T <= 8 * budget, else
     budget independent rng.randrange(T) draws.
+
+    The count is the growth cells' dedupe: each _slot_blocks block is packed
+    along the tuple axis into a (slots, ceil(T/8)) matrix, whose packed
+    transpose (packed_columns) holds one sign row per tuple, and
+    distinct_rows keeps the distinct rows in lexicographic order.
     """
     formulas = list(formulas)
     params = [tuple(b) for b in params]
@@ -559,33 +437,33 @@ def type_space(
     slots = len(params) * len(formulas)
     names = tuple(f.name for f in formulas)
     if slots == 0:
-        return TypeSpace(tuple(params), names, 1, True, lambda: [b""])
+        return TypeSpace(tuple(params), names, True, np.zeros((1, 0), dtype=np.uint8))
 
-    total = _tuple_count(n, object_arity)
+    total = n**object_arity
     evals = total * slots
-    complete = True
-    tuple_indices = None
-    if evals > cap:
-        if sample is None:
-            raise ResourceCapError(
-                f"enumerating {total} tuples x {slots} slots = {evals} evaluations "
-                f"exceeds cap {cap}; pass sample=<tuple budget> for a flagged lower bound"
-            )
+    complete = evals <= cap
+    if complete:
+        indices = np.arange(total)
+    elif sample is None:
+        raise ResourceCapError(
+            f"enumerating {total} tuples x {slots} slots = {evals} evaluations "
+            f"exceeds cap {cap}; pass sample=<tuple budget> for a flagged lower bound"
+        )
+    else:
         rng = Random(f"{seed}/type-space-sample")
         budget = min(sample, total)
         if total <= 8 * budget:
-            tuple_indices = rng.sample(range(total), budget)
+            indices = rng.sample(range(total), budget)
         else:
-            tuple_indices = [rng.randrange(total) for _ in range(budget)]
-        complete = False
-
-    cost = SweepCost()
-    reps = class_representatives(formulas, params, carrier, object_arity, tuple_indices, cost)
-    objs = _decode_tuples(reps, n, object_arity)
-    return TypeSpace(
-        tuple(params), names, len(reps), complete,
-        partial(_sign_rows, formulas, params, carrier, objs), cost,
-    )
+            indices = [rng.randrange(total) for _ in range(budget)]
+    objs = _decode_tuples(np.asarray(indices, dtype=np.int64), n, object_arity)
+    t = len(objs)
+    packed = np.empty((slots, -(-t // 8)), dtype=np.uint8)
+    lo = 0
+    for bits in _slot_blocks(formulas, params, carrier, objs):
+        packed[lo : lo + len(bits)] = np.packbits(bits, axis=1)
+        lo += len(bits)
+    return TypeSpace(tuple(params), names, complete, distinct_rows(packed_columns(packed, t)))
 
 
 # --- growth series and exponent fitting ----------------------------------

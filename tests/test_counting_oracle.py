@@ -1,11 +1,11 @@
-"""The refinement engine behind type_space, its sample path and
-class_representatives, and the growth harness's factored counts at arity 1
-and 2, checked against the brute-force oracle in scalar_oracle: the same sign
-rows, in the same order where the engine gives an order.  The packed
-transpose and row dedupe of the factored counts are checked against their
-unpacked NumPy equivalents."""
+"""type_space, its sample path and its parameter blocks, and the growth
+harness's factored counts at arity 1 and 2, checked against the brute-force
+oracle in scalar_oracle: the same sign rows, and type_space's in the same
+lexicographic order.  Both count with packed_columns and distinct_rows,
+which are checked against their unpacked NumPy equivalents."""
 
 import json
+from dataclasses import replace
 from itertools import product
 from random import Random
 
@@ -19,9 +19,7 @@ from laminarvc.harness import ExperimentConfig, _sample_params, resolve_model, r
 from laminarvc.models import (
     CORPUS, GROWTH_KINDS, OrderModel, UltrametricModel, growth_formula, random_ultrametric,
 )
-from laminarvc.setsystem import (
-    class_representatives, distinct_rows, laminar_union_count, packed_columns, type_space,
-)
+from laminarvc.setsystem import distinct_rows, laminar_union_count, packed_columns, type_space
 
 
 def engine_rows(space):
@@ -52,12 +50,8 @@ def random_params(rng, model, param_arity, m):
     return [tuple(rng.randrange(model.size) for _ in range(param_arity)) for _ in range(m)]
 
 
-@pytest.mark.parametrize("sweep_tuples", [setsystem._SWEEP_TUPLES, 5])
 @pytest.mark.parametrize("seed", range(4))
-def test_full_sweep_matches_oracle(seed, sweep_tuples, monkeypatch):
-    # a small chunk makes every sweep merge its chunks through the
-    # representatives found so far
-    monkeypatch.setattr(setsystem, "_SWEEP_TUPLES", sweep_tuples)
+def test_full_sweep_matches_oracle(seed):
     rng = Random(seed)
     for model in random_models(seed):
         for kind, arity in growth_cases(model):
@@ -96,22 +90,10 @@ def test_sample_path_matches_oracle(seed):
                 )
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_representatives_path_matches_oracle(seed):
-    # one tuple per class over every carrier parameter tuple, in row order
-    for model in random_models(200 + seed):
-        for kind, arity in growth_cases(model):
-            f = growth_formula(kind, arity)
-            every = list(product(range(model.size), repeat=f.param_arity))
-            reps = class_representatives([f], every, model, arity)
-            tuples = setsystem._decode_tuples(reps, model.size, arity).tolist()
-            got = [corpus_rows([kind], arity, every, model, [tuple(t)])[0] for t in tuples]
-            assert got == corpus_rows([kind], arity, every, model), (kind, arity)
-
-
 @pytest.mark.parametrize("arity", [1, 2])
 def test_multi_formula_delta_past_one_label_word(arity):
-    # more than 63 slots: the labels are renumbered at least once
+    # more than 63 slots: each packed sign row is wider than one uint64 word,
+    # so distinct_rows sorts on more than one word
     rng = Random(arity)
     model = random_ultrametric(16, 3, 11)
     kinds = [k for k, a in growth_cases(model) if a == arity]
@@ -123,8 +105,8 @@ def test_multi_formula_delta_past_one_label_word(arity):
 
 
 def test_single_formula_past_one_label_word():
-    # 70 distinct slots: the engine skips repeated ones, so repeats would
-    # never fill a label word
+    # 70 distinct slots: packed sign rows of 9 bytes, padded to two uint64
+    # words, of which the second holds one byte
     model = OrderModel(72)
     f = growth_formula("pair-equality", 2)
     params = [(7 * i % 72,) for i in range(70)]
@@ -259,7 +241,7 @@ def growth_rows_match_oracle(config, model):
             config.allow_duplicate_params,
         )
         assert row.type_count == len(corpus_rows([config.formula_kind], 2, params, model))
-        assert row.batch_calls == 0 and row.type_count <= row.tuples_refined
+        assert row.type_count <= row.tuples_refined
 
 
 @pytest.mark.parametrize("duplicates", [False, True])
@@ -447,7 +429,7 @@ def arity_1_rows_match_oracle(config, model):
         )
         want = len(corpus_rows([config.formula_kind], 1, params, model))
         assert row.type_count == want, (config.formula_kind, row)
-        assert row.batch_calls == 0 and row.tuples_refined == row.m
+        assert row.tuples_refined == row.m
     return report
 
 
@@ -556,9 +538,19 @@ def test_laminar_union_count_on_hand_built_families(sets, unions):
 
 
 def block_budget(k, n_formulas, model, arity):
-    """The _BLOCK_BYTES that makes the engine pass k parameter tuples per block
-    over every object tuple of the model."""
+    """The _BLOCK_BYTES that makes type_space pass k parameter tuples per
+    block over every object tuple of the model."""
     return k * n_formulas * model.size**arity
+
+
+def counting_batch(f, calls):
+    """f, whose batch appends the parameters of each call to `calls`."""
+
+    def batch(model, objs, params):
+        calls.append(params)
+        return f.batch(model, objs, params)
+
+    return replace(f, batch=batch)
 
 
 @pytest.mark.parametrize("k", [1, 7, 63, 64, 65])
@@ -571,11 +563,15 @@ def test_block_boundaries_match_oracle(k, monkeypatch):
             # whole blocks, a partial last block, and fewer tuples than one block
             for m in (k, 2 * k + 3, max(1, k // 2)):
                 params = random_params(rng, model, f.param_arity, m)
-                got = type_space([f], params, model, arity)
+                calls = []
+                got = type_space([counting_batch(f, calls)], params, model, arity)
                 want = corpus_rows([kind], arity, params, model)
                 assert engine_rows(got) == want, (kind, arity, m)
                 assert got.count == len(got.vectors)
-                assert got.cost.batch_calls == -(-m // k)
+                assert len(calls) == -(-m // k)
+                # a block of one is the plain tuple of ints
+                sizes = [1 if isinstance(p[0], int) else len(p[0]) for p in calls]
+                assert sizes == [min(k, m - lo) for lo in range(0, m, k)], (kind, arity, m)
 
 
 @pytest.mark.parametrize("k", [1, 5, 64])
@@ -591,22 +587,24 @@ def test_two_formulas_fold_param_major_within_blocks(k, monkeypatch):
 
 @pytest.mark.parametrize("arity", [1, 2])
 def test_label_renumbering_inside_a_block(arity, monkeypatch):
-    # one block of 70 tuples x 2 formulas: the labels run out of room, and
-    # are renumbered, in the middle of the block
+    # one block of 70 tuples x 2 formulas, one batch call each: its 140
+    # slots, interleaved param-major, give packed sign rows of three uint64
+    # words
     model = random_ultrametric(8, 3, 9)
     kinds = ["twin-ball-1", "lca-ball"]
-    delta = [growth_formula(kind, arity) for kind in kinds]
+    calls = []
+    delta = [counting_batch(growth_formula(kind, arity), calls) for kind in kinds]
     monkeypatch.setattr(setsystem, "_BLOCK_BYTES", block_budget(70, 2, model, arity))
     params = random_params(Random(arity), model, delta[0].param_arity, 70)
     got = type_space(delta, params, model, arity)
-    assert got.cost.batch_calls == 2
+    assert len(calls) == 2
     assert engine_rows(got) == corpus_rows(kinds, arity, params, model)
 
 
 def test_renumbering_with_more_classes_than_a_byte_holds():
-    # 128 distinct slots over 600 sampled pairs: the labels are renumbered
-    # after 56 slots, when the hundreds of classes need 10 bits, and the
-    # room left for the next 56 slots must allow for those bits
+    # 128 distinct slots over 600 sampled pairs: more than 256 distinct sign
+    # rows, each two uint64 words wide, so rows that share their first word
+    # are told apart by the second
     model = OrderModel(128)
     f = growth_formula("pair-equality", 2)
     params = [(b,) for b in Random(3).sample(range(128), 128)]
@@ -619,8 +617,8 @@ def test_renumbering_with_more_classes_than_a_byte_holds():
 
 @pytest.mark.parametrize("budget", [1, 64, setsystem._BLOCK_BYTES])
 def test_repeated_slots_match_oracle_whatever_the_key_room(budget, monkeypatch):
-    # repeated parameter tuples give repeated slots, which the engine skips
-    # only while its bounded store of slot keys recognizes them
+    # repeated parameter tuples give repeated slots, in blocks of one
+    # parameter tuple, of a few, or of all 40
     monkeypatch.setattr(setsystem, "_BLOCK_BYTES", budget)
     rng = Random(budget)
     for model in random_models(400):

@@ -263,17 +263,14 @@ def test_report_json_round_trip():
 
 
 def test_report_json_carries_cell_cost_and_quotient():
-    # arity 1: cells dedupe their m parameters' sets, with no batch call
+    # arity 1: cells dedupe their m parameters' sets
     doc = run_growth(small_config()).to_json()
     assert doc["engine"] == "factored" and "quotient" not in doc
-    assert [(r["batch_calls"], r["tuples_refined"]) for r in doc["rows"]] == [
-        (0, m) for m in (4, 4, 8, 8, 16, 16)
-    ]
-    # arity 2: cells dedupe the corpus entry's candidate rows, with no batch call
+    assert [r["tuples_refined"] for r in doc["rows"]] == [4, 4, 8, 8, 16, 16]
+    # arity 2: cells dedupe the corpus entry's candidate rows
     report = run_growth(small_config(formula_kind="twin-ball-1", arity=2, sizes=(2, 4, 8)))
     doc = report.to_json()
     assert doc["engine"] == "factored"
-    assert all(r["batch_calls"] == 0 for r in doc["rows"])
     assert all(r["type_count"] <= r["tuples_refined"] <= 16**2 for r in doc["rows"])
     assert csv_text(report).splitlines()[0] == ",".join(CSV_HEADER)
     assert all(len(line.split(",")) == len(CSV_HEADER) for line in csv_text(report).splitlines())

@@ -269,6 +269,9 @@ def test_type_space_cap_and_sampling():
     assert sampled.count <= full.count
     again = type_space([eq], B, model, 2, cap=1000, sample=50, seed=5)
     assert sampled.vector_set() == again.vector_set()
+    # a budget of no tuples realizes no type
+    empty = type_space([eq], B, model, 2, cap=1000, sample=0)
+    assert empty.count == 0 and empty.vectors == () and not empty.complete
 
 
 def test_type_space_arity_mismatch():
