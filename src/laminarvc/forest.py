@@ -16,7 +16,7 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .setsystem import ParametrizedFormula, SetFamily
+from .setsystem import ParametrizedFormula, SetFamily, sign_matrix
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,6 @@ class QuasiForest:
     labels: tuple[Hashable, ...]
     leq: tuple[tuple[bool, ...], ...]
     extents: Optional[tuple[frozenset[int], ...]] = None
-    carrier_size: Optional[int] = None
 
     @property
     def n_nodes(self) -> int:
@@ -191,9 +190,7 @@ class QuasiForest:
 
 
 def forest_from_extents(
-    extents: Sequence[frozenset[int]],
-    carrier_size: int,
-    labels: Optional[Sequence[Hashable]] = None,
+    extents: Sequence[frozenset[int]], labels: Optional[Sequence[Hashable]] = None
 ) -> QuasiForest:
     """Quasi-forest of concrete ball extents under reverse inclusion.
 
@@ -210,7 +207,7 @@ def forest_from_extents(
     leq = tuple(
         tuple((mj & mi) == mj for mj in masks) for mi in masks
     )
-    forest = QuasiForest(tuple(labels), leq, extents, carrier_size)
+    forest = QuasiForest(tuple(labels), leq, extents)
     try:
         forest._validate_chains()
     except ValidationError as err:
@@ -232,15 +229,10 @@ def build_forest(
     """Quasi-forest on params x delta, nodes labelled (param index, formula
     index) in row-major order.  Raises DomainError if the instance family is
     not directed."""
-    extents = []
-    labels = []
     n = carrier.size
-    elements = np.arange(n)[:, None]
-    for ci, c in enumerate(params):
-        for di, d in enumerate(delta):
-            hits = d.batch(carrier, elements, tuple(c))
-            extents.append(frozenset(np.flatnonzero(hits).tolist()))
-            labels.append((ci, di))
+    bits = sign_matrix(delta, params, carrier, np.arange(n)[:, None])
+    extents = [frozenset(np.flatnonzero(row).tolist()) for row in bits]
+    labels = [(ci, di) for ci in range(len(params)) for di in range(len(delta))]
     fam = SetFamily.of(n, extents) if extents else SetFamily.of(max(n, 1), [])
     witness = first_crossing(fam)
     if witness is not None:
@@ -248,7 +240,7 @@ def build_forest(
             f"instance family is not directed: instances {labels[witness.i]} "
             f"and {labels[witness.j]} cross"
         )
-    return forest_from_extents(extents, n, labels)
+    return forest_from_extents(extents, labels)
 
 
 # --- the tree of types -----------------------------------------------------

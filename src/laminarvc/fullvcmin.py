@@ -25,7 +25,7 @@ from .forest import (
     virtual_space_from_forest,
 )
 from .models import CarrierModel, OrderModel
-from .setsystem import ParametrizedFormula, type_space
+from .setsystem import ParametrizedFormula, sign_matrix, type_space
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ def psi_type(family: PsiFamily, a1: int, B: Sequence[int]) -> np.ndarray:
     complement of E[(b, i)] nowhere, read off one integer product."""
     carrier = family.carrier
     elements = np.arange(carrier.size)[:, None]
-    rows = [d.batch(carrier, elements, (a1, b)) for b in B for d in family.delta0]
-    extents = np.array(rows, dtype=np.int64).reshape(len(rows), carrier.size)
+    extents = sign_matrix(family.delta0, [(a1, b) for b in B], carrier, elements).astype(np.int64)
     return (1 - extents) @ extents.T == 0
 
 
@@ -118,8 +117,8 @@ def eval_combo(combo: Combo, delta1: Sequence[ParametrizedFormula], carrier) -> 
         return np.full(carrier.size, combo.value)
     if combo.op == "atom":
         idx, params = combo.atom
-        hits = delta1[idx].batch(carrier, np.arange(carrier.size)[:, None], params)
-        return np.asarray(hits, dtype=bool)
+        elements = np.arange(carrier.size)[:, None]
+        return sign_matrix([delta1[idx]], [params], carrier, elements)[0]
     if combo.op == "not":
         return ~eval_combo(combo.args[0], delta1, carrier)
     raise DomainError(f"unknown combo op {combo.op!r}")
@@ -177,22 +176,10 @@ def dlo_instance(carrier_size: int) -> FullVCMinInstance:
     final segments {x1 >= y'} and {x1 > y}."""
     carrier = OrderModel(carrier_size)
 
-    d0_before_x1 = ParametrizedFormula(
-        "before-x1", 1, 2, lambda M, x, p: x[0] < p[0],
-        lambda M, objs, p: objs[:, 0] < p[0],
-    )
-    d0_before_y = ParametrizedFormula(
-        "before-y", 1, 2, lambda M, x, p: x[0] < p[1],
-        lambda M, objs, p: objs[:, 0] < p[1],
-    )
-    d1_geq_second = ParametrizedFormula(
-        "final-geq-y'", 1, 2, lambda M, x, p: x[0] >= p[1],
-        lambda M, objs, p: objs[:, 0] >= p[1],
-    )
-    d1_gt_first = ParametrizedFormula(
-        "final-gt-y", 1, 2, lambda M, x, p: x[0] > p[0],
-        lambda M, objs, p: objs[:, 0] > p[0],
-    )
+    d0_before_x1 = ParametrizedFormula("before-x1", 1, 2, lambda M, objs, p: objs[:, 0] < p[0])
+    d0_before_y = ParametrizedFormula("before-y", 1, 2, lambda M, objs, p: objs[:, 0] < p[1])
+    d1_geq_second = ParametrizedFormula("final-geq-y'", 1, 2, lambda M, objs, p: objs[:, 0] >= p[1])
+    d1_gt_first = ParametrizedFormula("final-gt-y", 1, 2, lambda M, objs, p: objs[:, 0] > p[0])
 
     A, B_ = 0, 1  # indices of before-x1 and before-y in delta0
 

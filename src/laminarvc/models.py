@@ -94,25 +94,6 @@ class UltrametricModel:
     def ball(self, node: int) -> frozenset[int]:
         return frozenset(np.flatnonzero(self.ball_bool[node]).tolist())
 
-    def ancestor_up(self, node: int, k: int) -> int:
-        """Ancestor k levels above node, clamped at the root."""
-        for _ in range(k):
-            p = self.parent[node]
-            if p == -1:
-                break
-            node = p
-        return node
-
-    def lca(self, a: int, b: int) -> int:
-        da, db = self.depth[a], self.depth[b]
-        while da > db:
-            a, da = self.parent[a], da - 1
-        while db > da:
-            b, db = self.parent[b], db - 1
-        while a != b:
-            a, b = self.parent[a], self.parent[b]
-        return a
-
     @property
     def label(self) -> str:
         return f"ultrametric-L{self.size}-s{self.seed}"
@@ -225,45 +206,17 @@ class UltrametricModel:
         nodes = self.distinct_nodes(self.ancestor_array(k))
         return np.packbits(self.ball_bool[nodes].take(xs, axis=1), axis=1)
 
-    # ball membership.  x is a carrier index or an array of them, and y0, y1
-    # are indices, index arrays of object columns, or (k, 1) parameter
-    # blocks; with object columns, x may itself be a (k, 1) block.  A block
-    # gives a (k, T) matrix, one row per member.
-
-    def _rows(self, nodes, x):
-        """x in the ball of one node, or of each node of a (k, 1) block: the
-        block's distinct node rows first, the x columns last."""
-        if np.ndim(nodes) == 0:
-            return self.ball_bool[nodes][x]
-        distinct, inverse = np.unique(nodes[:, 0], return_inverse=True)
-        return self.ball_bool[distinct].take(x, axis=1)[inverse]
-
-    @staticmethod
-    def _per_x(x, row):
-        """row(x), or the rows of a (k, 1) block of x stacked: each row
-        gathers 1-D, as one x does."""
-        if np.ndim(x) == 0:
-            return row(x)
-        return np.stack([row(xi) for xi in x[:, 0]])
+    # ball membership.  x, y0 and y1 are int arrays of carrier indices that
+    # broadcast together: a (T,) object column against a (k, 1) parameter
+    # block gives a (k, T) matrix, one row per member of the block.
 
     def in_lca_ball(self, x, y0, y1):
         """x is in the ball at lca(y0, y1)."""
-        if np.ndim(y0) == 1:
-            # object columns: the pairs' lcas once, x's column gathered at them
-            nodes = self.lca_of(y0, y1)
-            return self._per_x(x, lambda xi: self.ball_bool[:, xi][nodes])
-        if np.ndim(y0) == 0:
-            # one pair: walk up to its lca rather than build any table
-            return self._rows(self.lca(self.leaves[y0], self.leaves[y1]), x)
-        return self._rows(self.lca_of(y0, y1), x)
+        return self.ball_bool[self.lca_of(y0, y1), x]
 
     def in_ball_above(self, x, y, k: int):
         """x is in the ball k levels above y, clamped at the root."""
-        anc = self.ancestor_array(k)
-        if np.ndim(y) == 1:
-            # object column: x's column per leaf first, the y gather last
-            return self._per_x(x, lambda xi: self.ball_bool[:, xi][anc][y])
-        return self._rows(anc[y], x)
+        return self.ball_bool[self.ancestor_array(k)[y], x]
 
 
 @dataclass(frozen=True)
@@ -334,8 +287,10 @@ def order_family(model: OrderModel, include_empty: bool = False) -> DirectedFami
 class CorpusFormula:
     """One formula phi(x; y0, y1) of the growth corpus.
 
-    `pred(model, x, y0, y1)` takes carrier indices, where x, or else y0 and
-    y1, may be index arrays; `name` is the formula column of the growth CSV,
+    `pred(model, x, y0, y1)` takes int arrays of carrier indices that
+    broadcast together, and gives the bools of their broadcast shape;
+    `growth_formula` reads it at either partition, an object column against
+    a (k, 1) parameter block.  `name` is the formula column of the growth CSV,
     `carriers` the model types that can evaluate it and `arities` the object
     arities a growth run may read it at.
 
@@ -484,14 +439,10 @@ def growth_formula(kind: str, arity: int) -> ParametrizedFormula:
     pred = spec.pred
     if arity == 1:
         return ParametrizedFormula(
-            spec.name, 1, 2,
-            lambda M, x, y: bool(pred(M, x[0], y[0], y[1])),
-            lambda M, objs, y: pred(M, objs[:, 0], y[0], y[1]),
+            spec.name, 1, 2, lambda M, objs, y: pred(M, objs[:, 0], y[0], y[1])
         )
     return ParametrizedFormula(
-        spec.name, 2, 1,
-        lambda M, v, u: bool(pred(M, u[0], v[0], v[1])),
-        lambda M, objs, u: pred(M, u[0], objs[:, 0], objs[:, 1]),
+        spec.name, 2, 1, lambda M, objs, u: pred(M, u[0], objs[:, 0], objs[:, 1])
     )
 
 

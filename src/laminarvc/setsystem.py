@@ -192,30 +192,25 @@ def sauer_check(family: SetFamily, cap: int = VC_UNIVERSE_CAP) -> bool:
 class ParametrizedFormula:
     """A total decidable predicate phi(x-tuple; y-tuple) over a carrier model.
 
-    `batch(model, objs, params)` evaluates parameters against a whole
-    (T, object_arity) int array of object tuples at once, and must agree with
-    `eval_fn` pointwise.  `params` is either one plain tuple of ints, giving a
-    (T,) bool array, or a block of k parameter tuples given as a tuple of
-    `param_arity` int arrays of shape (k, 1), giving a (k, T) bool matrix
-    whose row i belongs to the i-th tuple of the block.  Columns such as
-    `objs[:, 0] < params[0]` broadcast to both forms; a result that does not
-    depend on the parameters may stay (T,).  type_space sizes its blocks so
-    that one block's bits take at most _BLOCK_BYTES bytes, and passes a block
-    of one as the plain tuple.
+    `batch(model, objs, params)` is its one evaluator: it evaluates a block
+    of k parameter tuples against a whole (T, object_arity) int array of
+    object tuples at once.  `params` is a tuple of `param_arity` int arrays
+    of shape (k, 1), the block's columns, and the result is a (k, T) bool
+    matrix whose row i belongs to the i-th tuple of the block.  Columns such
+    as `objs[:, 0] < params[0]` broadcast to that shape; a result that does
+    not depend on the parameters may stay (T,).  `sign_matrix` and
+    type_space read every formula through `_slot_blocks`, which sizes the
+    blocks so that one block's bits take at most _BLOCK_BYTES bytes.
     """
 
     name: str
     object_arity: int
     param_arity: int
-    eval_fn: Callable[[object, tuple[int, ...], tuple[int, ...]], bool]
     batch: Callable[[object, np.ndarray, tuple], np.ndarray]
 
     def __post_init__(self):
         if self.object_arity < 1 or self.param_arity < 1:
             raise DomainError("formula arities must be >= 1")
-
-    def __call__(self, model, objs: tuple[int, ...], params: tuple[int, ...]) -> bool:
-        return bool(self.eval_fn(model, objs, params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,19 +256,24 @@ def _slot_blocks(formulas, params, carrier, objs: np.ndarray):
     matrix per block of parameter tuples, slots in param-major order.
 
     A block holds k = max(1, _BLOCK_BYTES // (len(formulas) * T)) parameter
-    tuples and costs one `batch` call per formula; a block of one is passed
-    as the plain tuple."""
+    tuples, passed as (k, 1) columns, and costs one `batch` call per
+    formula."""
     t, n_f = len(objs), len(formulas)
     k = max(1, _BLOCK_BYTES // max(1, n_f * t))
     table = np.asarray(params, dtype=np.int64)
     for lo in range(0, len(params), k):
         hi = min(lo + k, len(params))
-        if hi - lo == 1:
-            block = params[lo]
-        else:
-            block = tuple(table[lo:hi, i : i + 1] for i in range(table.shape[1]))
+        block = tuple(table[lo:hi, i : i + 1] for i in range(table.shape[1]))
         rows = [np.broadcast_to(f.batch(carrier, objs, block), (hi - lo, t)) for f in formulas]
         yield rows[0] if n_f == 1 else np.stack(rows, axis=1).reshape(-1, t)
+
+
+def sign_matrix(formulas, params, carrier, objs: np.ndarray) -> np.ndarray:
+    """The (slots, T) bool matrix of _slot_blocks' blocks stacked: row
+    (parameter, formula), param-major, holds the formula's sign at each
+    object tuple of `objs`.  No slots give a (0, T) matrix."""
+    blocks = _slot_blocks(formulas, params, carrier, objs)
+    return np.concatenate([np.empty((0, len(objs)), dtype=bool), *blocks])
 
 
 def distinct_rows(packed: np.ndarray) -> np.ndarray:

@@ -22,15 +22,10 @@ from .forest import (
     forest_from_extents,
     sum_dist_check,
     type_tree,
+    virtual_space_from_forest,
     virtual_type_space,
 )
-from .fullvcmin import (
-    dlo_instance,
-    forest_from_type,
-    incremental_count_check,
-    p_virtual_space,
-    psi_type,
-)
+from .fullvcmin import dlo_instance, forest_from_type, incremental_count_check, psi_type
 from .models import ball_family, growth_formula, random_ultrametric
 from .setsystem import SetFamily, sauer_check, type_space
 
@@ -72,7 +67,7 @@ def _random_forest(rng: Random, max_nodes: int = 12):
     n = rng.randint(1, max_nodes)
     chosen = [rng.randrange(model.n_nodes) for _ in range(n)]
     extents = [model.ball(v) for v in chosen]
-    return forest_from_extents(extents, model.size, labels=tuple(enumerate(chosen)))
+    return forest_from_extents(extents, labels=tuple(enumerate(chosen)))
 
 
 def verify_directed_linear_bound(seed: int, trials: int = 500,
@@ -253,7 +248,7 @@ def verify_determination(seed: int, carrier_sizes=(5, 9, 14, 20), b_sizes=(2, 4,
             witnesses = []
             for key, members in groups.items():
                 read_off = forest_from_type(types[key], B, len(instance.delta0))
-                virtual = p_virtual_space(types[key], B, len(instance.delta0))
+                virtual = virtual_space_from_forest(read_off, len(B), len(instance.delta0))
                 for a1 in members:
                     built = build_forest([(a1, b) for b in B], instance.delta0, instance.carrier)
                     if not read_off.same_order(built):

@@ -569,9 +569,9 @@ def test_block_boundaries_match_oracle(k, monkeypatch):
                 assert engine_rows(got) == want, (kind, arity, m)
                 assert got.count == len(got.vectors)
                 assert len(calls) == -(-m // k)
-                # a block of one is the plain tuple of ints
-                sizes = [1 if isinstance(p[0], int) else len(p[0]) for p in calls]
-                assert sizes == [min(k, m - lo) for lo in range(0, m, k)], (kind, arity, m)
+                # every block, a block of one too, is param_arity (k, 1) columns
+                shapes = [[(min(k, m - lo), 1)] * f.param_arity for lo in range(0, m, k)]
+                assert [[c.shape for c in p] for p in calls] == shapes, (kind, arity, m)
 
 
 @pytest.mark.parametrize("k", [1, 5, 64])
@@ -640,7 +640,8 @@ def test_block_batch_rows_equal_single_tuple_calls(seed):
             params = random_params(rng, model, f.param_arity, 9)
             block = tuple(np.array(column)[:, None] for column in zip(*params))
             got = f.batch(model, objs, block)
-            want = np.array([f.batch(model, objs, p) for p in params])
+            ones = [tuple(np.array([[c]]) for c in p) for p in params]
+            want = np.vstack([f.batch(model, objs, one) for one in ones])
             assert got.shape == want.shape and (got == want).all(), (kind, arity)
 
 
@@ -651,7 +652,6 @@ def test_vectorized_lca_matches_scalar_lca(seed):
     tree = Tree(model)
     pairs = np.array(list(product(range(model.size), repeat=2)))
     got = model.lca_of(pairs[:, :1], pairs[:, 1:])[:, 0].tolist()
-    assert got == [model.lca(model.leaves[a], model.leaves[b]) for a, b in pairs]
     assert got == [tree.lca(a, b) for a, b in pairs]
 
 

@@ -26,7 +26,7 @@ from laminarvc import (
     virtual_type_space,
 )
 from laminarvc import forest as forest_module
-from laminarvc.forest import first_crossing
+from laminarvc.forest import TypeTree, first_crossing
 from laminarvc.models import OrderModel, ball_family, growth_formula, random_ultrametric
 from laminarvc.verify import verify_directed_linear_bound
 
@@ -47,7 +47,7 @@ def balanced_binary_extents():
 def random_ball_forest(rng, max_nodes=12):
     model = random_ultrametric(rng.randint(2, 8), rng.randint(2, 4), rng.randrange(1 << 30))
     chosen = [rng.randrange(model.n_nodes) for _ in range(rng.randint(1, max_nodes))]
-    return forest_from_extents([model.ball(v) for v in chosen], model.size)
+    return forest_from_extents([model.ball(v) for v in chosen])
 
 
 # --- directedness ------------------------------------------------------------
@@ -143,7 +143,7 @@ def test_build_forest_shapes():
     single = build_forest([(0, 1)], delta, model)
     assert single.n_nodes == 1 and single.n_classes == 1
 
-    chain = forest_from_extents([frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2})], 3)
+    chain = forest_from_extents([frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2})])
     assert chain.n_classes == 3
     assert chain.class_leq[2][0] and not chain.class_leq[0][2]  # bigger ball sits below
 
@@ -158,10 +158,9 @@ def test_build_forest_rejects_crossing_instances():
 
     from laminarvc.setsystem import ParametrizedFormula
 
-    member = ParametrizedFormula(
-        "member", 1, 1, lambda M, x, p: x[0] in crossing.sets[p[0]],
-        lambda M, objs, p: np.isin(objs[:, 0], list(crossing.sets[p[0]])),
-    )
+    # row p of the membership matrix holds set p
+    rows = np.array([[x in s for x in range(3)] for s in crossing.sets])
+    member = ParametrizedFormula("member", 1, 1, lambda M, objs, p: rows[p[0], objs[:, 0]])
 
     class Carrier:
         size = 3
@@ -173,7 +172,7 @@ def test_build_forest_rejects_crossing_instances():
 def test_forest_chain_condition_guard():
     # {0, 1} and {0, 2} both contain {0}, so both sit below it, incomparable
     with pytest.raises(ValidationError, match="incomparable below 0"):
-        forest_from_extents([frozenset({0}), frozenset({0, 1}), frozenset({0, 2})], 3)
+        forest_from_extents([frozenset({0}), frozenset({0, 1}), frozenset({0, 2})])
 
 
 def test_empty_extent_is_named_when_it_breaks_the_chain_condition():
@@ -182,13 +181,12 @@ def test_empty_extent_is_named_when_it_breaks_the_chain_condition():
     from laminarvc.setsystem import ParametrizedFormula
 
     point = ParametrizedFormula(
-        "point-above-0", 1, 1, lambda M, x, p: x[0] == p[0] > 0,
-        lambda M, objs, p: (objs[:, 0] == p[0]) & (p[0] > 0),
+        "point-above-0", 1, 1, lambda M, objs, p: (objs[:, 0] == p[0]) & (p[0] > 0)
     )
     with pytest.raises(DomainError, match=r"instance \(0, 0\) has an empty extent"):
         build_forest([(0,), (1,), (2,)], [point], OrderModel(6))
     with pytest.raises(DomainError, match="instance 1 has an empty extent"):
-        forest_from_extents([frozenset({0}), frozenset(), frozenset({1}), frozenset()], 2)
+        forest_from_extents([frozenset({0}), frozenset(), frozenset({1}), frozenset()])
     # above a chain the empty node is kept: it counts as a raw node
     chain = build_forest([(0,), (1,)], [point], OrderModel(6))
     assert chain.n_nodes == 2 and chain.n_classes == 2
@@ -239,21 +237,19 @@ def test_validate_names_first_failing_axiom():
 
 
 def test_type_tree_chain_and_disjoint():
-    chain = forest_from_extents(
-        [frozenset({0, 1, 2}), frozenset({0, 1}), frozenset({0})], 3
-    )
+    chain = forest_from_extents([frozenset({0, 1, 2}), frozenset({0, 1}), frozenset({0})])
     tt = type_tree(chain)
     assert len(tt.nodes) == 4
     sizes = sorted(len(p) for p in tt.nodes)
     assert sizes == [0, 1, 2, 3]
 
-    two = forest_from_extents([frozenset({0}), frozenset({1})], 2)
+    two = forest_from_extents([frozenset({0}), frozenset({1})])
     tt2 = type_tree(two)
     assert set(tt2.nodes) == {frozenset(), frozenset({0}), frozenset({1})}
 
 
 def test_type_tree_balanced_binary_iso():
-    f = forest_from_extents(balanced_binary_extents(), 4)
+    f = forest_from_extents(balanced_binary_extents())
     tt = type_tree(f)
     assert len(tt.nodes) == 8
     # root has the two child subtrees, each with two leaf types
@@ -271,6 +267,31 @@ def test_type_tree_meets_are_intersections():
         for p in tt.nodes:
             for q in tt.nodes:
                 assert p & q in tt.index
+
+
+E, A, B, C = frozenset(), frozenset({0}), frozenset({1}), frozenset({2})
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ((E, A, A), "type tree nodes must be distinct"),
+    ((A, A | B), "type tree must contain the empty type"),
+    # {0, 1} and {0, 2} meet in {0}, which is not a node
+    ((E, A | B, A | C), "type tree is not meet-closed"),
+    # {0} and {1} meet in the empty type, but both lie below {0, 1}
+    ((E, A, B, A | B), "type tree has a node with incomparable subsets"),
+])
+def test_type_tree_rejects_each_broken_axiom(nodes, message):
+    with pytest.raises(ValidationError, match=message):
+        TypeTree(nodes, len(nodes))
+
+
+def test_type_tree_accepts_a_hand_built_tree():
+    # {0} below {0, 1}, and {2} beside them
+    tt = TypeTree((E, A, C, A | B), 3)
+    assert tt.root == 0
+    assert tt.parent == (-1, 0, 0, 1)
+    assert tt.children == ((1, 2), (3,), (), ())
+    assert tt.dist(A | B, C) == 3
 
 
 def test_quotient_partitions_and_class_order_antisymmetric():
@@ -293,16 +314,14 @@ def test_quotient_partitions_and_class_order_antisymmetric():
 
 
 def test_convex_order_chain_is_inclusion_order():
-    chain = forest_from_extents(
-        [frozenset({0, 1, 2}), frozenset({0, 1}), frozenset({0})], 3
-    )
+    chain = forest_from_extents([frozenset({0, 1, 2}), frozenset({0, 1}), frozenset({0})])
     order = convex_order(type_tree(chain))
     sizes = [len(order.tree.nodes[i]) for i in order.sequence]
     assert sizes == [0, 1, 2, 3]
 
 
 def test_convex_order_sibling_rule():
-    two = forest_from_extents([frozenset({0}), frozenset({1})], 2)
+    two = forest_from_extents([frozenset({0}), frozenset({1})])
     tt = type_tree(two)
     a = tt.index[frozenset({0})]
     b = tt.index[frozenset({1})]
@@ -313,7 +332,7 @@ def test_convex_order_sibling_rule():
 
 
 def test_convex_order_extends_inclusion_and_is_convex():
-    f = forest_from_extents(balanced_binary_extents(), 4)
+    f = forest_from_extents(balanced_binary_extents())
     tt = type_tree(f)
     order = convex_order(tt)
     assert check_convexity(order)
@@ -324,14 +343,14 @@ def test_convex_order_extends_inclusion_and_is_convex():
 
 
 def test_convex_order_bad_sibling_orders():
-    tt = type_tree(forest_from_extents([frozenset({0}), frozenset({1})], 2))
+    tt = type_tree(forest_from_extents([frozenset({0}), frozenset({1})]))
     with pytest.raises(DomainError):
         convex_order(tt, sibling_orders={tt.root: [tt.root]})
 
 
 def test_adversarial_order_breaks_convexity():
     # interleave the two depth-1 subtrees of the balanced tree
-    f = forest_from_extents(balanced_binary_extents(), 4)
+    f = forest_from_extents(balanced_binary_extents())
     tt = type_tree(f)
     order = convex_order(tt)
     seq = list(order.sequence)
@@ -357,7 +376,7 @@ def test_convexity_random_forests_random_sibling_orders(seed):
 
 
 def test_diff_dist_basics():
-    f = forest_from_extents(balanced_binary_extents(), 4)
+    f = forest_from_extents(balanced_binary_extents())
     tt = type_tree(f)
     root = frozenset()
     assert tt.dist(root, root) == 0
@@ -373,28 +392,28 @@ def test_diff_dist_basics():
 
 
 def test_diff_rejects_foreign_nodes():
-    tt = type_tree(forest_from_extents([frozenset({0})], 1))
+    tt = type_tree(forest_from_extents([frozenset({0})]))
     with pytest.raises(DomainError):
         tt.dist(frozenset({41}), frozenset())
 
 
 def test_sum_dist_balanced_binary():
     # hand enumeration of the depth-2 binary tree gives total distance 11
-    f = forest_from_extents(balanced_binary_extents(), 4)
+    f = forest_from_extents(balanced_binary_extents())
     order = convex_order(type_tree(f))
     rep = sum_dist_check(order)
     assert (rep.total, rep.bound, rep.ok) == (11, 14, True)
 
 
 def test_sum_dist_singleton_sequence():
-    f = forest_from_extents(balanced_binary_extents(), 4)
+    f = forest_from_extents(balanced_binary_extents())
     order = convex_order(type_tree(f))
     rep = sum_dist_check(order, [frozenset()])
     assert rep.total == 0 and rep.ok
 
 
 def test_sum_dist_rejects_non_increasing():
-    f = forest_from_extents(balanced_binary_extents(), 4)
+    f = forest_from_extents(balanced_binary_extents())
     tt = type_tree(f)
     order = convex_order(tt)
     last = tt.nodes[order.sequence[-1]]
@@ -437,8 +456,7 @@ def test_virtual_space_nested_chain():
     from laminarvc.setsystem import ParametrizedFormula
 
     node_ball = ParametrizedFormula(
-        "node-ball", 1, 1, lambda M, x, p: bool(M.ball_bool[p[0], x[0]]),
-        lambda M, objs, p: M.ball_bool[p[0], objs[:, 0]],
+        "node-ball", 1, 1, lambda M, objs, p: M.ball_bool[p[0], objs[:, 0]]
     )
     space = virtual_type_space([(v,) for v in picks], [node_ball], model)
     assert space.count == 4

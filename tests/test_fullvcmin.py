@@ -24,15 +24,14 @@ from laminarvc.models import OrderModel
 from laminarvc.setsystem import ParametrizedFormula
 
 
+# the linear-order semantics of dlo_instance's delta0, (x0; x1, y) -> bool
+DLO_DELTA0 = {"before-x1": lambda x0, x1, y: x0 < x1, "before-y": lambda x0, x1, y: x0 < y}
+
+
 def brute_psi(instance, a1, b, bp, i, j):
-    # independent full-scan oracle written directly against the instance formulas
-    carrier = instance.carrier
-    di, dj = instance.delta0[i], instance.delta0[j]
-    return all(
-        di.eval_fn(carrier, (x0,), (a1, b))
-        for x0 in range(carrier.size)
-        if dj.eval_fn(carrier, (x0,), (a1, bp))
-    )
+    # independent full-scan oracle over the order semantics of the formulas
+    di, dj = (DLO_DELTA0[instance.delta0[k].name] for k in (i, j))
+    return all(di(x0, a1, b) for x0 in range(instance.carrier.size) if dj(x0, a1, bp))
 
 
 # --- psi evaluation ------------------------------------------------------------
@@ -65,7 +64,7 @@ def test_eval_psi_order_oracle():
 
 
 def test_psi_family_shape_validation():
-    bad = ParametrizedFormula("unary", 1, 1, lambda M, x, p: True, lambda M, objs, p: objs[:, 0] >= 0)
+    bad = ParametrizedFormula("unary", 1, 1, lambda M, objs, p: objs[:, 0] >= 0)
     with pytest.raises(DomainError):
         PsiFamily(OrderModel(4), (bad,))
 

@@ -25,10 +25,16 @@ from laminarvc import (
 from laminarvc.models import GROWTH_KINDS, UltrametricModel, _ball_pairs, growth_formula
 
 
+def block(params):
+    """The (k, 1) columns of a list of parameter tuples, as batch takes them."""
+    return tuple(np.array(column)[:, None] for column in zip(*params))
+
+
 def extent(model, formula, params):
-    """Extent of an arity-1 formula instance, from one batch call."""
-    hits = formula.batch(model, np.arange(model.size)[:, None], params)
-    return frozenset(np.flatnonzero(hits).tolist())
+    """Extent of an arity-1 formula instance, from one batch call on a block
+    of one."""
+    hits = formula.batch(model, np.arange(model.size)[:, None], block([params]))
+    return frozenset(np.flatnonzero(hits[0]).tolist())
 
 
 # --- generation ---------------------------------------------------------------
@@ -141,10 +147,11 @@ def test_corpus_certificates_match_components_oracle():
 
 def test_boolean_mix_shape():
     model = random_ultrametric(12, 2, 21)
+    tree = Tree(model)
     f = growth_formula("boolean-mix", 1)
     y = (4, 9)
-    pos = model.ball(model.ancestor_up(model.leaves[y[0]], 2))
-    neg = model.ball(model.ancestor_up(model.leaves[y[1]], 1))
+    pos = model.ball(tree.up(y[0], 2))
+    neg = model.ball(tree.up(y[1], 1))
     assert extent(model, f, y) == pos - neg
     assert f.name == "boolean-mix-2-1"
 
@@ -159,7 +166,7 @@ def test_unknown_kind_rejected():
 
 
 def test_growth_formula_partitions_agree():
-    # both partitions, scalar and batch, evaluate the oracle's predicate
+    # both partitions evaluate the oracle's predicate
     model = random_ultrametric(10, 3, 4)
     tree = Tree(model)
     every = np.arange(model.size)
@@ -171,12 +178,10 @@ def test_growth_formula_partitions_agree():
             x = rng.randrange(model.size)
             y0, y1 = rng.randrange(model.size), rng.randrange(model.size)
             want = holds(kind, tree, x, y0, y1)
-            assert opp.eval_fn(model, (y0, y1), (x,)) == want
             pair = np.array([[y0, y1]])
-            assert opp.batch(model, pair, (x,)).tolist() == [want]
+            assert opp.batch(model, pair, block([(x,)])).tolist() == [[want]]
             if nat is not None:
-                assert nat.eval_fn(model, (x,), (y0, y1)) == want
-                assert nat.batch(model, every[:, None], (y0, y1))[x] == want
+                assert nat.batch(model, every[:, None], block([(y0, y1)]))[0, x] == want
 
 
 def test_batched_corpus_matches_scalar():
@@ -191,24 +196,27 @@ def test_batched_corpus_matches_scalar():
                 if kind == "pair-equality" and arity == 1:
                     continue
                 f = growth_formula(kind, arity)
-                for _ in range(5):
-                    p = tuple(rng.randrange(model.size) for _ in range(f.param_arity))
-                    fast = f.batch(model, objs, p).tolist()
-                    scalar = [f.eval_fn(model, tuple(row), p) for row in objs.tolist()]
-                    if arity == 1:
-                        want = [holds(kind, tree, x, *p) for (x,) in objs.tolist()]
-                    else:
-                        want = [holds(kind, tree, p[0], *row) for row in objs.tolist()]
-                    assert fast == scalar == want, (kind, arity, p)
+                # one block of five parameter tuples, one row each
+                params = [
+                    tuple(rng.randrange(model.size) for _ in range(f.param_arity))
+                    for _ in range(5)
+                ]
+                fast = f.batch(model, objs, block(params)).tolist()
+                if arity == 1:
+                    want = [[holds(kind, tree, x, *p) for (x,) in objs.tolist()] for p in params]
+                else:
+                    want = [[holds(kind, tree, p[0], *row) for row in objs.tolist()] for p in params]
+                assert fast == want, (kind, arity, params)
 
 
-def test_ancestor_array_matches_ancestor_up_with_unary_nodes():
+def test_ancestor_array_matches_tree_walk_with_unary_nodes():
     rng = Random(12)
     for _ in range(20):
         base = random_ultrametric(rng.randint(2, 30), rng.randint(2, 4), rng.randrange(1 << 20))
         model = with_unary_nodes(base, rng, rng.randint(1, 10))
+        tree = Tree(model)
         for k in range(model.n_nodes):
-            want = [model.ancestor_up(leaf, k) for leaf in model.leaves]
+            want = [tree.up(y, k) for y in range(model.size)]
             assert model.ancestor_array(k).tolist() == want, k
 
 

@@ -206,9 +206,7 @@ def test_sauer_random_laminar_families():
 
 
 def lt_formula():
-    return ParametrizedFormula(
-        "lt", 1, 1, lambda M, x, p: x[0] < p[0], lambda M, objs, p: objs[:, 0] < p[0]
-    )
+    return ParametrizedFormula("lt", 1, 1, lambda M, objs, p: objs[:, 0] < p[0])
 
 
 def test_type_space_three_element_order():
