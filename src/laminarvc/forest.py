@@ -27,40 +27,54 @@ class CrossingPair:
     j: int
 
 
-_CROSSING_BYTES = 1 << 23
+# the working arrays of one row chunk of first_crossing: 1 MB keeps the
+# 512-set families of verify-lemmas (four chunks) from raising its peak memory
+_CROSSING_BYTES = 1 << 20
 
 
 def first_crossing(family: SetFamily) -> Optional[CrossingPair]:
     """Lexicographically first pair of member sets that are neither nested nor
     disjoint, or None if the family is directed.
 
-    Sets i and j cross exactly when 0 < |S_i & S_j| < min(|S_i|, |S_j|).  The
-    intersection sizes come from products of membership rows, exact in
-    float32 below 2^24 elements.  Row chunks, in order, are multiplied with
-    column chunks of the same height, so that the working arrays fit
+    Sets i and j cross exactly when 0 < |S_i & S_j| < min(|S_i|, |S_j|).  Each
+    set is packed into 64-element words, and the intersection sizes are
+    popcounts of ANDed words, summed one word position at a time over the
+    sets holding some element of that word (the only ones it can add to).
+    Rows go in chunks, in order, so that the working arrays fit
     _CROSSING_BYTES; the first crossing of a chunk in row-major order is the
     first of the family once the chunks above it have none."""
     n, u = len(family.sets), family.universe.size
     lens = [len(s) for s in family.sets]
     elements = np.fromiter(chain.from_iterable(family.sets), np.int64, sum(lens))
-    member = np.zeros((n, u), dtype=bool)
+    member = np.zeros((n, -(-u // 64) * 64), dtype=bool)
     member[np.repeat(np.arange(n), lens), elements] = True
-    sizes = np.array(lens, dtype=np.float32)
-    # per chunk: two float32 (side, u) blocks, the float32 (side, n) product
-    # and two (side, n) masks
-    side = max(1, _CROSSING_BYTES // (8 * (u + n)))
+    # words[w, i]: set i's members among elements 64w .. 64w + 63
+    words = np.ascontiguousarray(np.packbits(member, axis=1).view(np.uint64).T)
+    holders = [np.flatnonzero(word) for word in words]
+    sizes = np.array(lens)
+    # per chunk: the (side, n) int32 sums, three (side, n) bool masks, and
+    # per word the uint64 AND and its uint8 popcount of at most (side, n)
+    side = max(1, _CROSSING_BYTES // (16 * max(1, n)))
     for lo in range(0, n, side):
-        rows = member[lo : lo + side].astype(np.float32)
-        inter = np.empty((len(rows), n), dtype=np.float32)
-        for jlo in range(0, n, side):
-            inter[:, jlo : jlo + side] = rows @ member[jlo : jlo + side].astype(np.float32).T
+        hi = min(lo + side, n)
+        # pairs i < j only: the chunk's rows against columns lo and on
+        inter = np.zeros((hi - lo, n - lo), dtype=np.int32)
+        for word, cols in zip(words, holders):
+            rows = word[lo:hi]
+            cols = cols[np.searchsorted(cols, lo):]
+            if len(cols) and rows.any():
+                a, b = cols[0], cols[-1] + 1
+                # a run of holders is summed in place, others gathered
+                at = slice(a - lo, b - lo) if b - a == len(cols) else cols - lo
+                inter[:, at] += np.bitwise_count(rows[:, None] & word[cols])
         cross = inter > 0
-        cross &= inter < sizes
-        cross &= inter < sizes[lo : lo + side, None]
-        cross &= np.arange(n) > np.arange(lo, lo + len(rows))[:, None]
+        cross &= inter < sizes[lo:]
+        cross &= inter < sizes[lo:hi, None]
+        cross &= np.arange(lo, n) > np.arange(lo, hi)[:, None]
         first = int(np.argmax(cross))
         if cross.flat[first]:
-            return CrossingPair(lo + first // n, first % n)
+            i, j = divmod(first, n - lo)
+            return CrossingPair(lo + i, lo + j)
     return None
 
 
@@ -225,13 +239,16 @@ def build_forest(
     params: Sequence[tuple[int, ...]],
     delta: Sequence[ParametrizedFormula],
     carrier,
+    signs: Optional[np.ndarray] = None,
 ) -> QuasiForest:
     """Quasi-forest on params x delta, nodes labelled (param index, formula
     index) in row-major order.  Raises DomainError if the instance family is
-    not directed."""
+    not directed.  `signs`, when the caller has it, is the instances'
+    sign_matrix over the carrier's elements, which is otherwise computed."""
     n = carrier.size
-    bits = sign_matrix(delta, params, carrier, np.arange(n)[:, None])
-    extents = [frozenset(np.flatnonzero(row).tolist()) for row in bits]
+    if signs is None:
+        signs = sign_matrix(delta, params, carrier, np.arange(n)[:, None])
+    extents = [frozenset(np.flatnonzero(row).tolist()) for row in signs]
     labels = [(ci, di) for ci in range(len(params)) for di in range(len(delta))]
     fam = SetFamily.of(n, extents) if extents else SetFamily.of(max(n, 1), [])
     witness = first_crossing(fam)
@@ -474,10 +491,13 @@ def virtual_type_space(
     params: Sequence[tuple[int, ...]],
     delta: Sequence[ParametrizedFormula],
     carrier,
+    signs: Optional[np.ndarray] = None,
 ) -> VirtualTypeSpace:
+    """The virtual type space of the forest on params x delta; `signs` as
+    for build_forest."""
     if not params:
         return VirtualTypeSpace((b"",), 0, len(delta))
-    forest = build_forest(params, delta, carrier)
+    forest = build_forest(params, delta, carrier, signs)
     return virtual_space_from_forest(forest, len(params), len(delta))
 
 

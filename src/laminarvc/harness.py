@@ -24,7 +24,9 @@ from .models import (
     UltrametricModel,
     growth_formula,
     load_model,
+    mt_words,
     random_ultrametric,
+    sample_setsize,
 )
 from .setsystem import (
     ENUM_CAP,
@@ -36,6 +38,9 @@ from .setsystem import (
     packed_columns,
 )
 
+# cells with fewer sign bits (L * m) than this run in the calling thread:
+# below it, starting worker threads costs more than they save
+_INLINE_BITS = 1 << 20
 CSV_HEADER = ("model", "formula", "arity", "m", "trial", "seed", "type_count", "ms")
 _MODEL_KINDS = {UltrametricModel: "an ultrametric model", OrderModel: "an order model"}
 
@@ -202,10 +207,7 @@ def _sample_params(rng: Random, space: int, arity: int, m: int, carrier_size: in
     left further along its stream than the two calls would leave it."""
     if not with_replacement and m > space:
         raise DomainError(f"cannot sample {m} distinct parameter tuples from {space}")
-    # random.sample's pool/set threshold: 21, plus 4 ** ceil(log(3m, 4)) when
-    # m > 5; 3m is no power of 2, so its bit length is ceil(log2(3m))
-    setsize = 21 + (4 ** (((3 * m).bit_length() + 1) // 2) if m > 5 else 0)
-    if not with_replacement and space <= setsize:
+    if not with_replacement and space <= sample_setsize(m):
         idxs = np.array(rng.sample(range(space), m), dtype=np.int64)
     else:
         idxs = _stream_draws(rng, space, m, distinct=not with_replacement)
@@ -215,16 +217,14 @@ def _sample_params(rng: Random, space: int, arity: int, m: int, carrier_size: in
 def _stream_draws(rng: Random, space: int, m: int, distinct: bool) -> np.ndarray:
     """The first m draws below space (the first m distinct ones when
     `distinct`), in stream order, of getrandbits(space.bit_length()) calls
-    on rng, as int64.  getrandbits(32 * c) returns rng's next c outputs, the
-    first in the least significant word."""
+    on rng, as int64, read from rng's output words (mt_words)."""
     bits = space.bit_length()
     out = np.empty(0, dtype=np.int64)
     while len(out) < m:
         need = m - len(out)
         # words expected to hold `need` draws below space, plus some slack
         c = ((need + need // 8 + 16) << bits) // space
-        words = np.frombuffer(rng.getrandbits(32 * c).to_bytes(4 * c, "little"), "<u4")
-        draws = (words >> (32 - bits)).astype(np.int64)
+        draws = (mt_words(rng, c) >> (32 - bits)).astype(np.int64)
         out = np.concatenate([out, draws[draws < space]])
         if distinct:
             # keep each value's first occurrence: a stable sort puts it first
@@ -286,7 +286,10 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
     output is independent of scheduling.
 
     Every cell counts from the corpus entry's packed rows over its
-    parameters (`_factored_count`)."""
+    parameters (`_factored_count`).  Cells of fewer than _INLINE_BITS sign
+    bits run in the calling thread; the rest go to a pool of at most
+    thread_budget() workers.  After the first cell that breaks the cap, no
+    later cell starts."""
     threads = thread_budget()
     model = resolve_model(config)
     formula = growth_formula(config.formula_kind, config.arity)
@@ -307,16 +310,21 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
         )
 
     jobs = [(m, t) for m in config.sizes for t in range(config.trials)]
+    # sizes increase, so the small cells are a prefix of the jobs; they run
+    # here, in job order, and so do the rest unless two or more workers
+    # would share them
+    inline = sum(model.size * m < _INLINE_BITS for m, _ in jobs)
+    workers = min(threads, len(jobs) - inline)
+    if workers <= 1:
+        inline = len(jobs)
     rows: list[GrowthRow] = []
     cap_error = None
-    workers = min(threads, len(jobs))
     try:
-        if workers <= 1:
-            for job in jobs:
-                rows.append(cell(job))
-        else:
+        for job in jobs[:inline]:
+            rows.append(cell(job))
+        if inline < len(jobs):
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(cell, job) for job in jobs]
+                futures = [pool.submit(cell, job) for job in jobs[inline:]]
                 # at the first failed cell, drop the queued ones; cells start in
                 # job order, so every cancelled cell comes after the first failure
                 wait(futures, return_when=FIRST_EXCEPTION)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from random import Random
 from typing import Callable, Optional, Union
 
@@ -237,24 +238,85 @@ class OrderModel:
 CarrierModel = Union[UltrametricModel, OrderModel]
 
 
+def mt_words(rng: Random, count: int) -> np.ndarray:
+    """rng's next `count` 32-bit Mersenne Twister outputs, in stream order,
+    as uint32: getrandbits(32 * count) returns them with the first in the
+    least significant word.  CPython's getrandbits(k), k <= 32, is the top k
+    bits of one output."""
+    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), "<u4")
+
+
+def sample_setsize(k: int) -> int:
+    """random.sample's pool/set threshold for k draws: 21, plus
+    4 ** ceil(log(3k, 4)) when k > 5.  3k is no power of 2, so its bit
+    length is ceil(log2(3k)).  sample(population, k) draws from a shrinking
+    pool when len(population) <= sample_setsize(k), else from a set."""
+    return 21 + (4 ** (((3 * k).bit_length() + 1) // 2) if k > 5 else 0)
+
+
 def random_ultrametric(leaf_count: int, max_branching: int, seed: int) -> UltrametricModel:
     """Seed-deterministic rooted tree with exactly leaf_count leaves and
-    branching factors between 2 and max_branching."""
+    branching factors between 2 and max_branching.
+
+    Nodes are numbered depth-first from the root.  With rng =
+    Random(f"ultrametric/{leaf_count}/{max_branching}/{seed}"), a node over
+    n > 1 leaves gets b = rng.randint(2, min(max_branching, n)) children,
+    whose leaf counts are the gaps between 0, sorted(rng.sample(range(1, n),
+    b - 1)) and n, first child first; a node over one leaf is a leaf.
+
+    Those calls are replayed on rng's output words, read in bulk (mt_words),
+    as CPython makes them: _randbelow(k) is the top k.bit_length() bits of
+    one word, redrawn while >= k; randint(2, hi) is 2 + _randbelow(hi - 1);
+    sample(range(1, n), c) takes j = _randbelow(n - 1 - i) from a shrinking
+    pool for i < c when n - 1 <= sample_setsize(c), else keeps the first c
+    distinct _randbelow(n - 1) draws.  The tree is the one the calls build."""
     if leaf_count < 2:
         raise DomainError(f"leaf_count must be >= 2, got {leaf_count}")
     if max_branching < 2:
         raise DomainError(f"max_branching must be >= 2, got {max_branching}")
+    Universe(leaf_count)  # before the build: every draw then fits one word
     rng = Random(f"ultrametric/{leaf_count}/{max_branching}/{seed}")
+    # trees took 2.2 to 3.8 words per leaf (branching 2 to 4096); words are
+    # read at most 1024 at a time, and more whenever these run out
+    chunk = min(4 * leaf_count + 32, 1024)
+    words = chain.from_iterable(iter(lambda: mt_words(rng, chunk).tolist(), None))
+
+    def below(k: int) -> int:
+        shift = 32 - k.bit_length()
+        r = next(words) >> shift
+        while r >= k:
+            r = next(words) >> shift
+        return r
+
     parent: list[int] = []
     stack = [(leaf_count, -1)]
     while stack:
         n_leaves, par = stack.pop()
-        node = len(parent)
         parent.append(par)
         if n_leaves == 1:
             continue
-        b = rng.randint(2, min(max_branching, n_leaves))
-        cuts = sorted(rng.sample(range(1, n_leaves), b - 1))
+        node = len(parent) - 1
+        c = below(min(max_branching, n_leaves) - 1) + 1  # b - 1 cuts
+        n = n_leaves - 1
+        if c == 1:
+            # both of sample's paths take range(1, n_leaves)[_randbelow(n)]
+            cut = below(n) + 1
+            stack.append((n_leaves - cut, node))
+            stack.append((cut, node))
+            continue
+        if n <= sample_setsize(c):
+            pool = list(range(1, n_leaves))
+            cuts = []
+            for i in range(n, n - c, -1):
+                j = below(i)
+                cuts.append(pool[j])
+                pool[j] = pool[i - 1]
+        else:
+            seen: set[int] = set()
+            while len(seen) < c:
+                seen.add(below(n))
+            cuts = [j + 1 for j in seen]
+        cuts.sort()
         sizes = [hi - lo for lo, hi in zip([0] + cuts, cuts + [n_leaves])]
         stack.extend((s, node) for s in reversed(sizes))
     return UltrametricModel(tuple(parent), seed=seed)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from random import Random
 
+import numpy as np
+
 from .forest import (
     ComponentsFailure,
     DirectedFamily,
@@ -27,7 +29,7 @@ from .forest import (
 )
 from .fullvcmin import dlo_instance, forest_from_type, incremental_count_check, psi_type
 from .models import ball_family, growth_formula, random_ultrametric
-from .setsystem import SetFamily, sauer_check, type_space
+from .setsystem import SetFamily, sauer_check, sign_matrix, type_space
 
 
 @dataclass(frozen=True)
@@ -92,13 +94,16 @@ def verify_directed_linear_bound(seed: int, trials: int = 500,
             (rng.randrange(model.size), rng.randrange(model.size))
             for _ in range(n_params)
         ]
-        realized = type_space(delta, C, model, 1)
-        virtual = virtual_type_space(C, delta, model)
+        # one sign matrix gives both spaces: the realized types are its
+        # columns, one per element, and its rows the forest's instances
+        signs = sign_matrix(delta, C, model, np.arange(model.size)[:, None])
+        realized = {col.tobytes() for col in np.ascontiguousarray(signs.T).view(np.uint8)}
+        virtual = virtual_type_space(C, delta, model, signs)
         bound = len(delta) * len(C) + 1
-        if realized.count > bound:
-            fails.add(key, f"{realized.count} realized types > {bound}")
-        elif not realized.vector_set() <= virtual.entry_set():
-            stray = min(realized.vector_set() - virtual.entry_set())
+        if len(realized) > bound:
+            fails.add(key, f"{len(realized)} realized types > {bound}")
+        elif not realized <= virtual.entry_set():
+            stray = min(realized - virtual.entry_set())
             fails.add(key, f"realized type {stray.hex()} is not virtual")
         elif virtual.count > bound:
             fails.add(key, f"{virtual.count} virtual types > {bound}")

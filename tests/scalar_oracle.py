@@ -7,6 +7,7 @@ tree views, so the tests compare two independent implementations.
 """
 
 from itertools import product
+from random import Random
 
 
 class Tree:
@@ -93,3 +94,22 @@ def with_unary_nodes(model, rng, count):
         parent.append(parent[v])
         parent[v] = len(parent) - 1
     return type(model)(tuple(parent), seed=model.seed)
+
+
+def random_ultrametric_parent(leaf_count, max_branching, seed):
+    """The parent array random_ultrametric builds, from CPython's own
+    Random.randint and Random.sample calls."""
+    rng = Random(f"ultrametric/{leaf_count}/{max_branching}/{seed}")
+    parent = []
+    stack = [(leaf_count, -1)]
+    while stack:
+        n_leaves, par = stack.pop()
+        node = len(parent)
+        parent.append(par)
+        if n_leaves == 1:
+            continue
+        b = rng.randint(2, min(max_branching, n_leaves))
+        cuts = sorted(rng.sample(range(1, n_leaves), b - 1))
+        sizes = [hi - lo for lo, hi in zip([0] + cuts, cuts + [n_leaves])]
+        stack.extend((s, node) for s in reversed(sizes))
+    return tuple(parent)

@@ -113,11 +113,11 @@ def random_families(rng):
     yield SetFamily.of(n, sets + sets[:2])
 
 
-@pytest.mark.parametrize("budget", [1, 4096, forest_module._CROSSING_BYTES])
+@pytest.mark.parametrize("budget", [1, 4096, 1 << 23])
 @pytest.mark.parametrize("seed", range(4))
 def test_first_crossing_matches_pair_loop(seed, budget, monkeypatch):
-    # a budget of 1 byte takes one row and one column at a time, 4096 bytes a
-    # few rows of these families
+    # a budget of 1 byte takes one row at a time, 4096 bytes a few rows of
+    # these families, and 8 MB, like the default budget, all of them at once
     monkeypatch.setattr(forest_module, "_CROSSING_BYTES", budget)
     rng = Random(seed)
     found = 0
@@ -132,6 +132,44 @@ def test_first_crossing_matches_pair_loop(seed, budget, monkeypatch):
                 with pytest.raises(ValidationError, match=f"sets {want.i} and {want.j} cross$"):
                     DirectedFamily(family)
     assert found > 5
+
+
+def wide_families(rng):
+    """Families over 65 to 300 elements, several membership words per set:
+    a tree's balls (directed), the same with a random set or a set shifted
+    across a word boundary mixed in, and initial and final segments, which
+    hold a run of sets at every word."""
+    model = random_ultrametric(rng.randint(65, 300), rng.randint(2, 5), rng.randrange(1 << 20))
+    u = model.size
+    balls = list(ball_family(model).sets)
+    yield SetFamily(Universe(u), tuple(balls))
+    ball = max(balls[1:], key=len)
+    for extra in (
+        frozenset(rng.sample(range(u), rng.randint(1, u))),
+        frozenset(x + 1 for x in ball if x + 1 < u) | {min(ball)},
+    ):
+        mixed = list(balls)
+        mixed.insert(rng.randrange(len(mixed) + 1), extra)
+        yield SetFamily(Universe(u), tuple(mixed))
+    segments = [frozenset(range(c)) for c in range(1, u)]
+    yield SetFamily(Universe(u), tuple(segments))
+    cut = rng.randrange(1, u)
+    yield SetFamily(Universe(u), (*segments, frozenset(range(cut, u))))
+
+
+@pytest.mark.parametrize("budget", [1, 4096, forest_module._CROSSING_BYTES])
+def test_first_crossing_on_wide_universes_matches_pair_loop(budget, monkeypatch):
+    # the default budget takes these families (up to 600 sets) in chunks of
+    # 109 rows or more
+    monkeypatch.setattr(forest_module, "_CROSSING_BYTES", budget)
+    rng = Random(11)
+    found = 0
+    for _ in range(4):
+        for family in wide_families(rng):
+            want = pair_loop_crossing(family)
+            assert first_crossing(family) == want
+            found += want is not None
+    assert found >= 8
 
 
 # --- forest construction -------------------------------------------------------

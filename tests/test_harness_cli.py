@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from random import Random
 
@@ -64,6 +65,7 @@ def test_growth_rows_deterministic_across_runs(monkeypatch):
     assert rows_without_ms(a) == rows_without_ms(b)
     assert a.exponents == b.exponents
     monkeypatch.setenv("LAMINAR_VC_THREADS", "3")
+    monkeypatch.setattr(harness, "_INLINE_BITS", 0)  # every cell to the pool
     c = run_growth(small_config())
     assert rows_without_ms(a) == rows_without_ms(c)
 
@@ -242,9 +244,60 @@ def test_growth_cancels_queued_cells_after_cap_error(monkeypatch):
         raise ResourceCapError("over the cap")
 
     monkeypatch.setattr(harness, "_factored_count", over_cap)
+    monkeypatch.setattr(harness, "_INLINE_BITS", 0)  # every cell to the pool
     report = run_growth(small_config(sizes=(4, 8, 16, 32), trials=10))
     assert not report.complete
     assert len(calls) < 40
+
+
+def test_small_growth_runs_start_no_thread(monkeypatch):
+    # every cell of L = 512, m <= 256 has fewer than 2^20 sign bits
+    monkeypatch.setenv("LAMINAR_VC_THREADS", "2")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a small run started the thread pool")
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    report = run_growth(small_config(arity=2, sizes=(8, 64, 256), trials=3))
+    assert report.complete and len(report.rows) == 9
+
+
+def test_cells_of_many_sign_bits_go_to_the_pool(monkeypatch):
+    # L = 2048: the m = 512 and m = 1024 cells have 2^20 sign bits or more
+    monkeypatch.setenv("LAMINAR_VC_THREADS", "3")
+    pools = []
+
+    def recording(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", recording)
+    report = run_growth(small_config(sizes=(8, 512, 1024), trials=2))
+    assert report.complete and len(report.rows) == 6
+    assert pools == [3]
+
+
+def test_cap_error_in_an_inline_cell_starts_no_pooled_cell(monkeypatch):
+    # L = 32 here: cells with m < 8 run inline (32 * 8 = 2^8 bits), the rest
+    # would go to the pool
+    monkeypatch.setenv("LAMINAR_VC_THREADS", "2")
+    monkeypatch.setattr(harness, "_INLINE_BITS", 1 << 8)
+    sizes = []
+
+    def over_cap_at_4(config, model, params):
+        sizes.append(len(params))
+        if len(params) == 4:
+            raise ResourceCapError("over the cap")
+        return 1, len(params)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the pool started after a failed inline cell")
+
+    monkeypatch.setattr(harness, "_factored_count", over_cap_at_4)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    report = run_growth(small_config(sizes=(2, 4, 8, 16), trials=3))
+    assert report.cap_error == "over the cap"
+    assert sizes == [2, 2, 2, 4]
 
 
 def test_growth_model_path(tmp_path):

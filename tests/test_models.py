@@ -3,7 +3,9 @@ from random import Random
 
 import numpy as np
 import pytest
-from scalar_oracle import Tree, holds, positive_part, with_unary_nodes
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scalar_oracle import Tree, holds, positive_part, random_ultrametric_parent, with_unary_nodes
 
 from laminarvc import (
     CrossingPair,
@@ -22,6 +24,7 @@ from laminarvc import (
     save_model,
     vc_dimension,
 )
+from laminarvc import models
 from laminarvc.models import GROWTH_KINDS, UltrametricModel, _ball_pairs, growth_formula
 
 
@@ -67,11 +70,40 @@ def test_generation_respects_parameters():
         assert all(len(k) != 1 for k in model.children)
 
 
+@pytest.mark.parametrize("leaves, branching, seed", [(4096, 3, 7), (512, 3, 7), (2, 2, 0)])
+def test_generation_matches_cpython_draws(leaves, branching, seed):
+    assert random_ultrametric(leaves, branching, seed).parent == random_ultrametric_parent(
+        leaves, branching, seed
+    )
+
+
+# branching up to 40 gives sample up to 39 cuts, whose pool/set threshold
+# passes 21, so both of sample's paths are taken
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 600), st.integers(2, 40), st.integers(0, 1 << 30))
+def test_generation_matches_cpython_draws_everywhere(leaves, branching, seed):
+    assert random_ultrametric(leaves, branching, seed).parent == random_ultrametric_parent(
+        leaves, branching, seed
+    )
+
+
+def test_generation_reads_more_words_when_they_run_out(monkeypatch):
+    # one word per read: every draw past the first refills the buffer
+    read = models.mt_words
+    monkeypatch.setattr(models, "mt_words", lambda rng, count: read(rng, 1))
+    for leaves, branching, seed in [(2, 2, 0), (100, 3, 1), (300, 40, 2)]:
+        assert random_ultrametric(leaves, branching, seed).parent == random_ultrametric_parent(
+            leaves, branching, seed
+        )
+
+
 def test_generation_parameter_validation():
     with pytest.raises(DomainError):
         random_ultrametric(1, 2, 0)
     with pytest.raises(DomainError):
         random_ultrametric(4, 1, 0)
+    with pytest.raises(DomainError, match="universe size 4097 exceeds cap 4096"):
+        random_ultrametric(4097, 3, 0)
 
 
 def test_ball_family_always_directed():

@@ -1,7 +1,11 @@
 """Regression guard: the stdout of pinned CLI commands, byte for byte.
 
 The recorded outputs in pinned_outputs.json are the lemma report and the
-incremental-count reports at seed 0.  A change that moves any of them
+incremental-count reports at seed 0, and the CSV rows of three arity-2
+growth runs at seed 7, without their `ms` column (a timing).  Every growth
+run builds its carrier with random_ultrametric or OrderModel and draws its
+parameters from the Mersenne Twister stream, so these pin both.  A change
+that moves any of them
 changes what the program computes, not how fast; such a change has to
 re-record them on purpose:
 
@@ -22,6 +26,8 @@ PINS = Path(__file__).with_name("pinned_outputs.json")
 COMMANDS = [
     *(["fullvcmin-demo", "--b-size", str(b), "--seed", "0", "--json"] for b in (4, 8, 16)),
     ["verify-lemmas", "--json", "--trials", "40", "--seed", "0"],
+    *(["growth", "--arity", "2", "--sizes", "8,16,32,64,128,256", "--trials", "5",
+       "--seed", "7", "--formula", f] for f in ("lca-ball", "twin-ball-1", "pair-equality")),
 ]
 
 
@@ -34,7 +40,10 @@ def run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+    stdout = out.getvalue()
+    if argv[0] == "growth":
+        stdout = "".join(line.rsplit(",", 1)[0] + "\n" for line in stdout.splitlines())
+    return {"argv": argv, "exit": code, "stdout": stdout}
 
 
 @pytest.mark.parametrize("pin", recorded(), ids=lambda pin: " ".join(pin["argv"]))
