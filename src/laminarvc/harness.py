@@ -146,13 +146,19 @@ class GrowthReport:
     median_exponent: float
     ceiling: float
     passed: bool
-    engine: str = "factored"  # every cell counts through _factored_count
     # why the run is incomplete: the first failed cell's ResourceCapError
     cap_error: Optional[str] = None
 
     @property
     def complete(self) -> bool:
         return self.cap_error is None
+
+    @property
+    def engine(self) -> str:
+        """The cells' counting path in _factored_count: sets, ranges or rows."""
+        if self.config.arity == 1:
+            return "sets"
+        return "rows" if CORPUS[self.config.formula_kind].ranges is None else "ranges"
 
     def to_json(self) -> dict:
         return {
@@ -241,21 +247,20 @@ def _stream_draws(rng: Random, space: int, m: int, distinct: bool) -> np.ndarray
 def _factored_count(config: ExperimentConfig, model: CarrierModel,
                     params: np.ndarray) -> tuple[int, int]:
     """Realized types over the (m, param arity) parameter array, counted
-    from the corpus entry's packed rows, with no object tuple enumerated,
-    and the number of rows counted (GrowthRow.tuples_refined).
+    from the corpus entry's factoring, with no object tuple enumerated, and
+    the number of rows counted (GrowthRow.tuples_refined).
 
-    Arity 2, union kinds: the distinct unions of two of the entry's profiles
-    over the parameter column, counted by laminar_union_count from the d
-    distinct profiles.  Arity 2, other kinds: the distinct rows among the
-    entry's R candidate rows over the parameter column.  Arity 1: x's sign
-    row is column x of the parameters' sets, so the count is the number of
-    distinct rows of the (L, ceil(m'/8)) packed transpose of the m' <= m sets
-    the entry returns, each distinct set at least once.
+    Arity 2, union kinds: the distinct unions of two of the entry's profile
+    ranges over the parameter column, counted by laminar_union_count.
+    Arity 2, other kinds: the distinct rows among the entry's R candidate
+    rows over the parameter column.  Arity 1: x's sign row is column x of
+    the parameters' sets, so the count is the number of distinct rows of
+    the (L, ceil(m'/8)) packed transpose of the m' <= m sets the entry
+    returns, each distinct set at least once.
 
     The cap bounds the work the cell does, each term checked before the
     matrix it counts is built: its L * m sign or profile bits, then at
-    arity 2 the d^2 entries of the containment matrix, or the R * m bits of
-    the candidate rows."""
+    arity 2 the R * m bits of the candidate rows."""
     size, m = model.size, len(params)
 
     def afford(work: int, what: str) -> None:
@@ -268,12 +273,9 @@ def _factored_count(config: ExperimentConfig, model: CarrierModel,
         sets = spec.sets(model, params[:, 0], params[:, 1])
         return len(distinct_rows(packed_columns(sets, size))), m
     xs = params[:, 0]
-    if spec.profiles is not None:
-        profiles = distinct_rows(spec.profiles(model, xs))
-        d = len(profiles)
-        afford(size * m + d * d,
-               f"{size} elements x {m} parameters + {d}^2 profile pairs")
-        return laminar_union_count(profiles), d * d
+    if spec.ranges is not None:
+        unions, d = laminar_union_count(*spec.ranges(model, xs))
+        return unions, d * d
     candidates = spec.rows(
         model, xs, lambda r: afford(r * m, f"{r} candidate rows x {m} parameters")
     )

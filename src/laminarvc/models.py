@@ -19,57 +19,67 @@ import numpy as np
 
 from .errors import DomainError, ModelFormatError
 from .forest import DirectedFamily
-from .setsystem import ParametrizedFormula, SetFamily, Universe, distinct_rows
+from .setsystem import ParametrizedFormula, SetFamily, Universe, distinct_ranges
 
 
 @dataclass(frozen=True)
 class UltrametricModel:
     """Rooted tree given as a parent array (root has parent -1); the carrier is
-    the set of leaves, indexed in ascending node-id order."""
+    the set of leaves, indexed in ascending node-id order.  One depth-first
+    pass, children in ascending id order, gives root, children, depth and
+    leaves, and ranks the leaves in the order it meets them: carrier index
+    x has rank[x], by_rank lists the carrier indices by rank, and ball(v) is
+    the ranks lo[v] <= r < hi[v]."""
 
     parent: tuple[int, ...]
     seed: Optional[int] = None
 
     def __post_init__(self):
-        n = len(self.parent)
-        roots = [i for i, p in enumerate(self.parent) if p == -1]
-        if len(roots) != 1:
-            raise ModelFormatError(f"parent array must have exactly one root, found {len(roots)}")
-        for i, p in enumerate(self.parent):
-            if p != -1 and not 0 <= p < n:
-                raise ModelFormatError(f"parent[{i}] = {p} out of range")
-        # reachability from the root doubles as a cycle check
-        if len(self._topo_order) != n:
-            raise ModelFormatError("parent array contains a cycle or unreachable nodes")
-        if len(self.leaves) < 2:
-            raise ModelFormatError("ultrametric model needs at least 2 leaves")
-        Universe(len(self.leaves))  # leaf count against the universe cap
-
-    @cached_property
-    def root(self) -> int:
-        return next(i for i, p in enumerate(self.parent) if p == -1)
-
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        kids: list[list[int]] = [[] for _ in self.parent]
-        for i, p in enumerate(self.parent):
-            if p != -1:
+        parent = self.parent
+        n = len(parent)
+        roots = parent.count(-1)
+        if roots != 1:
+            raise ModelFormatError(f"parent array must have exactly one root, found {roots}")
+        kids: list[list[int]] = [[] for _ in parent]
+        for i, p in enumerate(parent):
+            if 0 <= p < n:
                 kids[p].append(i)
-        return tuple(tuple(k) for k in kids)
-
-    @cached_property
-    def _topo_order(self) -> tuple[int, ...]:
-        """Root first, parents before children."""
-        out = [self.root]
-        i = 0
-        while i < len(out):
-            out.extend(self.children[out[i]])
-            i += 1
-        return tuple(out)
-
-    @cached_property
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.parent)) if not self.children[i])
+            elif p != -1:
+                raise ModelFormatError(f"parent[{i}] = {p} out of range")
+        root = parent.index(-1)
+        depth, lo, hi = [0] * n, [0] * n, [0] * n
+        ranked: list[int] = []  # leaf ids in rank order
+        # a node's exit is pushed as ~node below its children; d counts the
+        # nodes entered and not left, r the leaves met
+        stack, d, r = [root], 0, 0
+        while stack:
+            v = stack.pop()
+            if v < 0:
+                hi[~v] = r
+                d -= 1
+                continue
+            lo[v], depth[v] = r, d
+            if kids[v]:
+                stack.append(~v)
+                stack.extend(kids[v][::-1])
+                d += 1
+            else:
+                ranked.append(v)
+                r += 1
+                hi[v] = r
+        # a node the pass reaches has a leaf below it, so hi > 0: reachability
+        # from the root doubles as a cycle check
+        if 0 in hi:
+            raise ModelFormatError("parent array contains a cycle or unreachable nodes")
+        if len(ranked) < 2:
+            raise ModelFormatError("ultrametric model needs at least 2 leaves")
+        Universe(len(ranked))  # leaf count against the universe cap
+        rank = np.argsort(ranked)  # the x-th smallest leaf id is ranked[rank[x]]
+        depth, lo, hi = np.array([depth, lo, hi])
+        vars(self).update(
+            root=root, children=tuple(map(tuple, kids)), leaves=tuple(sorted(ranked)),
+            depth=depth, lo=lo, hi=hi, rank=rank, by_rank=np.argsort(rank),
+        )
 
     @cached_property
     def non_unary(self) -> np.ndarray:
@@ -85,51 +95,36 @@ class UltrametricModel:
     def n_nodes(self) -> int:
         return len(self.parent)
 
-    @cached_property
-    def depth(self) -> tuple[int, ...]:
-        d = [0] * self.n_nodes
-        for node in self._topo_order[1:]:
-            d[node] = d[self.parent[node]] + 1
-        return tuple(d)
-
     def ball(self, node: int) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.ball_bool[node]).tolist())
+        return frozenset(self.by_rank[self.lo[node] : self.hi[node]].tolist())
 
     @property
     def label(self) -> str:
         return f"ultrametric-L{self.size}-s{self.seed}"
 
-    # cached numpy views used by batched formula evaluation
+    # cached numpy views
 
-    def _leaf_walk(self):
-        """Every leaf walked up to the root at once, one level per step: per
-        step, (nodes, cols) arrays pairing each node reached with the carrier
-        index of the leaf below it."""
+    @cached_property
+    def ball_bool(self) -> np.ndarray:
+        """(nodes, L) matrix: is the leaf at carrier index i below node v.
+        No counting path reads it; the benchmark's model views timing does."""
+        return (self.lo[:, None] <= self.rank) & (self.rank < self.hi[:, None])
+
+    @cached_property
+    def ball_bits(self) -> np.ndarray:
+        """(nodes, ceil(L/8)) uint8 matrix of the balls packed as
+        np.packbits(axis=1) packs them: every leaf walked up to the root at
+        once, one level per step, sets its bit in each node it reaches."""
+        bits = np.zeros((self.n_nodes, -(-self.size // 8)), dtype=np.uint8)
         parent = np.array(self.parent)
         cols = np.arange(self.size)
         nodes = np.array(self.leaves)
         while len(nodes):
-            yield nodes, cols
+            # leaves of one byte may meet at a node: OR their bits in
+            np.bitwise_or.at(bits, (nodes, cols >> 3), (0x80 >> (cols & 7)).astype(np.uint8))
             up = parent[nodes]
             keep = up != -1
             nodes, cols = up[keep], cols[keep]
-
-    @cached_property
-    def ball_bool(self) -> np.ndarray:
-        """(nodes, L) matrix: is the leaf at carrier index i below node v."""
-        mat = np.zeros((self.n_nodes, self.size), dtype=bool)
-        for nodes, cols in self._leaf_walk():
-            mat[nodes, cols] = True
-        return mat
-
-    @cached_property
-    def ball_bits(self) -> np.ndarray:
-        """(nodes, ceil(L/8)) uint8 matrix: ball_bool's rows packed big-endian,
-        as np.packbits(axis=1) packs them, built from the same walk."""
-        bits = np.zeros((self.n_nodes, -(-self.size // 8)), dtype=np.uint8)
-        for nodes, cols in self._leaf_walk():
-            # leaves of one byte may meet at a node: OR their bits in
-            np.bitwise_or.at(bits, (nodes, cols >> 3), (0x80 >> (cols & 7)).astype(np.uint8))
         return bits
 
     @cached_property
@@ -138,29 +133,22 @@ class UltrametricModel:
         No counting path reads it (they call lca_of); the benchmark's model
         views timing still builds it."""
         mat = np.full((self.size, self.size), self.root, dtype=np.int32)
-        for node in self._topo_order:
-            if node == self.root:
-                continue
-            idx = np.flatnonzero(self.ball_bool[node])
+        # parents before children, so the deepest common node is written last
+        for node in np.argsort(self.depth, kind="stable")[1:].tolist():
+            idx = self.by_rank[self.lo[node] : self.hi[node]]
             mat[np.ix_(idx, idx)] = node
         return mat
-
-    @cached_property
-    def depth_array(self) -> np.ndarray:
-        """depth as an array indexed by node id."""
-        return np.array(self.depth)
 
     @cached_property
     def ancestor_by_depth(self) -> np.ndarray:
         """(L, height + 1) matrix: per carrier index, its leaf's ancestor at
         each depth, and the leaf itself at every depth below the leaf's own."""
         parent = np.array(self.parent)
-        depth = self.depth_array
         leaves = np.array(self.leaves)
-        table = np.repeat(leaves[:, None], depth.max() + 1, axis=1).astype(np.int32)
+        table = np.repeat(leaves[:, None], self.depth.max() + 1, axis=1).astype(np.int32)
         rows, nodes = np.arange(self.size), leaves
         while len(nodes):
-            table[rows, depth[nodes]] = nodes
+            table[rows, self.depth[nodes]] = nodes
             up = parent[nodes]
             keep = up != -1
             rows, nodes = rows[keep], up[keep]
@@ -182,18 +170,11 @@ class UltrametricModel:
         """Per carrier index, the node id k levels above its leaf, clamped at
         the root: its ancestor_by_depth entry at the leaf's depth minus k."""
         if k not in self._anc_arrays:
-            depth = self.depth_array[list(self.leaves)]
+            depth = self.depth[list(self.leaves)]
             self._anc_arrays[k] = self.ancestor_by_depth[
                 np.arange(self.size), np.maximum(depth - k, 0)
             ]
         return self._anc_arrays[k]
-
-    def above(self, u: np.ndarray, v: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per entry, is node u node v or an ancestor of it, so that
-        ball(v) is a subset of ball(u); y is the carrier index of a leaf below
-        v, whose ancestor_by_depth row holds v's ancestors."""
-        d = self.depth_array[u]
-        return (d <= self.depth_array[v]) & (self.ancestor_by_depth[y, d] == u)
 
     def distinct_nodes(self, ids: np.ndarray) -> np.ndarray:
         """The distinct node ids among ids, ascending, as np.unique gives
@@ -201,23 +182,22 @@ class UltrametricModel:
         process: 14.5 ms of a growth command on a shared 2-core VM."""
         return np.flatnonzero(np.bincount(ids, minlength=self.n_nodes))
 
-    def ball_profiles(self, k: int, xs: np.ndarray) -> np.ndarray:
-        """(u, ceil(m/8)) packed rows, u <= L: per distinct node k levels
-        above some leaf, which of the m parameters xs lie in its ball."""
-        nodes = self.distinct_nodes(self.ancestor_array(k))
-        return np.packbits(self.ball_bool[nodes].take(xs, axis=1), axis=1)
-
     # ball membership.  x, y0 and y1 are int arrays of carrier indices that
     # broadcast together: a (T,) object column against a (k, 1) parameter
     # block gives a (k, T) matrix, one row per member of the block.
 
+    def in_ball(self, x, v):
+        """x is in ball(v), v an int array of node ids."""
+        r = self.rank[x]
+        return (self.lo[v] <= r) & (r < self.hi[v])
+
     def in_lca_ball(self, x, y0, y1):
         """x is in the ball at lca(y0, y1)."""
-        return self.ball_bool[self.lca_of(y0, y1), x]
+        return self.in_ball(x, self.lca_of(y0, y1))
 
     def in_ball_above(self, x, y, k: int):
         """x is in the ball k levels above y, clamped at the root."""
-        return self.ball_bool[self.ancestor_array(k)[y], x]
+        return self.in_ball(x, self.ancestor_array(k)[y])
 
 
 @dataclass(frozen=True)
@@ -325,21 +305,20 @@ def random_ultrametric(leaf_count: int, max_branching: int, seed: int) -> Ultram
 def ball_family(model: UltrametricModel) -> DirectedFamily:
     """The family {ball(v) : v a tree node}, indexed by node id; directed by
     construction, so it is not scanned for crossings (check_directed does
-    that).  The sets are read off the rows of ball_bool at once."""
-    nodes, leaves = np.nonzero(model.ball_bool)
-    flat = leaves.tolist()
-    ends = np.cumsum(np.bincount(nodes, minlength=model.n_nodes)).tolist()
-    sets = tuple(frozenset(flat[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    that).  Each set is a slice of the carrier indices in rank order."""
+    flat = model.by_rank.tolist()
+    sets = tuple(frozenset(flat[a:b]) for a, b in zip(model.lo.tolist(), model.hi.tolist()))
     return DirectedFamily(SetFamily(Universe(model.size), sets), checked=True)
 
 
 def order_family(model: OrderModel, include_empty: bool = False) -> DirectedFamily:
-    """Proper initial segments {x : x < c}, indexed by cut point."""
+    """Proper initial segments {x : x < c}, indexed by cut point; nested by
+    construction, so not scanned for crossings."""
     cuts = range(0 if include_empty else 1, model.size)
     fam = SetFamily(
         Universe(model.size), tuple(frozenset(range(c)) for c in cuts)
     )
-    return DirectedFamily(fam)
+    return DirectedFamily(fam, checked=True)
 
 
 # --- formula corpus ---------------------------------------------------------
@@ -357,19 +336,18 @@ class CorpusFormula:
     arities a growth run may read it at.
 
     At object arity 2 an entry declares one of two factorings through the
-    parameter column xs (m carrier indices):
+    parameter column xs (m carrier indices), both over xs sorted by leaf
+    rank (by value for pair-equality): that permutes the columns of every
+    sign row, which keeps their count.
 
-    `profiles(model, xs)`, declared by the union kinds phi = x in S(y0) or
-    x in S(y1): a packed (u, ceil(m/8)) uint8 matrix, u <= L, whose rows,
-    possibly repeated, are exactly the profiles xs ∩ S(y) of the carrier
-    elements y.  The sign rows over xs that object pairs realize are exactly
-    the unions of two profiles.  The entry promises that the profiles form a
-    laminar family (any two nested or disjoint), so that
-    setsystem.laminar_union_count counts the unions without building them.
-    It holds because the sets S(y) form one: the S(y) = ball_k(y) of
-    twin-ball-k are balls of one tree, which nest or are disjoint, the
-    S(y) = {y} of pair-equality are singletons, and intersecting every set
-    with xs keeps each pair nested or disjoint.
+    `ranges(model, xs)`, declared by the union kinds phi = x in S(y0) or
+    x in S(y1): int arrays (a, b) such that the profiles xs ∩ S(y) of the
+    carrier elements y, possibly repeated, are exactly the sorted positions
+    a[i] <= j < b[i].  The sign rows that object pairs realize are exactly
+    the unions of two profiles.  The S(y) = ball_k(y) of twin-ball-k are
+    rank ranges of one tree, and the S(y) = {y} of pair-equality are
+    points, so any two nest or are disjoint: the profiles form a laminar
+    family, whose unions setsystem.laminar_union_count counts.
 
     `rows(model, xs, afford)`, declared by the other kinds: a packed
     (R, ceil(m/8)) uint8 matrix whose rows, possibly repeated, are exactly
@@ -392,7 +370,7 @@ class CorpusFormula:
     arities: tuple[int, ...]
     pred: Callable
     rows: Optional[Callable] = None
-    profiles: Optional[Callable] = None
+    ranges: Optional[Callable] = None
     sets: Optional[Callable] = None
 
 
@@ -414,17 +392,38 @@ def _twin_ball_sets(k: int, M: UltrametricModel, y0: np.ndarray, y1: np.ndarray)
     # ball(a) | ball(b) is the larger ball when the two nest, else it is keyed
     # by the unordered pair {a, b}
     a, b = M.ancestor_array(k)[y0], M.ancestor_array(k)[y1]
-    a_top, b_top = M.above(a, b, y1), M.above(b, a, y0)
+    a_top = (M.lo[a] <= M.lo[b]) & (M.hi[b] <= M.hi[a])
+    b_top = (M.lo[b] <= M.lo[a]) & (M.hi[a] <= M.hi[b])
     u = np.where(a_top, a, np.where(b_top, b, np.minimum(a, b)))
     v = np.where(a_top | b_top, M.n_nodes, np.maximum(a, b))
     return _ball_pairs(M, u, v, np.bitwise_or)
+
+
+def _ball_ranges(M: UltrametricModel, nodes: np.ndarray, xs: np.ndarray) -> tuple:
+    """Per node, the positions [a, b) in sorted(rank[xs]) of its ball."""
+    r = np.sort(M.rank[xs])
+    return np.searchsorted(r, M.lo[nodes]), np.searchsorted(r, M.hi[nodes])
+
+
+def _point_ranges(M: CarrierModel, xs: np.ndarray) -> tuple:
+    """Per carrier element y, the positions [a, b) in sorted(xs) of y."""
+    s, y = np.sort(xs), np.arange(M.size)
+    return np.searchsorted(s, y), np.searchsorted(s, y, side="right")
+
+
+def _range_rows(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """(len(a), ceil(m/8)) packed rows, as np.packbits packs them, whose
+    bits a[i] <= j < b[i] are set (a <= b): the bits before b[i] xor the
+    bits before a[i], gathered from the m + 1 packed rows of bits before c."""
+    before = np.packbits(np.tri(m + 1, m, -1, dtype=bool), axis=1)
+    return before[a] ^ before[b]
 
 
 def _twin_ball(k: int) -> CorpusFormula:
     return CorpusFormula(
         f"twin-ball-{k}", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_ball_above(x, y0, k) | M.in_ball_above(x, y1, k),
-        profiles=lambda M, xs: M.ball_profiles(k, xs),
+        ranges=lambda M, xs: _ball_ranges(M, M.ancestor_array(k), xs),
         sets=lambda M, y0, y1: _twin_ball_sets(k, M, y0, y1),
     )
 
@@ -432,24 +431,27 @@ def _twin_ball(k: int) -> CorpusFormula:
 def _lca_ball_rows(M: UltrametricModel, xs: np.ndarray, afford: Callable) -> np.ndarray:
     nodes = M.non_unary
     afford(len(nodes))
-    return np.packbits(M.ball_bool[nodes].take(xs, axis=1), axis=1)
+    return _range_rows(*_ball_ranges(M, nodes, xs), len(xs))
 
 
 def _boolean_mix_rows(M: UltrametricModel, xs: np.ndarray, afford: Callable) -> np.ndarray:
-    pos, neg = distinct_rows(M.ball_profiles(2, xs)), distinct_rows(M.ball_profiles(1, xs))
-    afford(len(pos) * len(neg))
-    # packbits pads with 0 bits, so a & ~b keeps the padding 0
+    pos = distinct_ranges(*_ball_ranges(M, M.ancestor_array(2), xs))
+    neg = distinct_ranges(*_ball_ranges(M, M.ancestor_array(1), xs))
+    afford(len(pos[0]) * len(neg[0]))
+    pos, neg = _range_rows(*pos, len(xs)), _range_rows(*neg, len(xs))
+    # the padding bits are 0, and a & ~b keeps them 0
     return (pos[:, None] & ~neg[None]).reshape(-1, pos.shape[1])
 
 
 def _boolean_mix_sets(M: UltrametricModel, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
-    # ball(p) minus ball(n), keyed (p, n) when n lies below p, p alone when
-    # the balls are disjoint, and (root, root), the empty set, when p is n or
-    # lies below it
+    # ball(p) minus ball(n), keyed (p, n) when ball(n) lies inside ball(p),
+    # p alone when the balls are disjoint, and (root, root), the empty set,
+    # when ball(p) lies inside ball(n)
     p, n = M.ancestor_array(2)[y0], M.ancestor_array(1)[y1]
-    empty = M.above(n, p, y0)
+    empty = (M.lo[n] <= M.lo[p]) & (M.hi[p] <= M.hi[n])
+    cut = (M.lo[p] <= M.lo[n]) & (M.hi[n] <= M.hi[p])
     u = np.where(empty, M.root, p)
-    v = np.where(empty, M.root, np.where(M.above(p, n, y1), n, M.n_nodes))
+    v = np.where(empty, M.root, np.where(cut, n, M.n_nodes))
     # the padding bits of ~ are 1, and & with a ball row clears them
     return _ball_pairs(M, u, v, lambda pos, neg: pos & ~neg)
 
@@ -480,7 +482,7 @@ CORPUS = {
     "pair-equality": CorpusFormula(
         "pair-equality", (UltrametricModel, OrderModel), (2,),
         lambda M, x, y0, y1: (x == y0) | (x == y1),
-        profiles=lambda M, xs: np.packbits(np.arange(M.size)[:, None] == xs, axis=1),
+        ranges=_point_ranges,
     ),
 }
 

@@ -302,47 +302,42 @@ def distinct_rows(packed: np.ndarray) -> np.ndarray:
     return packed[order[keep]]
 
 
-def laminar_union_count(packed: np.ndarray) -> int:
-    """The number of distinct rows a | b over the ordered pairs (a, b) of
-    rows of a 2-D uint8 matrix of packed bit rows, a = b included.
+def distinct_ranges(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sets among the int ranges [a[i], b[i]), as two int64
+    arrays: every empty range (a >= b) is the empty set, given once as
+    (0, 0), and the rest are sorted by (a, b).  Ranges are deduped as keys
+    a * w + b, w past every b, with a sort and a diff: np.unique would
+    import numpy.ma on its first call in a process."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    w = int(b.max(initial=0)) + 1
+    keys = np.sort(np.where(a < b, a * w + b, 0))
+    return np.divmod(keys[np.diff(keys, prepend=-1) != 0], w)
 
-    Precondition: the rows are those distinct_rows returns, distinct and in
-    lexicographic order, and read as sets of bit positions they form a
-    laminar family T: any two rows are nested or disjoint.
 
-    Every member is a union (a | a), a nested pair gives its larger member,
+def laminar_union_count(a, b) -> tuple[int, int]:
+    """(u, d) for a laminar family T of int ranges [a[i], b[i]) (any two
+    nested or disjoint; empty and repeated ranges allowed): u distinct
+    unions A | B over ordered pairs of members, A = B included, and d = |T|.
+
+    Every member is a union (A | A), a nested pair gives its larger member,
     and two different disjoint pairs of non-empty members never give the
     same union.  A disjoint union is itself a member U exactly when U has two
-    children (maximal proper subsets in T) and they partition U.  So the
-    count is |T| + (disjoint pairs of non-empty members) - (members split
-    exactly by two children).  A strict superset comes after its subset in
-    lexicographic order, and any later member that holds a member's least
-    element is a strict superset of it.  So one (d, d) bool matrix over the
-    d non-empty members gives the nested pairs and each member's parent, its
-    first strict superset."""
-    rows = packed[packed.any(axis=1)]  # the empty member nests in every member
-    d = len(rows)
-    if d == 0:
-        return len(packed)
-    bits = np.unpackbits(rows, axis=1).view(bool)
-    # supersets[i, j]: member j holds member i's least element and comes
-    # after i; the order is masked in at most _BLOCK_BYTES per row block
-    supersets = bits.T[bits.argmax(axis=1)]
-    pos = np.arange(d)
-    step = max(1, _BLOCK_BYTES // d)
-    for lo in range(0, d, step):
-        supersets[lo : lo + step] &= pos > pos[lo : lo + step, None]
-    # member 0 comes first, so it is nobody's parent: argmax gives 0 to the
-    # members with no superset
-    parent = supersets.argmax(axis=1)
-    has_parent = parent > 0
-    parent = parent[has_parent]
-    sizes = np.count_nonzero(bits, axis=1)
-    children = np.bincount(parent, minlength=d)
-    covered = np.bincount(parent, weights=sizes[has_parent], minlength=d)
-    split = np.count_nonzero((children == 2) & (covered == sizes))
-    disjoint = d * (d - 1) // 2 - np.count_nonzero(supersets)
-    return int(len(packed) + disjoint - split)
+    children (maximal proper subsets in T) and they partition U.  So
+    u = |T| + (disjoint pairs of non-empty members) - (members split
+    exactly by two children).  With the non-empty members sorted by (a, b),
+    each is disjoint from the members that end by its start, and [a, c) is
+    split exactly by [a, b) and [b, c), [a, b) then the member before it."""
+    a, b = distinct_ranges(a, b)
+    d = len(a)
+    a, b = a[a < b], b[a < b]
+    disjoint = int(np.searchsorted(np.sort(b), a, side="right").sum())
+    w = int(b.max(initial=0)) + 1
+    keys = a * w + b  # ascending
+    left = np.flatnonzero(a[1:] == a[:-1])
+    rest = b[left] * w + b[left + 1]
+    at = np.minimum(np.searchsorted(keys, rest), len(keys) - 1)
+    split = int(np.count_nonzero(keys[at] == rest))
+    return d + disjoint - split, d
 
 
 # the three masked delta swaps (shift, mask) of Hacker's Delight's transpose8

@@ -20,7 +20,11 @@ class Tree:
 
     def chain(self, x):
         """Node ids from the leaf at carrier index x up to the root."""
-        out = [self.leaves[x]]
+        return self.chain_from(self.leaves[x])
+
+    def chain_from(self, v):
+        """Node ids from node v up to the root."""
+        out = [v]
         while self.parent[out[-1]] != -1:
             out.append(self.parent[out[-1]])
         return out

@@ -149,6 +149,21 @@ def unpacked(packed, m):
     return sorted(bytes(row) for row in np.unpackbits(packed, axis=1)[:, :m])
 
 
+def packed_ranges(a, b, m):
+    """Packed rows with the bits a[i] <= j < b[i] set, one bit per position."""
+    rows = np.zeros((len(a), m), dtype=bool)
+    for i, (lo, hi) in enumerate(zip(a, b)):
+        rows[i, lo:hi] = True
+    return np.packbits(rows, axis=1)
+
+
+def sorted_column(kind, model, xs):
+    """xs in the order an arity-2 entry lays its parameters out: by leaf
+    rank on a tree, by value for pair-equality."""
+    key = np.asarray(xs) if kind == "pair-equality" else model.rank[xs]
+    return np.asarray(xs)[np.argsort(key, kind="stable")]
+
+
 def pair_unions(profiles):
     """a | b over every ordered pair (a, b) of distinct packed profile rows,
     a = b included: the rows of x in S(y0) or x in S(y1)."""
@@ -166,10 +181,11 @@ def is_laminar(packed):
 
 
 def arity_2_rows(spec, model, xs):
-    """The distinct sign rows the corpus entry gives over the column xs: the
-    unions of two profiles, or its candidate rows."""
-    if spec.profiles is not None:
-        profiles = spec.profiles(model, xs)
+    """The distinct sign rows the corpus entry gives over the column xs, in
+    its sorted order: the unions of two profile ranges, or its candidate
+    rows."""
+    if spec.ranges is not None:
+        profiles = packed_ranges(*spec.ranges(model, xs), len(xs))
         assert is_laminar(profiles)
         return distinct_rows(pair_unions(profiles))
     return distinct_rows(spec.rows(model, xs, lambda r: None))
@@ -188,17 +204,18 @@ def test_factored_rows_match_oracle(seed):
         for kind, spec in CORPUS.items():
             if not isinstance(model, spec.carriers):
                 continue
-            assert (spec.profiles is None) != (spec.rows is None), kind
+            assert (spec.ranges is None) != (spec.rows is None), kind
             for xs in columns:
                 got = arity_2_rows(spec, model, np.array(xs))
-                want = corpus_rows([kind], 2, [(x,) for x in xs], model)
+                column = sorted_column(kind, model, xs)
+                want = corpus_rows([kind], 2, [(x,) for x in column.tolist()], model)
                 assert unpacked(got, len(xs)) == want, (kind, model, xs)
-                if spec.profiles is not None:
-                    profiles = distinct_rows(spec.profiles(model, np.array(xs)))
-                    assert laminar_union_count(profiles) == len(want), (kind, model, xs)
+                if spec.ranges is not None:
+                    unions, _ = laminar_union_count(*spec.ranges(model, np.array(xs)))
+                    assert unions == len(want), (kind, model, xs)
 
 
-UNION_KINDS = [kind for kind, spec in CORPUS.items() if spec.profiles is not None]
+UNION_KINDS = [kind for kind, spec in CORPUS.items() if spec.ranges is not None]
 
 
 def union_count_models(seed):
@@ -214,10 +231,7 @@ def union_count_models(seed):
 
 @pytest.mark.parametrize("duplicates", [False, True])
 @pytest.mark.parametrize("seed", range(3))
-def test_laminar_union_count_matches_pair_unions(seed, duplicates, monkeypatch):
-    # seed 0 masks the containment matrix a few rows at a time
-    if seed == 0:
-        monkeypatch.setattr(setsystem, "_BLOCK_BYTES", 256)
+def test_laminar_union_count_matches_pair_unions(seed, duplicates):
     rng = Random(f"{seed}/{duplicates}")
     for model in union_count_models(seed):
         for m in (2, 8, 64, 256):
@@ -227,14 +241,50 @@ def test_laminar_union_count_matches_pair_unions(seed, duplicates, monkeypatch):
                 xs = rng.sample(range(model.size), min(m, model.size))
             for kind in UNION_KINDS:
                 if isinstance(model, CORPUS[kind].carriers):
-                    profiles = CORPUS[kind].profiles(model, np.array(xs))
-                    got = laminar_union_count(distinct_rows(profiles))
-                    assert got == union_count_oracle(profiles), (kind, model.label, xs)
+                    a, b = CORPUS[kind].ranges(model, np.array(xs))
+                    profiles = packed_ranges(a, b, len(xs))
+                    got = laminar_union_count(a, b)
+                    want = (union_count_oracle(profiles), len(distinct_rows(profiles)))
+                    assert got == want, (kind, model.label, xs)
+
+
+def random_laminar_ranges(rng, lo, hi, out):
+    """Appends to `out` a random laminar family of ranges inside [lo, hi):
+    maybe [lo, hi) itself, then, for most parts of a random cut of it into
+    two to four parts, such a family inside the part."""
+    if rng.random() < 0.7:
+        out.append((lo, hi))
+    if hi - lo < 2:
+        return
+    cuts = sorted(rng.sample(range(lo + 1, hi), rng.randint(1, min(3, hi - lo - 1))))
+    for a, b in zip([lo] + cuts, cuts + [hi]):
+        if rng.random() < 0.8:
+            random_laminar_ranges(rng, a, b, out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_laminar_union_count_on_random_range_families(seed):
+    # families with repeated ranges and empty ranges (a, a) anywhere,
+    # shuffled, against the pairwise unions of their packed rows
+    rng = Random(seed)
+    for _ in range(60):
+        m = rng.randint(1, 40)
+        ranges = []
+        random_laminar_ranges(rng, 0, m, ranges)
+        ranges += rng.choices(ranges, k=rng.randint(0, 5)) if ranges else []
+        ranges += [(a, a) for a in rng.choices(range(m + 1), k=rng.randint(0, 3))]
+        rng.shuffle(ranges)
+        a, b = (np.array(c, dtype=np.int64) for c in zip(*ranges)) if ranges else ([], [])
+        profiles = packed_ranges(a, b, m)
+        assert is_laminar(profiles)
+        want = (union_count_oracle(profiles), len(distinct_rows(profiles)))
+        assert laminar_union_count(a, b) == want, ranges
 
 
 def growth_rows_match_oracle(config, model):
     report = run_growth(config)
-    assert report.complete and report.engine == "factored"
+    engine = "ranges" if config.formula_kind in UNION_KINDS else "rows"
+    assert report.complete and report.engine == engine
     for row in report.rows:
         params = _sample_params(
             Random(f"{config.seed}/{row.m}/{row.trial}"), model.size, 1, row.m, model.size,
@@ -265,10 +315,10 @@ def test_factored_growth_on_model_files_matches_oracle(duplicates, tmp_path):
 
 def arity_2_cell_work(kind, model, xs):
     """What an arity-2 cell over the column xs may spend: L * m profile bits
-    plus d^2 profile pairs for a union kind, R * m candidate bits otherwise."""
+    for a union kind, R * m candidate bits otherwise."""
     spec, m = CORPUS[kind], len(xs)
-    if spec.profiles is not None:
-        return model.size * m + len(distinct_rows(spec.profiles(model, xs)))**2
+    if spec.ranges is not None:
+        return model.size * m
     rows = []
     spec.rows(model, xs, rows.append)
     return rows[0] * m
@@ -307,19 +357,19 @@ def assert_cap_reported(out, tail):
 
 
 def test_arity_2_cap_names_the_cell_work_before_the_matrix_it_bounds(monkeypatch):
-    # one short of a cell's work: a union cell never starts the count, which
-    # builds the containment matrix, and the message names what was counted
+    # one short of a cell's work: a union cell never starts the count, and
+    # the message names what was counted
     model = random_ultrametric(64, 3, 2)
     xs = np.arange(0, 64, 2)
 
-    def no_count(packed):
-        raise AssertionError("the containment matrix was built")
+    def no_count(a, b):
+        raise AssertionError("the union count ran")
 
     monkeypatch.setattr(harness, "laminar_union_count", no_count)
     for kind, spec in CORPUS.items():
         work = arity_2_cell_work(kind, model, xs)
         config = ExperimentConfig(kind, 2, (2, 4, 8), cap=work - 1)
-        what = "profile pairs" if spec.profiles is not None else "candidate rows"
+        what = "elements" if spec.ranges is not None else "candidate rows"
         with pytest.raises(ResourceCapError, match=f"{what}.* = {work} exceeds cap {work - 1}$"):
             harness._factored_count(config, model, xs[:, None])
 
@@ -328,14 +378,16 @@ def test_lca_ball_rows_are_the_distinct_balls_only():
     # a unary node's ball is its child's: the candidate rows are the balls of
     # the leaves and branching nodes, each once, and at most 2L - 1 of them
     rng = Random(11)
-    spec = CORPUS["lca-ball"]
+    kind = "lca-ball"
+    spec = CORPUS[kind]
     for _ in range(6):
         base = random_ultrametric(rng.randint(2, 40), 4, rng.randrange(1 << 20))
         model = with_unary_nodes(base, rng, rng.randint(0, 30))
         xs = np.arange(model.size)
         afforded = []
         rows = spec.rows(model, xs, afforded.append)
-        every_ball = np.packbits(model.ball_bool, axis=1)
+        # the rows lay the parameters out by leaf rank
+        every_ball = np.packbits(model.ball_bool[:, sorted_column(kind, model, xs)], axis=1)
         assert afforded == [len(rows)] and len(rows) <= 2 * model.size - 1
         assert len(distinct_rows(rows)) == len(rows)
         assert (distinct_rows(rows) == distinct_rows(every_ball)).all()
@@ -421,7 +473,7 @@ def test_factored_arity_1_growth_on_model_files_matches_oracle(duplicates, block
 
 def arity_1_rows_match_oracle(config, model):
     report = run_growth(config)
-    assert report.complete and report.engine == "factored"
+    assert report.complete and report.engine == "sets"
     for row in report.rows:
         params = _sample_params(
             Random(f"{config.seed}/{row.m}/{row.trial}"), model.size**2, 2, row.m,
@@ -503,35 +555,32 @@ def test_distinct_rows_match_numpy_unique():
         assert (got == want).all(), packed.shape
 
 
-def packed_sets(sets, width=2):
-    rows = np.zeros((len(sets), 8 * width), dtype=bool)
-    for i, members in enumerate(sets):
-        rows[i, list(members)] = True
-    return np.packbits(rows, axis=1)
-
-
 @pytest.mark.parametrize("sets,unions", [
-    # {3, 9} split exactly by its two children: the disjoint pair adds nothing
-    ([{3, 9}, {3}, {9}], 3),
+    # each set a range [a, b) of positions
+    # [0, 2) split exactly by its two children: the disjoint pair adds nothing
+    ([(0, 2), (0, 1), (1, 2)], 3),
     # three children: three new pairwise unions
-    ([{3, 9, 14}, {3}, {9}, {14}], 7),
-    # two children that miss an element of their parent, and a chain:
+    ([(0, 3), (0, 1), (1, 2), (2, 3)], 7),
+    # two children that miss a position of their parent, and a chain:
     # 6 members and 10 disjoint pairs
-    ([{0, 3, 9}, {3}, {9}, {12}, {12, 13}, {12, 13, 15}], 16),
-    # the empty row present, and absent
-    ([set(), {3}, {9}], 4),
-    ([{3}, {9}], 3),
-    # one row
-    ([{3, 14}], 1),
-    ([set()], 1),
-    # every row equal
-    ([{0, 9}] * 4, 1),
-    ([set()] * 3, 1),
+    ([(0, 3), (1, 2), (2, 3), (3, 4), (3, 5), (3, 6)], 16),
+    # the empty range present, and absent
+    ([(0, 0), (3, 4), (9, 10)], 4),
+    ([(3, 4), (9, 10)], 3),
+    # one range
+    ([(3, 5)], 1),
+    ([(2, 2)], 1),
+    # every range equal; every range empty, at several positions
+    ([(0, 9)] * 4, 1),
+    ([(0, 0), (4, 4), (7, 7)], 1),
+    # empty ranges at several positions among non-empty ones
+    ([(3, 4), (5, 5), (9, 10), (0, 0), (10, 10)], 4),
 ])
 def test_laminar_union_count_on_hand_built_families(sets, unions):
-    packed = packed_sets(sets)
-    assert union_count_oracle(packed) == unions
-    assert laminar_union_count(distinct_rows(packed)) == unions
+    a, b = (np.array(c) for c in zip(*sets))
+    profiles = packed_ranges(a, b, 10)
+    assert union_count_oracle(profiles) == unions
+    assert laminar_union_count(a, b) == (unions, len(distinct_rows(profiles)))
 
 
 # --- parameter blocks ----------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 from random import Random
 
 import numpy as np
@@ -26,6 +27,8 @@ from laminarvc import (
     virtual_type_space,
 )
 from laminarvc import forest as forest_module
+from laminarvc import save_model
+from laminarvc.cli import main
 from laminarvc.forest import TypeTree, first_crossing
 from laminarvc.models import OrderModel, ball_family, growth_formula, random_ultrametric
 from laminarvc.verify import verify_directed_linear_bound
@@ -60,7 +63,7 @@ def test_check_directed_disjoint_chain_crossing():
     assert got == CrossingPair(0, 1)
 
 
-def test_directed_families_are_scanned_once(monkeypatch):
+def test_directed_families_are_scanned_once(monkeypatch, tmp_path, capsys):
     scans = []
 
     def counting(family):
@@ -77,6 +80,15 @@ def test_directed_families_are_scanned_once(monkeypatch):
     # instance family once, in build_forest
     report = verify_directed_linear_bound(seed=3, trials=6)
     assert report.failures == 0 and len(scans) == 2 * 6
+    # check-directed scans its family once: initial segments and balls are
+    # directed by construction, so building them scans nothing
+    for model in (OrderModel(40, seed=1), random_ultrametric(30, 3, 2)):
+        scans.clear()
+        path = tmp_path / f"{model.label}.model.json"
+        save_model(model, path)
+        assert main(["check-directed", "--model", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["directed"] is True
+        assert len(scans) == 1, model.label
 
 
 def test_directed_family_rejects_crossing():

@@ -318,12 +318,14 @@ def test_report_json_round_trip():
 def test_report_json_carries_cell_cost_and_quotient():
     # arity 1: cells dedupe their m parameters' sets
     doc = run_growth(small_config()).to_json()
-    assert doc["engine"] == "factored" and "quotient" not in doc
+    assert doc["engine"] == "sets" and "quotient" not in doc
     assert [r["tuples_refined"] for r in doc["rows"]] == [4, 4, 8, 8, 16, 16]
-    # arity 2: cells dedupe the corpus entry's candidate rows
+    # arity 2: a union kind counts the d^2 pairs of its d profile ranges,
+    # the other kinds dedupe candidate rows
     report = run_growth(small_config(formula_kind="twin-ball-1", arity=2, sizes=(2, 4, 8)))
     doc = report.to_json()
-    assert doc["engine"] == "factored"
+    assert doc["engine"] == "ranges"
+    assert run_growth(small_config(formula_kind="lca-ball", arity=2)).engine == "rows"
     assert all(r["type_count"] <= r["tuples_refined"] <= 16**2 for r in doc["rows"])
     assert csv_text(report).splitlines()[0] == ",".join(CSV_HEADER)
     assert all(len(line.split(",")) == len(CSV_HEADER) for line in csv_text(report).splitlines())
@@ -446,7 +448,8 @@ def test_cli_growth_caps_ultrametric_leaves_before_building_views(monkeypatch, t
     def no_views(self):
         raise AssertionError("a model view was built")
 
-    monkeypatch.setattr(UltrametricModel, "ball_bool", property(no_views))
+    for view in ("ball_bool", "ball_bits", "ancestor_by_depth"):
+        monkeypatch.setattr(UltrametricModel, view, property(no_views))
     argv = ["growth", "--formula", "lca-ball", "--arity", "1", "--sizes", "8,16,3000"]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -261,6 +261,73 @@ def test_ball_bool_matches_ancestor_walk():
         assert model.ball_bool.tolist() == want
 
 
+def shuffled_ids(model, rng):
+    """The model's tree with its node ids permuted at random: the root and
+    the leaves land anywhere, and the carrier follows the new leaf ids."""
+    perm = list(range(model.n_nodes))
+    rng.shuffle(perm)
+    parent = [0] * model.n_nodes
+    for v, p in enumerate(model.parent):
+        parent[perm[v]] = -1 if p == -1 else perm[p]
+    return UltrametricModel(tuple(parent), seed=model.seed)
+
+
+def interval_models(seed):
+    """Random trees with shuffled node ids, with unary nodes, and both."""
+    rng = Random(seed)
+    for _ in range(15):
+        base = random_ultrametric(rng.randint(2, 30), rng.randint(2, 4), rng.randrange(1 << 20))
+        unary = with_unary_nodes(base, rng, rng.randint(1, 10))
+        yield from (shuffled_ids(base, rng), unary, shuffled_ids(unary, rng))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_ball_intervals_match_tree_walk(seed):
+    # every (node, x): x in ball(v) read off the rank interval [lo, hi)
+    # equals the parent-array walk, and so do the views of one DFS pass and
+    # the lca matrix built from the intervals
+    moved = 0
+    for model in interval_models(seed):
+        tree = Tree(model)
+        n, size = model.n_nodes, model.size
+        want = [[tree.in_ball(x, v) for x in range(size)] for v in range(n)]
+        assert model.in_ball(np.arange(size), np.arange(n)[:, None]).tolist() == want
+        balls = [frozenset(x for x in range(size) if tree.in_ball(x, v)) for v in range(n)]
+        assert [model.ball(v) for v in range(n)] == balls
+        assert ball_family(model).sets == tuple(balls)
+        for v, ball in enumerate(balls):
+            assert sorted(model.rank[sorted(ball)].tolist()) == list(
+                range(model.lo[v], model.hi[v])
+            )
+        assert sorted(model.rank.tolist()) == list(range(size))
+        assert (model.by_rank[model.rank] == np.arange(size)).all()
+        assert model.leaves == tuple(tree.leaves)
+        assert model.root == model.parent.index(-1)
+        assert model.depth.tolist() == [len(tree.chain_from(v)) - 1 for v in range(n)]
+        assert model.children == tuple(
+            tuple(c for c in range(n) if model.parent[c] == v) for v in range(n)
+        )
+        lcas = [[tree.lca(x, y) for y in range(size)] for x in range(size)]
+        assert model.lca_node_matrix.tolist() == lcas
+        moved += model.rank.tolist() != list(range(size))
+    assert moved >= 10
+
+
+@pytest.mark.parametrize("parent,message", [
+    ((-1, -1, 0), "exactly one root, found 2"),
+    ((1, 0), "exactly one root, found 0"),
+    ((-1, 0, 9), r"parent\[2\] = 9 out of range"),
+    ((-1, 0, -2), r"parent\[2\] = -2 out of range"),
+    ((-1, 0, 0, 4, 3), "contains a cycle or unreachable nodes"),
+    ((-1, 0), "needs at least 2 leaves"),
+    ((-1,) + (0,) * 4097, "universe size 4097 exceeds cap 4096"),
+])
+def test_parent_array_errors_keep_their_messages(parent, message):
+    with pytest.raises(ModelFormatError if "universe" not in message else DomainError,
+                       match=message):
+        UltrametricModel(parent)
+
+
 def test_ball_bits_equal_packed_ball_bool():
     rng = Random(10)
     for _ in range(20):
