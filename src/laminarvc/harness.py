@@ -33,6 +33,7 @@ from .setsystem import (
     GrowthPoint,
     GrowthSeries,
     _decode_tuples,
+    distinct_ranges,
     distinct_rows,
     laminar_union_count,
     packed_columns,
@@ -131,8 +132,8 @@ class GrowthRow:
     type_count: int
     ms: int
     # JSON only: the rows the cell counted: its m parameter pairs at arity
-    # 1, and at arity 2 its candidate rows, or for the union kinds the d^2
-    # ordered pairs of its d distinct profiles, whose unions it counts
+    # 1; at arity 2 its R candidate rows or row ranges, or for the union
+    # kinds the d^2 pairs of its d distinct profiles, whose unions it counts
     tuples_refined: int
 
 
@@ -158,7 +159,7 @@ class GrowthReport:
         """The cells' counting path in _factored_count: sets, ranges or rows."""
         if self.config.arity == 1:
             return "sets"
-        return "rows" if CORPUS[self.config.formula_kind].ranges is None else "ranges"
+        return "ranges" if CORPUS[self.config.formula_kind].rows is None else "rows"
 
     def to_json(self) -> dict:
         return {
@@ -252,15 +253,15 @@ def _factored_count(config: ExperimentConfig, model: CarrierModel,
 
     Arity 2, union kinds: the distinct unions of two of the entry's profile
     ranges over the parameter column, counted by laminar_union_count.
-    Arity 2, other kinds: the distinct rows among the entry's R candidate
-    rows over the parameter column.  Arity 1: x's sign row is column x of
-    the parameters' sets, so the count is the number of distinct rows of
-    the (L, ceil(m'/8)) packed transpose of the m' <= m sets the entry
-    returns, each distinct set at least once.
+    Arity 2, other kinds: the distinct ones among the entry's R row ranges
+    or R candidate rows.  Arity 1: x's sign row is column x of the
+    parameters' sets, so the count is the number of distinct rows of the
+    (L, ceil(m'/8)) packed transpose of the m' <= m sets the entry returns,
+    each distinct set at least once.
 
     The cap bounds the work the cell does, each term checked before the
-    matrix it counts is built: its L * m sign or profile bits, then at
-    arity 2 the R * m bits of the candidate rows."""
+    matrix it counts is built: its L * m sign or profile bits, then for
+    boolean-mix the R * m bits of the candidate rows."""
     size, m = model.size, len(params)
 
     def afford(work: int, what: str) -> None:
@@ -276,6 +277,9 @@ def _factored_count(config: ExperimentConfig, model: CarrierModel,
     if spec.ranges is not None:
         unions, d = laminar_union_count(*spec.ranges(model, xs))
         return unions, d * d
+    if spec.row_ranges is not None:
+        a, b = spec.row_ranges(model, xs)
+        return len(distinct_ranges(a, b)[0]), len(a)
     candidates = spec.rows(
         model, xs, lambda r: afford(r * m, f"{r} candidate rows x {m} parameters")
     )

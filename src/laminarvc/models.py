@@ -186,6 +186,10 @@ class UltrametricModel:
     # broadcast together: a (T,) object column against a (k, 1) parameter
     # block gives a (k, T) matrix, one row per member of the block.
 
+    def contains(self, u, v):
+        """ball(v) lies inside ball(u), u and v int arrays of node ids."""
+        return (self.lo[u] <= self.lo[v]) & (self.hi[v] <= self.hi[u])
+
     def in_ball(self, x, v):
         """x is in ball(v), v an int array of node ids."""
         r = self.rank[x]
@@ -335,8 +339,8 @@ class CorpusFormula:
     `carriers` the model types that can evaluate it and `arities` the object
     arities a growth run may read it at.
 
-    At object arity 2 an entry declares one of two factorings through the
-    parameter column xs (m carrier indices), both over xs sorted by leaf
+    At object arity 2 an entry declares one of three factorings through the
+    parameter column xs (m carrier indices), each over xs sorted by leaf
     rank (by value for pair-equality): that permutes the columns of every
     sign row, which keeps their count.
 
@@ -349,7 +353,12 @@ class CorpusFormula:
     points, so any two nest or are disjoint: the profiles form a laminar
     family, whose unions setsystem.laminar_union_count counts.
 
-    `rows(model, xs, afford)`, declared by the other kinds: a packed
+    `row_ranges(model, xs)`, declared by lca-ball: int arrays (a, b) such
+    that the sorted positions a[i] <= j < b[i], possibly repeated, are
+    exactly the sign rows over xs that some object pair realizes.  The
+    cell counts the distinct ranges.
+
+    `rows(model, xs, afford)`, declared by boolean-mix: a packed
     (R, ceil(m/8)) uint8 matrix whose rows, possibly repeated, are exactly
     the sign rows over xs that some object pair (y0, y1) realizes.  The
     entry calls afford(R) before it builds the matrix, which raises
@@ -371,6 +380,7 @@ class CorpusFormula:
     pred: Callable
     rows: Optional[Callable] = None
     ranges: Optional[Callable] = None
+    row_ranges: Optional[Callable] = None
     sets: Optional[Callable] = None
 
 
@@ -392,8 +402,7 @@ def _twin_ball_sets(k: int, M: UltrametricModel, y0: np.ndarray, y1: np.ndarray)
     # ball(a) | ball(b) is the larger ball when the two nest, else it is keyed
     # by the unordered pair {a, b}
     a, b = M.ancestor_array(k)[y0], M.ancestor_array(k)[y1]
-    a_top = (M.lo[a] <= M.lo[b]) & (M.hi[b] <= M.hi[a])
-    b_top = (M.lo[b] <= M.lo[a]) & (M.hi[a] <= M.hi[b])
+    a_top, b_top = M.contains(a, b), M.contains(b, a)
     u = np.where(a_top, a, np.where(b_top, b, np.minimum(a, b)))
     v = np.where(a_top | b_top, M.n_nodes, np.maximum(a, b))
     return _ball_pairs(M, u, v, np.bitwise_or)
@@ -411,14 +420,6 @@ def _point_ranges(M: CarrierModel, xs: np.ndarray) -> tuple:
     return np.searchsorted(s, y), np.searchsorted(s, y, side="right")
 
 
-def _range_rows(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """(len(a), ceil(m/8)) packed rows, as np.packbits packs them, whose
-    bits a[i] <= j < b[i] are set (a <= b): the bits before b[i] xor the
-    bits before a[i], gathered from the m + 1 packed rows of bits before c."""
-    before = np.packbits(np.tri(m + 1, m, -1, dtype=bool), axis=1)
-    return before[a] ^ before[b]
-
-
 def _twin_ball(k: int) -> CorpusFormula:
     return CorpusFormula(
         f"twin-ball-{k}", (UltrametricModel,), (1, 2),
@@ -428,17 +429,13 @@ def _twin_ball(k: int) -> CorpusFormula:
     )
 
 
-def _lca_ball_rows(M: UltrametricModel, xs: np.ndarray, afford: Callable) -> np.ndarray:
-    nodes = M.non_unary
-    afford(len(nodes))
-    return _range_rows(*_ball_ranges(M, nodes, xs), len(xs))
-
-
 def _boolean_mix_rows(M: UltrametricModel, xs: np.ndarray, afford: Callable) -> np.ndarray:
     pos = distinct_ranges(*_ball_ranges(M, M.ancestor_array(2), xs))
     neg = distinct_ranges(*_ball_ranges(M, M.ancestor_array(1), xs))
     afford(len(pos[0]) * len(neg[0]))
-    pos, neg = _range_rows(*pos, len(xs)), _range_rows(*neg, len(xs))
+    # each range [a, b) as a packed row of the positions a <= j < b
+    j = np.arange(len(xs))
+    pos, neg = (np.packbits((a[:, None] <= j) & (j < b[:, None]), axis=1) for a, b in (pos, neg))
     # the padding bits are 0, and a & ~b keeps them 0
     return (pos[:, None] & ~neg[None]).reshape(-1, pos.shape[1])
 
@@ -448,8 +445,7 @@ def _boolean_mix_sets(M: UltrametricModel, y0: np.ndarray, y1: np.ndarray) -> np
     # p alone when the balls are disjoint, and (root, root), the empty set,
     # when ball(p) lies inside ball(n)
     p, n = M.ancestor_array(2)[y0], M.ancestor_array(1)[y1]
-    empty = (M.lo[n] <= M.lo[p]) & (M.hi[p] <= M.hi[n])
-    cut = (M.lo[p] <= M.lo[n]) & (M.hi[n] <= M.hi[p])
+    empty, cut = M.contains(n, p), M.contains(p, n)
     u = np.where(empty, M.root, p)
     v = np.where(empty, M.root, np.where(cut, n, M.n_nodes))
     # the padding bits of ~ are 1, and & with a ball row clears them
@@ -467,7 +463,7 @@ CORPUS = {
     "lca-ball": CorpusFormula(
         "lca-ball", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_lca_ball(x, y0, y1),
-        rows=_lca_ball_rows,
+        row_ranges=lambda M, xs: _ball_ranges(M, M.non_unary, xs),
         sets=lambda M, y0, y1: M.ball_bits[M.distinct_nodes(M.lca_of(y0, y1))],
     ),
     "twin-ball-0": _twin_ball(0),

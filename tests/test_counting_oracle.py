@@ -5,6 +5,7 @@ lexicographic order.  Both count with packed_columns and distinct_rows,
 which are checked against their unpacked NumPy equivalents."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 from random import Random
@@ -19,7 +20,9 @@ from laminarvc.harness import ExperimentConfig, _sample_params, resolve_model, r
 from laminarvc.models import (
     CORPUS, GROWTH_KINDS, OrderModel, UltrametricModel, growth_formula, random_ultrametric,
 )
-from laminarvc.setsystem import distinct_rows, laminar_union_count, packed_columns, type_space
+from laminarvc.setsystem import (
+    distinct_ranges, distinct_rows, laminar_union_count, packed_columns, type_space,
+)
 
 
 def engine_rows(space):
@@ -182,12 +185,14 @@ def is_laminar(packed):
 
 def arity_2_rows(spec, model, xs):
     """The distinct sign rows the corpus entry gives over the column xs, in
-    its sorted order: the unions of two profile ranges, or its candidate
-    rows."""
+    its sorted order: the unions of two profile ranges, its row ranges, or
+    its candidate rows."""
     if spec.ranges is not None:
         profiles = packed_ranges(*spec.ranges(model, xs), len(xs))
         assert is_laminar(profiles)
         return distinct_rows(pair_unions(profiles))
+    if spec.row_ranges is not None:
+        return distinct_rows(packed_ranges(*spec.row_ranges(model, xs), len(xs)))
     return distinct_rows(spec.rows(model, xs, lambda r: None))
 
 
@@ -204,7 +209,8 @@ def test_factored_rows_match_oracle(seed):
         for kind, spec in CORPUS.items():
             if not isinstance(model, spec.carriers):
                 continue
-            assert (spec.ranges is None) != (spec.rows is None), kind
+            factorings = (spec.ranges, spec.row_ranges, spec.rows)
+            assert sum(f is not None for f in factorings) == 1, kind
             for xs in columns:
                 got = arity_2_rows(spec, model, np.array(xs))
                 column = sorted_column(kind, model, xs)
@@ -213,6 +219,9 @@ def test_factored_rows_match_oracle(seed):
                 if spec.ranges is not None:
                     unions, _ = laminar_union_count(*spec.ranges(model, np.array(xs)))
                     assert unions == len(want), (kind, model, xs)
+                if spec.row_ranges is not None:
+                    a, _ = distinct_ranges(*spec.row_ranges(model, np.array(xs)))
+                    assert len(a) == len(want), (kind, model, xs)
 
 
 UNION_KINDS = [kind for kind, spec in CORPUS.items() if spec.ranges is not None]
@@ -283,7 +292,7 @@ def test_laminar_union_count_on_random_range_families(seed):
 
 def growth_rows_match_oracle(config, model):
     report = run_growth(config)
-    engine = "ranges" if config.formula_kind in UNION_KINDS else "rows"
+    engine = "rows" if config.formula_kind == "boolean-mix" else "ranges"
     assert report.complete and report.engine == engine
     for row in report.rows:
         params = _sample_params(
@@ -297,7 +306,8 @@ def growth_rows_match_oracle(config, model):
 @pytest.mark.parametrize("duplicates", [False, True])
 def test_factored_growth_on_model_files_matches_oracle(duplicates, tmp_path):
     # 7 leaves and sizes up to 7: the last cell's parameters are the whole
-    # carrier when drawn without duplicates
+    # carrier when drawn without duplicates; with duplicates a cell may hold
+    # more parameters than the carrier has elements
     tree = with_unary_nodes(random_ultrametric(7, 3, 4), Random(4), 5)
     star = UltrametricModel((-1,) + (0,) * 7)
     order = OrderModel(7, seed=1)
@@ -307,17 +317,38 @@ def test_factored_growth_on_model_files_matches_oracle(duplicates, tmp_path):
         for kind, spec in CORPUS.items():
             if isinstance(model, spec.carriers):
                 config = ExperimentConfig(
-                    kind, 2, (2, 5, 7), trials=3, seed=8, model_path=str(path),
+                    kind, 2, (2, 5, 7, 20) if duplicates else (2, 5, 7), trials=3, seed=8,
+                    model_path=str(path),
                     allow_duplicate_params=duplicates,
                 )
                 growth_rows_match_oracle(config, model)
 
 
+def test_row_kinds_allocate_no_m_by_m_table():
+    # m = 8000 parameters drawn with duplicates on 16 leaves: the cell holds
+    # a few rows of m positions, where an (m + 1) x m bool table is 64 MB.
+    # A repeated parameter repeats a column, so the count is the oracle's
+    # over the distinct parameters
+    model = random_ultrametric(16, 3, 1)
+    params = _sample_params(Random(0), model.size, 1, 8000, model.size, True)
+    distinct = [(x,) for x in sorted(set(params[:, 0].tolist()))]
+    for kind in ("lca-ball", "boolean-mix"):
+        config = ExperimentConfig(kind, 2, (2, 4, 8))
+        tracemalloc.start()
+        try:
+            count, _ = harness._factored_count(config, model, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == len(corpus_rows([kind], 2, distinct, model)), kind
+        assert peak < 4 << 20, (kind, peak)
+
+
 def arity_2_cell_work(kind, model, xs):
-    """What an arity-2 cell over the column xs may spend: L * m profile bits
-    for a union kind, R * m candidate bits otherwise."""
+    """What an arity-2 cell over the column xs may spend: R * m candidate
+    bits for boolean-mix, L * m profile bits otherwise."""
     spec, m = CORPUS[kind], len(xs)
-    if spec.ranges is not None:
+    if spec.rows is None:
         return model.size * m
     rows = []
     spec.rows(model, xs, rows.append)
@@ -369,13 +400,13 @@ def test_arity_2_cap_names_the_cell_work_before_the_matrix_it_bounds(monkeypatch
     for kind, spec in CORPUS.items():
         work = arity_2_cell_work(kind, model, xs)
         config = ExperimentConfig(kind, 2, (2, 4, 8), cap=work - 1)
-        what = "elements" if spec.ranges is not None else "candidate rows"
+        what = "elements" if spec.rows is None else "candidate rows"
         with pytest.raises(ResourceCapError, match=f"{what}.* = {work} exceeds cap {work - 1}$"):
             harness._factored_count(config, model, xs[:, None])
 
 
 def test_lca_ball_rows_are_the_distinct_balls_only():
-    # a unary node's ball is its child's: the candidate rows are the balls of
+    # a unary node's ball is its child's: the row ranges are the balls of
     # the leaves and branching nodes, each once, and at most 2L - 1 of them
     rng = Random(11)
     kind = "lca-ball"
@@ -384,19 +415,19 @@ def test_lca_ball_rows_are_the_distinct_balls_only():
         base = random_ultrametric(rng.randint(2, 40), 4, rng.randrange(1 << 20))
         model = with_unary_nodes(base, rng, rng.randint(0, 30))
         xs = np.arange(model.size)
-        afforded = []
-        rows = spec.rows(model, xs, afforded.append)
-        # the rows lay the parameters out by leaf rank
+        a, b = spec.row_ranges(model, xs)
+        rows = packed_ranges(a, b, len(xs))
+        # the ranges lay the parameters out by leaf rank
         every_ball = np.packbits(model.ball_bool[:, sorted_column(kind, model, xs)], axis=1)
-        assert afforded == [len(rows)] and len(rows) <= 2 * model.size - 1
-        assert len(distinct_rows(rows)) == len(rows)
+        assert len(a) <= 2 * model.size - 1
+        assert len(distinct_ranges(a, b)[0]) == len(distinct_rows(rows)) == len(a)
         assert (distinct_rows(rows) == distinct_rows(every_ball)).all()
 
 
 def test_lca_ball_on_a_unary_chain_affords_the_distinct_rows(tmp_path, capsys):
     # a root chain of three unary nodes over two leaves: 6 nodes, 3 distinct
-    # balls, so a cell of 4 parameters builds 12 candidate bits, within the
-    # L^2 * m = 16 of the cap
+    # balls, so each cell counts 3 row ranges, and a cell of 4 parameters
+    # costs its L * m = 8 profile bits, within the cap
     path = tmp_path / "chain.model.json"
     save_model(UltrametricModel((-1, 0, 1, 2, 3, 3)), path)
     argv = ["growth", "--formula", "lca-ball", "--arity", "2", "--model", str(path),

@@ -321,11 +321,12 @@ def test_report_json_carries_cell_cost_and_quotient():
     assert doc["engine"] == "sets" and "quotient" not in doc
     assert [r["tuples_refined"] for r in doc["rows"]] == [4, 4, 8, 8, 16, 16]
     # arity 2: a union kind counts the d^2 pairs of its d profile ranges,
-    # the other kinds dedupe candidate rows
+    # lca-ball dedupes row ranges and boolean-mix candidate rows
     report = run_growth(small_config(formula_kind="twin-ball-1", arity=2, sizes=(2, 4, 8)))
     doc = report.to_json()
     assert doc["engine"] == "ranges"
-    assert run_growth(small_config(formula_kind="lca-ball", arity=2)).engine == "rows"
+    assert run_growth(small_config(formula_kind="lca-ball", arity=2)).engine == "ranges"
+    assert run_growth(small_config(formula_kind="boolean-mix", arity=2)).engine == "rows"
     assert all(r["type_count"] <= r["tuples_refined"] <= 16**2 for r in doc["rows"])
     assert csv_text(report).splitlines()[0] == ",".join(CSV_HEADER)
     assert all(len(line.split(",")) == len(CSV_HEADER) for line in csv_text(report).splitlines())
