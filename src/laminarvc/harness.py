@@ -36,11 +36,11 @@ from .setsystem import (
     distinct_ranges,
     distinct_rows,
     laminar_union_count,
-    packed_columns,
+    segment_count,
 )
 
-# cells with fewer sign bits (L * m) than this run in the calling thread:
-# below it, starting worker threads costs more than they save
+# arity-2 cells with fewer sign bits (L * m) than this run in the calling
+# thread: below it, starting worker threads costs more than they save
 _INLINE_BITS = 1 << 20
 CSV_HEADER = ("model", "formula", "arity", "m", "trial", "seed", "type_count", "ms")
 _MODEL_KINDS = {UltrametricModel: "an ultrametric model", OrderModel: "an order model"}
@@ -156,9 +156,10 @@ class GrowthReport:
 
     @property
     def engine(self) -> str:
-        """The cells' counting path in _factored_count: sets, ranges or rows."""
+        """The cells' counting path in _factored_count: segments, ranges or
+        rows."""
         if self.config.arity == 1:
-            return "sets"
+            return "segments"
         return "ranges" if CORPUS[self.config.formula_kind].rows is None else "rows"
 
     def to_json(self) -> dict:
@@ -254,14 +255,16 @@ def _factored_count(config: ExperimentConfig, model: CarrierModel,
     Arity 2, union kinds: the distinct unions of two of the entry's profile
     ranges over the parameter column, counted by laminar_union_count.
     Arity 2, other kinds: the distinct ones among the entry's R row ranges
-    or R candidate rows.  Arity 1: x's sign row is column x of the
-    parameters' sets, so the count is the number of distinct rows of the
-    (L, ceil(m'/8)) packed transpose of the m' <= m sets the entry returns,
-    each distinct set at least once.
+    or R candidate rows.  Arity 1: x's sign row is its membership in each
+    of the m' <= m distinct sets the entry gives as rank ranges, so
+    segment_count counts the rows of the at most 4m' + 1 elementary
+    segments of the leaf order that the range ends cut.
 
     The cap bounds the work the cell does, each term checked before the
-    matrix it counts is built: its L * m sign or profile bits, then for
-    boolean-mix the R * m bits of the candidate rows."""
+    matrix it counts is built: its L * m sign or profile bits (at arity 1
+    the segment matrix has at most L + 1 rows of ceil(m/64) words), then for
+    boolean-mix the R * m bits of the candidate rows.  Cells run in whatever thread
+    run_growth gives them; only arity-2 cells reach the pool."""
     size, m = model.size, len(params)
 
     def afford(work: int, what: str) -> None:
@@ -271,8 +274,7 @@ def _factored_count(config: ExperimentConfig, model: CarrierModel,
     afford(size * m, f"{size} elements x {m} parameters")
     spec = CORPUS[config.formula_kind]
     if config.arity == 1:
-        sets = spec.sets(model, params[:, 0], params[:, 1])
-        return len(distinct_rows(packed_columns(sets, size))), m
+        return segment_count(size, *spec.set_ranges(model, params[:, 0], params[:, 1])), m
     xs = params[:, 0]
     if spec.ranges is not None:
         unions, d = laminar_union_count(*spec.ranges(model, xs))
@@ -291,11 +293,12 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
     the median against the ceiling.  Rows are sorted before aggregation so the
     output is independent of scheduling.
 
-    Every cell counts from the corpus entry's packed rows over its
-    parameters (`_factored_count`).  Cells of fewer than _INLINE_BITS sign
-    bits run in the calling thread; the rest go to a pool of at most
-    thread_budget() workers.  After the first cell that breaks the cap, no
-    later cell starts."""
+    Every cell counts from the corpus entry's factoring over its parameters
+    (`_factored_count`).  Arity-1 cells, and arity-2 cells of fewer than
+    _INLINE_BITS sign bits, run in the calling thread; the rest go to a pool
+    of at most thread_budget() workers.  Arity-1 cells gain nothing there:
+    they hold the interpreter lock for most of their time.  After the first
+    cell that breaks the cap, no later cell starts."""
     threads = thread_budget()
     model = resolve_model(config)
     formula = growth_formula(config.formula_kind, config.arity)
@@ -319,7 +322,7 @@ def run_growth(config: ExperimentConfig) -> GrowthReport:
     # sizes increase, so the small cells are a prefix of the jobs; they run
     # here, in job order, and so do the rest unless two or more workers
     # would share them
-    inline = sum(model.size * m < _INLINE_BITS for m, _ in jobs)
+    inline = sum(config.arity == 1 or model.size * m < _INLINE_BITS for m, _ in jobs)
     workers = min(threads, len(jobs) - inline)
     if workers <= 1:
         inline = len(jobs)

@@ -111,23 +111,6 @@ class UltrametricModel:
         return (self.lo[:, None] <= self.rank) & (self.rank < self.hi[:, None])
 
     @cached_property
-    def ball_bits(self) -> np.ndarray:
-        """(nodes, ceil(L/8)) uint8 matrix of the balls packed as
-        np.packbits(axis=1) packs them: every leaf walked up to the root at
-        once, one level per step, sets its bit in each node it reaches."""
-        bits = np.zeros((self.n_nodes, -(-self.size // 8)), dtype=np.uint8)
-        parent = np.array(self.parent)
-        cols = np.arange(self.size)
-        nodes = np.array(self.leaves)
-        while len(nodes):
-            # leaves of one byte may meet at a node: OR their bits in
-            np.bitwise_or.at(bits, (nodes, cols >> 3), (0x80 >> (cols & 7)).astype(np.uint8))
-            up = parent[nodes]
-            keep = up != -1
-            nodes, cols = up[keep], cols[keep]
-        return bits
-
-    @cached_property
     def lca_node_matrix(self) -> np.ndarray:
         """(L, L) matrix: lca node id of the leaves at carrier indices (i, j).
         No counting path reads it (they call lca_of); the benchmark's model
@@ -181,6 +164,16 @@ class UltrametricModel:
         them.  np.unique would import numpy.ma on its first call in a
         process: 14.5 ms of a growth command on a shared 2-core VM."""
         return np.flatnonzero(np.bincount(ids, minlength=self.n_nodes))
+
+    def distinct_node_pairs(self, u: np.ndarray, v: np.ndarray) -> tuple:
+        """The distinct pairs (u[i], v[i]) of node ids, as two arrays in
+        ascending (u, v) order; v may be n_nodes, which stands for no second
+        node.  They are deduped as sorted int keys, not by np.unique."""
+        none = self.n_nodes
+        # int64 keys: node ids are int32, and their products could overflow it
+        keys = np.sort(u.astype(np.int64) * (none + 1) + v)
+        # the distinct keys: each sorted key that differs from its predecessor
+        return np.divmod(keys[np.diff(keys, prepend=-1) != 0], none + 1)
 
     # ball membership.  x, y0 and y1 are int arrays of carrier indices that
     # broadcast together: a (T,) object column against a (k, 1) parameter
@@ -364,14 +357,17 @@ class CorpusFormula:
     entry calls afford(R) before it builds the matrix, which raises
     ResourceCapError when R rows cost more than the cell may spend.
 
-    `sets(model, y0, y1)`, declared by the entries with object arity 1, is
-    the formula at that arity factored through its parameters: for m pairs
-    given as index arrays y0, y1, a packed (m', ceil(L/8)) uint8 matrix,
-    m' <= m, whose rows, possibly repeated and in any order, are exactly the
-    sets {x : phi(x; y0[j], y1[j])}.  Each set is fixed by one or two tree
-    nodes, so the entry dedupes those nodes' int keys and gathers ball_bits
-    rows for the distinct keys only.  A repeated set repeats a column of the
-    x sign rows, so it cannot change their count.
+    `set_ranges(model, y0, y1)`, declared by the entries with object arity
+    1, is the formula at that arity factored through its parameters: for m
+    pairs given as index arrays y0, y1, four int arrays (a1, b1, a2, b2) of
+    m' <= m entries such that the symmetric differences of the rank ranges
+    [a1[j], b1[j]) and [a2[j], b2[j]), possibly repeated and in any order,
+    are exactly the sets {x : phi(x; y0[j], y1[j])} in leaf ranks.  The two
+    ranges of an entry nest or are disjoint, and (0, 0) stands for no
+    second range.  Each set is fixed by one or two tree nodes, so the entry
+    dedupes those nodes' int keys and gives the ranges of the distinct keys
+    only.  A repeated set repeats a column of the x sign rows, so it cannot
+    change their count.
     """
 
     name: str
@@ -381,31 +377,25 @@ class CorpusFormula:
     rows: Optional[Callable] = None
     ranges: Optional[Callable] = None
     row_ranges: Optional[Callable] = None
-    sets: Optional[Callable] = None
+    set_ranges: Optional[Callable] = None
 
 
-def _ball_pairs(M: UltrametricModel, u: np.ndarray, v: np.ndarray, op: Callable) -> np.ndarray:
-    """op(ball(u), ball(v)) as packed rows, once per distinct node pair
-    (u, v); v = n_nodes stands for no second ball and gives ball(u)."""
-    none = M.n_nodes
-    # int64 keys: node ids are int32, and their products could overflow it
-    keys = np.sort(u.astype(np.int64) * (none + 1) + v)
-    # the distinct keys: each sorted key that differs from its predecessor
-    u, v = np.divmod(keys[np.diff(keys, prepend=-1) != 0], none + 1)
-    rows = M.ball_bits[u]
-    two = v < none
-    rows[two] = op(rows[two], M.ball_bits[v[two]])
-    return rows
+def _pair_ranges(M: UltrametricModel, u: np.ndarray, v: np.ndarray) -> tuple:
+    """The rank ranges of ball(u) and ball(v), once per distinct node pair
+    (u, v); v = n_nodes, no second ball, gives the range (0, 0)."""
+    u, v = M.distinct_node_pairs(u, v)
+    lo, hi = np.append(M.lo, 0), np.append(M.hi, 0)
+    return M.lo[u], M.hi[u], lo[v], hi[v]
 
 
-def _twin_ball_sets(k: int, M: UltrametricModel, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
+def _twin_ball_sets(k: int, M: UltrametricModel, y0: np.ndarray, y1: np.ndarray) -> tuple:
     # ball(a) | ball(b) is the larger ball when the two nest, else it is keyed
-    # by the unordered pair {a, b}
+    # by the unordered pair {a, b} of disjoint balls, whose union is their XOR
     a, b = M.ancestor_array(k)[y0], M.ancestor_array(k)[y1]
     a_top, b_top = M.contains(a, b), M.contains(b, a)
     u = np.where(a_top, a, np.where(b_top, b, np.minimum(a, b)))
     v = np.where(a_top | b_top, M.n_nodes, np.maximum(a, b))
-    return _ball_pairs(M, u, v, np.bitwise_or)
+    return _pair_ranges(M, u, v)
 
 
 def _ball_ranges(M: UltrametricModel, nodes: np.ndarray, xs: np.ndarray) -> tuple:
@@ -425,7 +415,7 @@ def _twin_ball(k: int) -> CorpusFormula:
         f"twin-ball-{k}", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_ball_above(x, y0, k) | M.in_ball_above(x, y1, k),
         ranges=lambda M, xs: _ball_ranges(M, M.ancestor_array(k), xs),
-        sets=lambda M, y0, y1: _twin_ball_sets(k, M, y0, y1),
+        set_ranges=lambda M, y0, y1: _twin_ball_sets(k, M, y0, y1),
     )
 
 
@@ -440,16 +430,21 @@ def _boolean_mix_rows(M: UltrametricModel, xs: np.ndarray, afford: Callable) -> 
     return (pos[:, None] & ~neg[None]).reshape(-1, pos.shape[1])
 
 
-def _boolean_mix_sets(M: UltrametricModel, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
-    # ball(p) minus ball(n), keyed (p, n) when ball(n) lies inside ball(p),
-    # p alone when the balls are disjoint, and (root, root), the empty set,
-    # when ball(p) lies inside ball(n)
+def _boolean_mix_sets(M: UltrametricModel, y0: np.ndarray, y1: np.ndarray) -> tuple:
+    # ball(p) minus ball(n): p XOR n, keyed (p, n), when ball(n) lies inside
+    # ball(p), p alone when the balls are disjoint, and (root, root), the
+    # empty set, when ball(p) lies inside ball(n)
     p, n = M.ancestor_array(2)[y0], M.ancestor_array(1)[y1]
     empty, cut = M.contains(n, p), M.contains(p, n)
     u = np.where(empty, M.root, p)
     v = np.where(empty, M.root, np.where(cut, n, M.n_nodes))
-    # the padding bits of ~ are 1, and & with a ball row clears them
-    return _ball_pairs(M, u, v, lambda pos, neg: pos & ~neg)
+    return _pair_ranges(M, u, v)
+
+
+def _lca_ball_sets(M: UltrametricModel, y0: np.ndarray, y1: np.ndarray) -> tuple:
+    v = M.distinct_nodes(M.lca_of(y0, y1))
+    none = np.zeros_like(v)
+    return M.lo[v], M.hi[v], none, none
 
 
 # lca-ball: x in the ball at lca(y0, y1).  Its rows are the balls of the
@@ -464,7 +459,7 @@ CORPUS = {
         "lca-ball", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_lca_ball(x, y0, y1),
         row_ranges=lambda M, xs: _ball_ranges(M, M.non_unary, xs),
-        sets=lambda M, y0, y1: M.ball_bits[M.distinct_nodes(M.lca_of(y0, y1))],
+        set_ranges=_lca_ball_sets,
     ),
     "twin-ball-0": _twin_ball(0),
     "twin-ball-1": _twin_ball(1),
@@ -473,7 +468,7 @@ CORPUS = {
         "boolean-mix-2-1", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_ball_above(x, y0, 2) & ~M.in_ball_above(x, y1, 1),
         rows=_boolean_mix_rows,
-        sets=_boolean_mix_sets,
+        set_ranges=_boolean_mix_sets,
     ),
     "pair-equality": CorpusFormula(
         "pair-equality", (UltrametricModel, OrderModel), (2,),

@@ -24,6 +24,7 @@ VC_UNIVERSE_CAP = 24
 ENUM_CAP = 1 << 26
 _PROFILE_BYTES = 1 << 23
 _BLOCK_BYTES = 1 << 17
+_SWEEP_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -340,6 +341,32 @@ def laminar_union_count(a, b) -> tuple[int, int]:
     return d + disjoint - split, d
 
 
+def segment_count(size: int, a1, b1, a2, b2) -> int:
+    """The distinct sign rows of the points 0 <= r < size against m' sets,
+    set j the symmetric difference of the ranges [a1[j], b1[j]) and
+    [a2[j], b2[j]) (ends within [0, size]).
+
+    A point's row changes only where some range starts or ends, so the
+    cut points 0 and every end below size split [0, size) into S segments
+    of equal rows.  Each end toggles its set's bit at the start of the
+    segment it cuts, in an (S + 1, ceil(m'/64) words) matrix whose row S
+    takes the ends at size; two toggles at one place cancel, as a
+    symmetric difference does.  A running XOR down the rows gives each
+    segment's packed row, and distinct_rows counts the first S of them."""
+    ends = np.concatenate([a1, b1, a2, b2])
+    m = len(a1)
+    # cut[r]: a segment starts at r; seg[r]: the segment that holds r, and S
+    # at r = size.  np.unique would import numpy.ma on its first call
+    cut = np.bincount(ends, minlength=size + 1).astype(bool)
+    cut[0] = cut[size] = True
+    seg = np.cumsum(cut) - 1
+    j = np.tile(np.arange(m), 4)
+    toggles = np.zeros((seg[size] + 1, -(-m // 64) * 8), dtype=np.uint8)
+    np.bitwise_xor.at(toggles, (seg[ends], j >> 3), (0x80 >> (j & 7)).astype(np.uint8))
+    rows = np.bitwise_xor.accumulate(toggles.view(np.uint64), axis=0)
+    return len(distinct_rows(rows[:-1].view(np.uint8)))
+
+
 # the three masked delta swaps (shift, mask) of Hacker's Delight's transpose8
 _TRANSPOSE8_SWAPS = tuple(
     (np.uint64(shift), np.uint64(mask))
@@ -410,10 +437,13 @@ def type_space(
     distinct ones by rng.sample(range(T), budget) when T <= 8 * budget, else
     budget independent rng.randrange(T) draws.
 
-    The count is the growth cells' dedupe: each _slot_blocks block is packed
-    along the tuple axis into a (slots, ceil(T/8)) matrix, whose packed
-    transpose (packed_columns) holds one sign row per tuple, and
-    distinct_rows keeps the distinct rows in lexicographic order.
+    The tuples are swept in chunks of at most _SWEEP_CHUNK, so memory grows
+    with the chunk, not with T.  In each chunk, each _slot_blocks block is
+    packed along the tuple axis into a (slots, ceil(t/8)) matrix, whose
+    packed transpose (packed_columns) holds one sign row per tuple, and
+    distinct_rows keeps the chunk's distinct rows; with more than one chunk,
+    distinct_rows dedupes their survivors again.  Either way the rows come
+    out distinct and in lexicographic order.
     """
     formulas = list(formulas)
     params = [tuple(b) for b in params]
@@ -438,7 +468,7 @@ def type_space(
     evals = total * slots
     complete = evals <= cap
     if complete:
-        indices = np.arange(total)
+        indices = range(total)
     elif sample is None:
         raise ResourceCapError(
             f"enumerating {total} tuples x {slots} slots = {evals} evaluations "
@@ -451,14 +481,21 @@ def type_space(
             indices = rng.sample(range(total), budget)
         else:
             indices = [rng.randrange(total) for _ in range(budget)]
-    objs = _decode_tuples(np.asarray(indices, dtype=np.int64), n, object_arity)
-    t = len(objs)
-    packed = np.empty((slots, -(-t // 8)), dtype=np.uint8)
-    lo = 0
-    for bits in _slot_blocks(formulas, params, carrier, objs):
-        packed[lo : lo + len(bits)] = np.packbits(bits, axis=1)
-        lo += len(bits)
-    return TypeSpace(tuple(params), names, complete, distinct_rows(packed_columns(packed, t)))
+    chunks = []
+    # one chunk, even of no tuples, is counted alone
+    for lo in range(0, max(1, len(indices)), _SWEEP_CHUNK):
+        hi = min(lo + _SWEEP_CHUNK, len(indices))
+        # a complete sweep's chunk is an arange: no Python int per tuple
+        chunk = np.arange(lo, hi) if complete else np.asarray(indices[lo:hi], dtype=np.int64)
+        objs = _decode_tuples(chunk, n, object_arity)
+        packed = np.empty((slots, -(-len(objs) // 8)), dtype=np.uint8)
+        row = 0
+        for bits in _slot_blocks(formulas, params, carrier, objs):
+            packed[row : row + len(bits)] = np.packbits(bits, axis=1)
+            row += len(bits)
+        chunks.append(distinct_rows(packed_columns(packed, len(objs))))
+    rows = chunks[0] if len(chunks) == 1 else distinct_rows(np.concatenate(chunks))
+    return TypeSpace(tuple(params), names, complete, rows)
 
 
 # --- growth series and exponent fitting ----------------------------------

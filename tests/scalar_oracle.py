@@ -100,6 +100,17 @@ def with_unary_nodes(model, rng, count):
     return type(model)(tuple(parent), seed=model.seed)
 
 
+def shuffled_ids(model, rng):
+    """The model's tree with its node ids permuted at random: the root and
+    the leaves land anywhere, and the carrier follows the new leaf ids."""
+    perm = list(range(len(model.parent)))
+    rng.shuffle(perm)
+    parent = [0] * len(perm)
+    for v, p in enumerate(model.parent):
+        parent[perm[v]] = -1 if p == -1 else perm[p]
+    return type(model)(tuple(parent), seed=model.seed)
+
+
 def random_ultrametric_parent(leaf_count, max_branching, seed):
     """The parent array random_ultrametric builds, from CPython's own
     Random.randint and Random.sample calls."""

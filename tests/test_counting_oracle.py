@@ -1,8 +1,9 @@
 """type_space, its sample path and its parameter blocks, and the growth
 harness's factored counts at arity 1 and 2, checked against the brute-force
 oracle in scalar_oracle: the same sign rows, and type_space's in the same
-lexicographic order.  Both count with packed_columns and distinct_rows,
-which are checked against their unpacked NumPy equivalents."""
+lexicographic order.  They count with packed_columns, distinct_rows and
+segment_count, which are checked against their unpacked NumPy
+equivalents."""
 
 import json
 import tracemalloc
@@ -12,7 +13,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from scalar_oracle import Tree, corpus_rows, holds, with_unary_nodes
+from scalar_oracle import Tree, corpus_rows, holds, shuffled_ids, with_unary_nodes
 
 from laminarvc import ResourceCapError, harness, save_model, setsystem
 from laminarvc.cli import main
@@ -21,7 +22,8 @@ from laminarvc.models import (
     CORPUS, GROWTH_KINDS, OrderModel, UltrametricModel, growth_formula, random_ultrametric,
 )
 from laminarvc.setsystem import (
-    distinct_ranges, distinct_rows, laminar_union_count, packed_columns, type_space,
+    distinct_ranges, distinct_rows, laminar_union_count, packed_columns, segment_count,
+    type_space,
 )
 
 
@@ -445,7 +447,7 @@ ARITY_1_KINDS = [kind for kind, spec in CORPUS.items() if 1 in spec.arities]
 
 def test_only_arity_1_entries_declare_sets():
     for kind, spec in CORPUS.items():
-        assert (spec.sets is not None) == (1 in spec.arities), kind
+        assert (spec.set_ranges is not None) == (1 in spec.arities), kind
 
 
 def realized_sets(kind, model, params):
@@ -457,10 +459,19 @@ def realized_sets(kind, model, params):
     }
 
 
+def range_sets(model, a1, b1, a2, b2):
+    """The carrier elements whose leaf ranks lie in exactly one of the
+    ranges [a1[j], b1[j]) and [a2[j], b2[j]), one set per j."""
+    by_rank = model.by_rank.tolist()
+    return [frozenset(by_rank[a:b]) ^ frozenset(by_rank[c:d])
+            for a, b, c, d in zip(a1.tolist(), b1.tolist(), a2.tolist(), b2.tolist())]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_factored_sets_match_oracle(seed):
     rng = Random(700 + seed)
-    for model in factored_models(700 + seed)[:4]:  # the trees: an order has no arity 1
+    trees = factored_models(700 + seed)[:4]  # the trees: an order has no arity 1
+    for model in trees + [shuffled_ids(tree, rng) for tree in trees]:
         size = model.size
         pool = random_params(rng, model, 2, 3)
         # sampled pairs, repeated pairs, and as many pairs as elements (m = L)
@@ -472,14 +483,16 @@ def test_factored_sets_match_oracle(seed):
         for kind in ARITY_1_KINDS:
             for params in columns:
                 y0, y1 = np.array(params).T
-                got = CORPUS[kind].sets(model, y0, y1)
-                assert got.dtype == np.uint8 and got.ndim == 2, (kind, params)
-                assert got.shape[1] == -(-size // 8) and len(got) <= len(params), (kind, params)
-                # the padding bits stay 0
-                assert (np.packbits(np.unpackbits(got, axis=1, count=size), axis=1) == got).all()
-                rows = {frozenset(np.flatnonzero(row).tolist())
-                        for row in np.unpackbits(got, axis=1, count=size)}
-                assert rows == realized_sets(kind, model, params), (kind, params)
+                got = CORPUS[kind].set_ranges(model, y0, y1)
+                assert len(got) == 4 and len({len(r) for r in got}) == 1, (kind, params)
+                assert len(got[0]) <= len(params), (kind, params)
+                # each entry's two ranges lie in [0, L] and nest or are disjoint
+                for a1, b1, a2, b2 in zip(*(r.tolist() for r in got)):
+                    assert 0 <= a1 <= b1 <= size and 0 <= a2 <= b2 <= size, (kind, params)
+                    assert b1 <= a2 or b2 <= a1 or a1 <= a2 <= b2 <= b1 or a2 <= a1 <= b1 <= b2
+                assert set(range_sets(model, *got)) == realized_sets(kind, model, params), (
+                    kind, params,
+                )
 
 
 @pytest.mark.parametrize("block_sets", [1, 3, None])
@@ -487,11 +500,13 @@ def test_factored_sets_match_oracle(seed):
 def test_factored_arity_1_growth_on_model_files_matches_oracle(duplicates, block_sets, tmp_path,
                                                                monkeypatch):
     # 7 leaves and sizes up to 49: the last cell's parameters are every pair
-    # when drawn without duplicates; the distinct sets, one byte each, are
-    # transposed in row groups of 8 * block_sets sets, or all at once
+    # when drawn without duplicates.  The segment counts equal the oracle's,
+    # and type_space's over the same pairs, which reads them in blocks of
+    # 8 * block_sets // 7 pairs (the 7 leaves take a byte per pair), or all
+    # at once
     if block_sets is not None:
         monkeypatch.setattr(setsystem, "_BLOCK_BYTES", 8 * block_sets)
-    model = with_unary_nodes(random_ultrametric(7, 3, 4), Random(4), 5)
+    model = shuffled_ids(with_unary_nodes(random_ultrametric(7, 3, 4), Random(4), 5), Random(4))
     path = tmp_path / "tree.model.json"
     save_model(model, path)
     for kind in ARITY_1_KINDS:
@@ -499,12 +514,13 @@ def test_factored_arity_1_growth_on_model_files_matches_oracle(duplicates, block
             kind, 1, (2, 9, 49), trials=3, seed=8, model_path=str(path),
             allow_duplicate_params=duplicates,
         )
-        arity_1_rows_match_oracle(config, model)
+        arity_1_rows_match_oracle(config, model, type_space_too=True)
 
 
-def arity_1_rows_match_oracle(config, model):
+def arity_1_rows_match_oracle(config, model, type_space_too=False):
     report = run_growth(config)
-    assert report.complete and report.engine == "sets"
+    assert report.complete and report.engine == "segments"
+    f = growth_formula(config.formula_kind, 1)
     for row in report.rows:
         params = _sample_params(
             Random(f"{config.seed}/{row.m}/{row.trial}"), model.size**2, 2, row.m,
@@ -512,6 +528,8 @@ def arity_1_rows_match_oracle(config, model):
         )
         want = len(corpus_rows([config.formula_kind], 1, params, model))
         assert row.type_count == want, (config.formula_kind, row)
+        if type_space_too:
+            assert type_space([f], params.tolist(), model, 1).count == want, row
         assert row.tuples_refined == row.m
     return report
 
@@ -614,6 +632,68 @@ def test_laminar_union_count_on_hand_built_families(sets, unions):
     assert laminar_union_count(a, b) == (unions, len(distinct_rows(profiles)))
 
 
+def segment_oracle(size, a1, b1, a2, b2):
+    """Distinct rows of the (size, m') bool matrix whose column j is the
+    symmetric difference of the ranges [a1[j], b1[j]) and [a2[j], b2[j])."""
+    cols = np.zeros((size, len(a1)), dtype=bool)
+    for j, (a, b, c, d) in enumerate(zip(a1, b1, a2, b2)):
+        cols[a:b, j] ^= True
+        cols[c:d, j] ^= True
+    return len({row.tobytes() for row in cols})
+
+
+def random_range(rng, size):
+    a = rng.randint(0, size)
+    return a, rng.randint(a, size)
+
+
+def special_range_pairs(rng, size):
+    """Range pairs at the edges: empty ranges, ranges ending at size,
+    adjacent ranges, nests that share an end, and equal ranges."""
+    a, b = random_range(rng, size)
+    c = rng.randint(b, size)
+    return [
+        (a, a, 0, 0), (0, 0, 0, 0), (size, size, b, b),  # empty
+        (a, size, 0, 0), (0, size, 0, 0), (a, size, c, size),  # ending at size
+        (a, b, b, c), (b, c, a, b),  # adjacent: their union
+        (a, c, a, b), (a, c, b, c), (a, b, a, c),  # nested, sharing an end
+        (a, b, a, b),  # equal: the empty set
+    ]
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 63, 64, 65, 200])
+def test_segment_count_matches_unpacked_columns(size):
+    rng = Random(size)
+    for m in (1, 2, 5, 63, 64, 65, 130):
+        pairs = []
+        for _ in range(m):
+            first = random_range(rng, size)
+            pick = rng.random()
+            if pick < 0.3:  # nested in the first range
+                second = random_range(rng, first[1] - first[0])
+                second = (first[0] + second[0], first[0] + second[1])
+            elif pick < 0.6:  # anywhere: crossing ranges count as well
+                second = random_range(rng, size)
+            else:
+                second = (0, 0)
+            pairs.append(first + second)
+        pairs += special_range_pairs(rng, size)
+        # repeated sets: some entries again, in another order
+        pairs += rng.sample(pairs, len(pairs) // 3)
+        rng.shuffle(pairs)
+        for cols in (pairs[:m], pairs):
+            a1, b1, a2, b2 = (np.array(c, dtype=np.int64) for c in zip(*cols))
+            assert segment_count(size, a1, b1, a2, b2) == segment_oracle(
+                size, a1, b1, a2, b2), (size, m)
+
+
+def test_segment_count_of_no_sets_or_only_empty_ones_is_one_row():
+    none = np.zeros(0, dtype=np.int64)
+    assert segment_count(9, none, none, none, none) == 1
+    ends = np.array([0, 4, 9]), np.array([0, 4, 9])
+    assert segment_count(9, *ends, *ends) == 1
+
+
 # --- parameter blocks ----------------------------------------------------------
 
 
@@ -708,6 +788,44 @@ def test_repeated_slots_match_oracle_whatever_the_key_room(budget, monkeypatch):
             params = [rng.choice(pool) for _ in range(40)]
             got = type_space([f], params, model, arity)
             assert engine_rows(got) == corpus_rows([kind], arity, params, model), (kind, arity)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_tuple_chunks_match_oracle(chunk, monkeypatch):
+    # tuples swept in chunks of one, of a few, or of more than some models
+    # hold: the chunks' distinct rows, deduped again, in the same order
+    monkeypatch.setattr(setsystem, "_SWEEP_CHUNK", chunk)
+    rng = Random(600 + chunk)
+    for model in random_models(600 + chunk):
+        for kind, arity in growth_cases(model):
+            f = growth_formula(kind, arity)
+            params = random_params(rng, model, f.param_arity, rng.randint(1, 6))
+            got = type_space([f], params, model, arity)
+            assert engine_rows(got) == corpus_rows([kind], arity, params, model), (kind, arity)
+            every = list(product(range(model.size), repeat=arity))
+            budget = rng.randint(1, 2 * len(every))
+            got = type_space([f], params, model, arity, cap=1, sample=budget, seed=chunk)
+            tuples = [every[i] for i in documented_sample(chunk, budget, len(every))]
+            assert engine_rows(got) == corpus_rows([kind], arity, params, model, tuples), (
+                kind, arity, budget,
+            )
+
+
+def test_type_space_sweeps_many_tuples_in_bounded_memory():
+    # all 2^22 pairs of a 2048-element order over 16 slots, 2^26 evaluations
+    # at the default cap.  Swept in chunks of 2^18 tuples, the traced peak
+    # was 15 MB; a sweep of every tuple at once peaked at 244 MB
+    model = OrderModel(2048)
+    params = [(7 * i % 2048,) for i in range(16)]
+    tracemalloc.start()
+    try:
+        got = type_space([growth_formula("pair-equality", 2)], params, model, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sign rows are the sets of at most two of the 16 parameters
+    assert got.complete and got.count == 1 + 16 + 16 * 15 // 2
+    assert peak < 32 << 20, peak
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -64,10 +64,12 @@ def test_growth_rows_deterministic_across_runs(monkeypatch):
     b = run_growth(small_config())
     assert rows_without_ms(a) == rows_without_ms(b)
     assert a.exponents == b.exponents
+    # only arity-2 cells go to the pool
+    inline = run_growth(small_config(arity=2))
     monkeypatch.setenv("LAMINAR_VC_THREADS", "3")
-    monkeypatch.setattr(harness, "_INLINE_BITS", 0)  # every cell to the pool
-    c = run_growth(small_config())
-    assert rows_without_ms(a) == rows_without_ms(c)
+    monkeypatch.setattr(harness, "_INLINE_BITS", 0)  # every arity-2 cell to the pool
+    c = run_growth(small_config(arity=2))
+    assert rows_without_ms(inline) == rows_without_ms(c)
 
 
 def test_growth_rows_sorted_and_csv_header():
@@ -244,8 +246,8 @@ def test_growth_cancels_queued_cells_after_cap_error(monkeypatch):
         raise ResourceCapError("over the cap")
 
     monkeypatch.setattr(harness, "_factored_count", over_cap)
-    monkeypatch.setattr(harness, "_INLINE_BITS", 0)  # every cell to the pool
-    report = run_growth(small_config(sizes=(4, 8, 16, 32), trials=10))
+    monkeypatch.setattr(harness, "_INLINE_BITS", 0)  # every arity-2 cell to the pool
+    report = run_growth(small_config(arity=2, sizes=(4, 8, 16, 32), trials=10))
     assert not report.complete
     assert len(calls) < 40
 
@@ -263,7 +265,8 @@ def test_small_growth_runs_start_no_thread(monkeypatch):
 
 
 def test_cells_of_many_sign_bits_go_to_the_pool(monkeypatch):
-    # L = 2048: the m = 512 and m = 1024 cells have 2^20 sign bits or more
+    # L = 2048: the m = 512 and m = 1024 arity-2 cells have 2^20 sign bits
+    # or more
     monkeypatch.setenv("LAMINAR_VC_THREADS", "3")
     pools = []
 
@@ -272,14 +275,29 @@ def test_cells_of_many_sign_bits_go_to_the_pool(monkeypatch):
         return ThreadPoolExecutor(max_workers)
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", recording)
-    report = run_growth(small_config(sizes=(8, 512, 1024), trials=2))
+    report = run_growth(small_config(arity=2, sizes=(8, 512, 1024), trials=2))
     assert report.complete and len(report.rows) == 6
     assert pools == [3]
 
 
+@pytest.mark.parametrize("kind", ["lca-ball", "boolean-mix"])
+def test_arity_1_cells_of_many_sign_bits_start_no_thread(kind, monkeypatch):
+    # L = 4096: the m = 2048 cells have 2^23 sign bits, but arity-1 cells
+    # hold the interpreter lock and always run inline
+    monkeypatch.setenv("LAMINAR_VC_THREADS", "3")
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an arity-1 run started the thread pool")
+
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    report = run_growth(small_config(formula_kind=kind, sizes=(8, 1024, 2048), trials=2))
+    assert report.complete and len(report.rows) == 6
+    assert report.model_label == "ultrametric-L4096-s3"
+
+
 def test_cap_error_in_an_inline_cell_starts_no_pooled_cell(monkeypatch):
-    # L = 32 here: cells with m < 8 run inline (32 * 8 = 2^8 bits), the rest
-    # would go to the pool
+    # L = 32 here: arity-2 cells with m < 8 run inline (32 * 8 = 2^8 bits),
+    # the rest would go to the pool
     monkeypatch.setenv("LAMINAR_VC_THREADS", "2")
     monkeypatch.setattr(harness, "_INLINE_BITS", 1 << 8)
     sizes = []
@@ -295,7 +313,7 @@ def test_cap_error_in_an_inline_cell_starts_no_pooled_cell(monkeypatch):
 
     monkeypatch.setattr(harness, "_factored_count", over_cap_at_4)
     monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
-    report = run_growth(small_config(sizes=(2, 4, 8, 16), trials=3))
+    report = run_growth(small_config(arity=2, sizes=(2, 4, 8, 16), trials=3))
     assert report.cap_error == "over the cap"
     assert sizes == [2, 2, 2, 4]
 
@@ -316,9 +334,9 @@ def test_report_json_round_trip():
 
 
 def test_report_json_carries_cell_cost_and_quotient():
-    # arity 1: cells dedupe their m parameters' sets
+    # arity 1: cells count the segments their m parameters' sets cut
     doc = run_growth(small_config()).to_json()
-    assert doc["engine"] == "sets" and "quotient" not in doc
+    assert doc["engine"] == "segments" and "quotient" not in doc
     assert [r["tuples_refined"] for r in doc["rows"]] == [4, 4, 8, 8, 16, 16]
     # arity 2: a union kind counts the d^2 pairs of its d profile ranges,
     # lca-ball dedupes row ranges and boolean-mix candidate rows
@@ -449,7 +467,7 @@ def test_cli_growth_caps_ultrametric_leaves_before_building_views(monkeypatch, t
     def no_views(self):
         raise AssertionError("a model view was built")
 
-    for view in ("ball_bool", "ball_bits", "ancestor_by_depth"):
+    for view in ("ball_bool", "ancestor_by_depth"):
         monkeypatch.setattr(UltrametricModel, view, property(no_views))
     argv = ["growth", "--formula", "lca-ball", "--arity", "1", "--sizes", "8,16,3000"]
     assert main(argv) == 2

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalar_oracle import Tree, holds, positive_part, random_ultrametric_parent, with_unary_nodes
+from scalar_oracle import (
+    Tree, holds, positive_part, random_ultrametric_parent, shuffled_ids, with_unary_nodes,
+)
 
 from laminarvc import (
     CrossingPair,
@@ -25,7 +27,7 @@ from laminarvc import (
     vc_dimension,
 )
 from laminarvc import models
-from laminarvc.models import GROWTH_KINDS, UltrametricModel, _ball_pairs, growth_formula
+from laminarvc.models import GROWTH_KINDS, UltrametricModel, growth_formula
 
 
 def block(params):
@@ -261,17 +263,6 @@ def test_ball_bool_matches_ancestor_walk():
         assert model.ball_bool.tolist() == want
 
 
-def shuffled_ids(model, rng):
-    """The model's tree with its node ids permuted at random: the root and
-    the leaves land anywhere, and the carrier follows the new leaf ids."""
-    perm = list(range(model.n_nodes))
-    rng.shuffle(perm)
-    parent = [0] * model.n_nodes
-    for v, p in enumerate(model.parent):
-        parent[perm[v]] = -1 if p == -1 else perm[p]
-    return UltrametricModel(tuple(parent), seed=model.seed)
-
-
 def interval_models(seed):
     """Random trees with shuffled node ids, with unary nodes, and both."""
     rng = Random(seed)
@@ -328,21 +319,10 @@ def test_parent_array_errors_keep_their_messages(parent, message):
         UltrametricModel(parent)
 
 
-def test_ball_bits_equal_packed_ball_bool():
-    rng = Random(10)
-    for _ in range(20):
-        base = random_ultrametric(rng.randint(2, 40), rng.randint(2, 4), rng.randrange(1 << 20))
-        for model in (base, with_unary_nodes(base, rng, rng.randint(1, 8))):
-            bits = model.ball_bits
-            assert "ball_bool" not in model.__dict__
-            assert bits.dtype == np.uint8 and bits.shape == (model.n_nodes, -(-model.size // 8))
-            assert (bits == np.packbits(model.ball_bool, axis=1)).all()
-
-
 def test_node_dedupes_keep_each_node_or_pair_once_in_order():
-    # distinct_nodes and _ball_pairs dedupe without np.unique: the same
-    # ascending ids, and one row per distinct (u, v) pair in key order, with
-    # v = n_nodes standing for ball(u) alone
+    # distinct_nodes and distinct_node_pairs dedupe without np.unique: the
+    # same ascending ids, and each distinct (u, v) pair once in (u, v) order,
+    # with v = n_nodes standing for no second node
     rng = np.random.default_rng(3)
     model = random_ultrametric(40, 3, 5)
     n = model.n_nodes
@@ -352,14 +332,12 @@ def test_node_dedupes_keep_each_node_or_pair_once_in_order():
         u[150:], v[150:] = u[:150], v[:150]  # every pair at least twice
         for ids in (u, u[:20]):
             assert (model.distinct_nodes(ids) == np.unique(ids)).all()
-        rows = _ball_pairs(model, u, v, np.bitwise_or)
-        pairs = sorted(set(zip(u.tolist(), v.tolist())))
-        bits = np.vstack([model.ball_bits, np.zeros_like(model.ball_bits[:1])])
-        assert rows.tolist() == [(bits[a] | bits[b]).tolist() for a, b in pairs]
+        got_u, got_v = model.distinct_node_pairs(u, v)
+        assert list(zip(got_u.tolist(), got_v.tolist())) == sorted(set(zip(u.tolist(), v.tolist())))
 
 
 def test_arity_1_growth_at_4096_leaves_builds_no_ball_bool(monkeypatch):
-    # the cells read packed balls only; the (nodes, L) bool matrix would be
+    # the cells read rank ranges only; the (nodes, L) bool matrix would be
     # about 29 MB here
     models = []
     resolve = harness.resolve_model
@@ -372,7 +350,6 @@ def test_arity_1_growth_at_4096_leaves_builds_no_ball_bool(monkeypatch):
     for kind in ("lca-ball", "boolean-mix", "twin-ball-1"):
         report = harness.run_growth(harness.ExperimentConfig(kind, 1, (8, 64, 2048), trials=1, seed=2))
         assert report.complete and models[-1].size == 4096
-        assert "ball_bits" in models[-1].__dict__
         assert "ball_bool" not in models[-1].__dict__, kind
 
 
