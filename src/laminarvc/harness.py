@@ -7,7 +7,6 @@ import os
 import platform
 import statistics
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
@@ -33,30 +32,13 @@ from .setsystem import (
     GrowthPoint,
     GrowthSeries,
     _decode_tuples,
-    distinct_ranges,
-    distinct_rows,
     laminar_union_count,
+    range_set_count,
     segment_count,
 )
 
-# arity-2 cells with fewer sign bits (L * m) than this run in the calling
-# thread: below it, starting worker threads costs more than they save
-_INLINE_BITS = 1 << 20
 CSV_HEADER = ("model", "formula", "arity", "m", "trial", "seed", "type_count", "ms")
 _MODEL_KINDS = {UltrametricModel: "an ultrametric model", OrderModel: "an order model"}
-
-
-def thread_budget() -> int:
-    env = os.environ.get("LAMINAR_VC_THREADS", "")
-    if not env.strip():
-        return min(4, os.cpu_count() or 1)
-    try:
-        threads = int(env)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise DomainError(f"LAMINAR_VC_THREADS must be a positive integer, got {env!r}")
-    return threads
 
 
 def git_sha(root: Path) -> Optional[str]:
@@ -78,14 +60,13 @@ def git_sha(root: Path) -> Optional[str]:
 
 
 def env_stamp() -> dict:
-    """What a run's timings depend on: interpreter, NumPy, CPUs, the thread
-    budget, and the commit of the checkout this package runs from (None
-    when it is installed elsewhere)."""
+    """What a run's timings depend on: interpreter, NumPy, CPUs, and the
+    commit of the checkout this package runs from (None when it is
+    installed elsewhere)."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "threads": thread_budget(),
         "git_sha": git_sha(Path(__file__).resolve().parents[2]),
     }
 
@@ -132,8 +113,8 @@ class GrowthRow:
     type_count: int
     ms: int
     # JSON only: the rows the cell counted: its m parameter pairs at arity
-    # 1; at arity 2 its R candidate rows or row ranges, or for the union
-    # kinds the d^2 pairs of its d distinct profiles, whose unions it counts
+    # 1; at arity 2 its R row ranges, or for the union kinds the d^2 pairs
+    # of its d distinct profiles, whose unions it counts
     tuples_refined: int
 
 
@@ -156,11 +137,8 @@ class GrowthReport:
 
     @property
     def engine(self) -> str:
-        """The cells' counting path in _factored_count: segments, ranges or
-        rows."""
-        if self.config.arity == 1:
-            return "segments"
-        return "ranges" if CORPUS[self.config.formula_kind].rows is None else "rows"
+        """The cells' counting path in _factored_count: segments or ranges."""
+        return "segments" if self.config.arity == 1 else "ranges"
 
     def to_json(self) -> dict:
         return {
@@ -254,17 +232,16 @@ def _factored_count(config: ExperimentConfig, model: CarrierModel,
 
     Arity 2, union kinds: the distinct unions of two of the entry's profile
     ranges over the parameter column, counted by laminar_union_count.
-    Arity 2, other kinds: the distinct ones among the entry's R row ranges
-    or R candidate rows.  Arity 1: x's sign row is its membership in each
-    of the m' <= m distinct sets the entry gives as rank ranges, so
+    Arity 2, other kinds: the distinct sets among the entry's R row ranges,
+    counted by range_set_count.  Arity 1: x's sign row is its membership in
+    each of the m' <= m distinct sets the entry gives as rank ranges, so
     segment_count counts the rows of the at most 4m' + 1 elementary
     segments of the leaf order that the range ends cut.
 
     The cap bounds the work the cell does, each term checked before the
-    matrix it counts is built: its L * m sign or profile bits (at arity 1
+    arrays it counts are built: its L * m sign or profile bits (at arity 1
     the segment matrix has at most L + 1 rows of ceil(m/64) words), then for
-    boolean-mix the R * m bits of the candidate rows.  Cells run in whatever thread
-    run_growth gives them; only arity-2 cells reach the pool."""
+    boolean-mix the R * m bits of its rows."""
     size, m = model.size, len(params)
 
     def afford(work: int, what: str) -> None:
@@ -279,70 +256,42 @@ def _factored_count(config: ExperimentConfig, model: CarrierModel,
     if spec.ranges is not None:
         unions, d = laminar_union_count(*spec.ranges(model, xs))
         return unions, d * d
-    if spec.row_ranges is not None:
-        a, b = spec.row_ranges(model, xs)
-        return len(distinct_ranges(a, b)[0]), len(a)
-    candidates = spec.rows(
+    rows = spec.row_ranges(
         model, xs, lambda r: afford(r * m, f"{r} candidate rows x {m} parameters")
     )
-    return len(distinct_rows(candidates)), len(candidates)
+    return range_set_count(*rows), len(rows[0])
 
 
 def run_growth(config: ExperimentConfig) -> GrowthReport:
     """Run every (size, trial) cell, fit one exponent per trial, and compare
-    the median against the ceiling.  Rows are sorted before aggregation so the
-    output is independent of scheduling.
+    the median against the ceiling.  Rows come in (size, trial) order.
 
     Every cell counts from the corpus entry's factoring over its parameters
-    (`_factored_count`).  Arity-1 cells, and arity-2 cells of fewer than
-    _INLINE_BITS sign bits, run in the calling thread; the rest go to a pool
-    of at most thread_budget() workers.  Arity-1 cells gain nothing there:
-    they hold the interpreter lock for most of their time.  After the first
-    cell that breaks the cap, no later cell starts."""
-    threads = thread_budget()
+    (`_factored_count`), one after another in the calling thread.  After
+    the first cell that breaks the cap, no later cell starts."""
     model = resolve_model(config)
     formula = growth_formula(config.formula_kind, config.arity)
     space = model.size**formula.param_arity
-
-    def cell(args) -> GrowthRow:
-        m, t = args
-        rng = Random(f"{config.seed}/{m}/{t}")
-        params = _sample_params(
-            rng, space, formula.param_arity, m, model.size, config.allow_duplicate_params
-        )
-        t0 = time.perf_counter()
-        count, tuples_refined = _factored_count(config, model, params)
-        ms = int(round((time.perf_counter() - t0) * 1000))
-        return GrowthRow(
-            model.label, formula.name, config.arity, m, t, config.seed,
-            count, ms, tuples_refined,
-        )
-
-    jobs = [(m, t) for m in config.sizes for t in range(config.trials)]
-    # sizes increase, so the small cells are a prefix of the jobs; they run
-    # here, in job order, and so do the rest unless two or more workers
-    # would share them
-    inline = sum(config.arity == 1 or model.size * m < _INLINE_BITS for m, _ in jobs)
-    workers = min(threads, len(jobs) - inline)
-    if workers <= 1:
-        inline = len(jobs)
     rows: list[GrowthRow] = []
     cap_error = None
     try:
-        for job in jobs[:inline]:
-            rows.append(cell(job))
-        if inline < len(jobs):
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(cell, job) for job in jobs[inline:]]
-                # at the first failed cell, drop the queued ones; cells start in
-                # job order, so every cancelled cell comes after the first failure
-                wait(futures, return_when=FIRST_EXCEPTION)
-                pool.shutdown(cancel_futures=True)
-            rows.extend(f.result() for f in futures)
+        for m in config.sizes:
+            for t in range(config.trials):
+                rng = Random(f"{config.seed}/{m}/{t}")
+                params = _sample_params(
+                    rng, space, formula.param_arity, m, model.size,
+                    config.allow_duplicate_params,
+                )
+                t0 = time.perf_counter()
+                count, tuples_refined = _factored_count(config, model, params)
+                ms = int(round((time.perf_counter() - t0) * 1000))
+                rows.append(GrowthRow(
+                    model.label, formula.name, config.arity, m, t, config.seed,
+                    count, ms, tuples_refined,
+                ))
     except ResourceCapError as e:
         cap_error = str(e)
     complete = cap_error is None
-    rows.sort(key=lambda r: (r.m, r.trial))
 
     series = []
     exponents = []

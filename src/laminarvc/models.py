@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, ModelFormatError
 from .forest import DirectedFamily
-from .setsystem import ParametrizedFormula, SetFamily, Universe, distinct_ranges
+from .setsystem import ParametrizedFormula, SetFamily, Universe, distinct_keys, distinct_ranges
 
 
 @dataclass(frozen=True)
@@ -127,8 +127,8 @@ class UltrametricModel:
         """(L, height + 1) matrix: per carrier index, its leaf's ancestor at
         each depth, and the leaf itself at every depth below the leaf's own."""
         parent = np.array(self.parent)
-        leaves = np.array(self.leaves)
-        table = np.repeat(leaves[:, None], self.depth.max() + 1, axis=1).astype(np.int32)
+        leaves = np.array(self.leaves, dtype=np.int32)
+        table = np.repeat(leaves[:, None], self.depth.max() + 1, axis=1)
         rows, nodes = np.arange(self.size), leaves
         while len(nodes):
             table[rows, self.depth[nodes]] = nodes
@@ -168,12 +168,9 @@ class UltrametricModel:
     def distinct_node_pairs(self, u: np.ndarray, v: np.ndarray) -> tuple:
         """The distinct pairs (u[i], v[i]) of node ids, as two arrays in
         ascending (u, v) order; v may be n_nodes, which stands for no second
-        node.  They are deduped as sorted int keys, not by np.unique."""
-        none = self.n_nodes
-        # int64 keys: node ids are int32, and their products could overflow it
-        keys = np.sort(u.astype(np.int64) * (none + 1) + v)
-        # the distinct keys: each sorted key that differs from its predecessor
-        return np.divmod(keys[np.diff(keys, prepend=-1) != 0], none + 1)
+        node."""
+        w = self.n_nodes + 1
+        return np.divmod(distinct_keys(u.astype(np.int64) * w + v), w)
 
     # ball membership.  x, y0 and y1 are int arrays of carrier indices that
     # broadcast together: a (T,) object column against a (k, 1) parameter
@@ -332,7 +329,7 @@ class CorpusFormula:
     `carriers` the model types that can evaluate it and `arities` the object
     arities a growth run may read it at.
 
-    At object arity 2 an entry declares one of three factorings through the
+    At object arity 2 an entry declares one of two factorings through the
     parameter column xs (m carrier indices), each over xs sorted by leaf
     rank (by value for pair-equality): that permutes the columns of every
     sign row, which keeps their count.
@@ -346,16 +343,15 @@ class CorpusFormula:
     points, so any two nest or are disjoint: the profiles form a laminar
     family, whose unions setsystem.laminar_union_count counts.
 
-    `row_ranges(model, xs)`, declared by lca-ball: int arrays (a, b) such
-    that the sorted positions a[i] <= j < b[i], possibly repeated, are
-    exactly the sign rows over xs that some object pair realizes.  The
-    cell counts the distinct ranges.
-
-    `rows(model, xs, afford)`, declared by boolean-mix: a packed
-    (R, ceil(m/8)) uint8 matrix whose rows, possibly repeated, are exactly
-    the sign rows over xs that some object pair (y0, y1) realizes.  The
-    entry calls afford(R) before it builds the matrix, which raises
-    ResourceCapError when R rows cost more than the cell may spend.
+    `row_ranges(model, xs, afford)`, declared by lca-ball and boolean-mix:
+    four int arrays (a1, b1, a2, b2) of R entries such that the symmetric
+    differences of the sorted positions [a1[i], b1[i]) and [a2[i], b2[i]),
+    possibly repeated, are exactly the sign rows over xs that some object
+    pair realizes; the two ranges of an entry nest or are disjoint, and
+    (0, 0) stands for no second range.  The cell counts the distinct sets
+    (setsystem.range_set_count).  An entry that builds its R entries from
+    pairs calls afford(R) first, which raises ResourceCapError when R rows
+    cost more than the cell may spend.
 
     `set_ranges(model, y0, y1)`, declared by the entries with object arity
     1, is the formula at that arity factored through its parameters: for m
@@ -374,7 +370,6 @@ class CorpusFormula:
     carriers: tuple[type, ...]
     arities: tuple[int, ...]
     pred: Callable
-    rows: Optional[Callable] = None
     ranges: Optional[Callable] = None
     row_ranges: Optional[Callable] = None
     set_ranges: Optional[Callable] = None
@@ -419,15 +414,39 @@ def _twin_ball(k: int) -> CorpusFormula:
     )
 
 
-def _boolean_mix_rows(M: UltrametricModel, xs: np.ndarray, afford: Callable) -> np.ndarray:
-    pos = distinct_ranges(*_ball_ranges(M, M.ancestor_array(2), xs))
-    neg = distinct_ranges(*_ball_ranges(M, M.ancestor_array(1), xs))
-    afford(len(pos[0]) * len(neg[0]))
-    # each range [a, b) as a packed row of the positions a <= j < b
-    j = np.arange(len(xs))
-    pos, neg = (np.packbits((a[:, None] <= j) & (j < b[:, None]), axis=1) for a, b in (pos, neg))
-    # the padding bits are 0, and a & ~b keeps them 0
-    return (pos[:, None] & ~neg[None]).reshape(-1, pos.shape[1])
+def _alone(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The ranges [a[i], b[i]), each with (0, 0), no second range."""
+    return a, b, np.zeros_like(a), np.zeros_like(a)
+
+
+def _boolean_mix_rows(M: UltrametricModel, xs: np.ndarray, afford: Callable) -> tuple:
+    # a row is A minus N, A = xs ∩ ball_2(y0) and N = xs ∩ ball_1(y1): position
+    # ranges over sorted xs from one tree, so they nest or are disjoint.  The
+    # empty range, if any, comes first from distinct_ranges, as (0, 0)
+    pa, pb = distinct_ranges(*_ball_ranges(M, M.ancestor_array(2), xs))
+    na, nb = distinct_ranges(*_ball_ranges(M, M.ancestor_array(1), xs))
+    empty_a, empty_n = int(pb[0] == 0), int(nb[0] == 0)
+    pa, pb, na, nb = pa[empty_a:], pb[empty_a:], na[empty_n:], nb[empty_n:]
+    # by start, then by end descending, the N inside A (N != A) are the keys
+    # N.a * w + w - 1 - N.b from A.a * w + w - A.b up to A.b * w
+    w = len(xs) + 1
+    keys = np.sort(na * w + w - 1 - nb)
+    lo = np.searchsorted(keys, pa * w + w - pb)
+    inside = np.searchsorted(keys, pb * w) - lo
+    disjoint = np.searchsorted(np.sort(nb), pa, side="right") + len(na) - np.searchsorted(na, pb)
+    # A minus N: A when N is empty or disjoint from A, the empty set when A is
+    # empty or N holds A, and A XOR N when N lies inside A
+    whole = (disjoint > 0) | bool(empty_n)
+    empty = int(empty_a or (inside + disjoint < len(na)).any())
+    plain = int(whole.sum()) + empty
+    afford(plain + int(inside.sum()))
+    # each A's pairs take the keys of its block in turn
+    pair = np.repeat(np.arange(len(pa)), inside)
+    at = lo[pair] + np.arange(len(pair)) - (np.cumsum(inside) - inside)[pair]
+    n_a, n_b = np.divmod(keys[at], w)
+    none = np.zeros(plain, dtype=np.int64)
+    a1, b1 = (np.concatenate([x[whole], none[:empty], x[pair]]) for x in (pa, pb))
+    return a1, b1, np.concatenate([none, n_a]), np.concatenate([none, w - 1 - n_b])
 
 
 def _boolean_mix_sets(M: UltrametricModel, y0: np.ndarray, y1: np.ndarray) -> tuple:
@@ -443,8 +462,7 @@ def _boolean_mix_sets(M: UltrametricModel, y0: np.ndarray, y1: np.ndarray) -> tu
 
 def _lca_ball_sets(M: UltrametricModel, y0: np.ndarray, y1: np.ndarray) -> tuple:
     v = M.distinct_nodes(M.lca_of(y0, y1))
-    none = np.zeros_like(v)
-    return M.lo[v], M.hi[v], none, none
+    return _alone(M.lo[v], M.hi[v])
 
 
 # lca-ball: x in the ball at lca(y0, y1).  Its rows are the balls of the
@@ -458,7 +476,7 @@ CORPUS = {
     "lca-ball": CorpusFormula(
         "lca-ball", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_lca_ball(x, y0, y1),
-        row_ranges=lambda M, xs: _ball_ranges(M, M.non_unary, xs),
+        row_ranges=lambda M, xs, afford: _alone(*_ball_ranges(M, M.non_unary, xs)),
         set_ranges=_lca_ball_sets,
     ),
     "twin-ball-0": _twin_ball(0),
@@ -467,7 +485,7 @@ CORPUS = {
     "boolean-mix": CorpusFormula(
         "boolean-mix-2-1", (UltrametricModel,), (1, 2),
         lambda M, x, y0, y1: M.in_ball_above(x, y0, 2) & ~M.in_ball_above(x, y1, 1),
-        rows=_boolean_mix_rows,
+        row_ranges=_boolean_mix_rows,
         set_ranges=_boolean_mix_sets,
     ),
     "pair-equality": CorpusFormula(

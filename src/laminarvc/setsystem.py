@@ -303,16 +303,49 @@ def distinct_rows(packed: np.ndarray) -> np.ndarray:
     return packed[order[keep]]
 
 
+def distinct_keys(keys: np.ndarray) -> np.ndarray:
+    """The distinct non-negative int64 keys, ascending: each sorted key that
+    differs from its predecessor (np.unique would import numpy.ma on its
+    first call in a process).  Callers pack ints a, b into a key a * w + b,
+    w past every b, in int64: products of int32 node ids could overflow."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
 def distinct_ranges(a, b) -> tuple[np.ndarray, np.ndarray]:
     """The distinct sets among the int ranges [a[i], b[i]), as two int64
     arrays: every empty range (a >= b) is the empty set, given once as
-    (0, 0), and the rest are sorted by (a, b).  Ranges are deduped as keys
-    a * w + b, w past every b, with a sort and a diff: np.unique would
-    import numpy.ma on its first call in a process."""
+    (0, 0), and the rest are sorted by (a, b), deduped as keys a * w + b."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     w = int(b.max(initial=0)) + 1
-    keys = np.sort(np.where(a < b, a * w + b, 0))
-    return np.divmod(keys[np.diff(keys, prepend=-1) != 0], w)
+    return np.divmod(distinct_keys(np.where(a < b, a * w + b, 0)), w)
+
+
+def range_set_count(a1, b1, a2, b2) -> int:
+    """The number of distinct sets among the symmetric differences of the
+    int ranges [a1[i], b1[i]) and [a2[i], b2[i]) (a <= b; (0, 0) stands
+    for no second range).
+
+    With its ends in order, e0 <= e1 <= e2 <= e3, such a set is
+    [e0, e1) | [e2, e3): a point is in it when an odd number of ends are at
+    or below it.  Touching parts (e1 = e2) merge.  A part is keyed
+    e * w + e', w past every end, an empty part 0, and the set by its two
+    part keys, smaller first: below w**4, which must stay below 2**63.
+    Past w = 55108 the ends are replaced by their ranks among the distinct
+    ends, at most 4L + 2 of them in a growth cell (L <= 4096)."""
+    a1, b1, a2, b2 = (np.asarray(x, dtype=np.int64) for x in (a1, b1, a2, b2))
+    # two ordered pairs merged
+    mid0, mid1 = np.maximum(a1, a2), np.minimum(b1, b2)
+    e = [np.minimum(a1, a2), np.minimum(mid0, mid1), np.maximum(mid0, mid1), np.maximum(b1, b2)]
+    w = int(e[3].max(initial=0)) + 1
+    if w**4 >= 1 << 63:
+        values = distinct_keys(np.concatenate(e))
+        e, w = [np.searchsorted(values, x) for x in e], len(values)
+    e0, e1, e2, e3 = e
+    touch = e1 == e2
+    e1, e2 = np.where(touch, e3, e1), np.where(touch, e3, e2)
+    p, q = np.where(e0 < e1, e0 * w + e1, 0), np.where(e2 < e3, e2 * w + e3, 0)
+    return len(distinct_keys(np.minimum(p, q) * w * w + np.maximum(p, q)))
 
 
 def laminar_union_count(a, b) -> tuple[int, int]:

@@ -1,6 +1,5 @@
-"""Fuzz of the command line: whatever the model file, the flags or
-LAMINAR_VC_THREADS hold, a command ends in exit code 0, 1, 2 or 3 without a
-traceback, and every CSV row growth writes has one field per header column.
+"""Fuzz of the command line: whatever the model file or the flags hold, a
+command ends in exit code 0, 1, 2 or 3 without a traceback, and every CSV row growth writes has one field per header column.
 
 Values stay tiny so that every example runs in milliseconds.  verify-lemmas
 is drawn with its rejected --trials values only: any accepted value runs the
@@ -47,7 +46,6 @@ model_files = st.one_of(
     model_docs.map(lambda doc: json.dumps(doc).encode()), st.binary(max_size=24)
 )
 numbers = st.integers(-3, 40).map(str) | st.sampled_from(["", "x", "1.5", "nan", "inf", "-inf"])
-thread_values = st.none() | st.text(alphabet="0123456789 -+.xa", max_size=4)
 
 
 @st.composite
@@ -91,11 +89,9 @@ def invocations(draw):
     return argv, model
 
 
-def run_cli(argv, model, threads):
-    """Run argv with the model file bytes written to MODEL and
-    LAMINAR_VC_THREADS set to threads (None: unset), then check the
+def run_cli(argv, model):
+    """Run argv with the model file bytes written to MODEL, then check the
     documented exit codes, the absence of a traceback and the growth CSV."""
-    saved = os.environ.get("LAMINAR_VC_THREADS")
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.model.json")
@@ -103,21 +99,11 @@ def run_cli(argv, model, threads):
             with open(path, "wb") as fh:
                 fh.write(model)
         argv = [path if a == "MODEL" else a for a in argv]
-        if threads is None:
-            os.environ.pop("LAMINAR_VC_THREADS", None)
-        else:
-            os.environ["LAMINAR_VC_THREADS"] = threads
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except SystemExit as e:  # argparse rejects the flags
-                    code = e.code
-        finally:
-            if saved is None:
-                os.environ.pop("LAMINAR_VC_THREADS", None)
-            else:
-                os.environ["LAMINAR_VC_THREADS"] = saved
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as e:  # argparse rejects the flags
+                code = e.code
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err.getvalue()
     lines = out.getvalue().splitlines()
@@ -129,9 +115,9 @@ def run_cli(argv, model, threads):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(invocations(), thread_values)
-def test_cli_exits_with_a_documented_code(invocation, threads):
-    run_cli(*invocation, threads)
+@given(invocations())
+def test_cli_exits_with_a_documented_code(invocation):
+    run_cli(*invocation)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -141,4 +127,4 @@ def test_growth_rows_fit_the_header_whatever_the_model_seed(seed, kind, as_json)
     model = json.dumps({"kind": "ultrametric", "parent": [-1, 0, 0, 0, 0, 0], "seed": seed})
     argv = ["growth", "--formula", kind, "--arity", "2", "--sizes", "2,3,4", "--trials", "1",
             "--model", "MODEL"] + ["--json"] * as_json
-    assert run_cli(argv, model.encode(), "1") in (0, 1, 2)
+    assert run_cli(argv, model.encode()) in (0, 1, 2)

@@ -1,9 +1,9 @@
 """type_space, its sample path and its parameter blocks, and the growth
 harness's factored counts at arity 1 and 2, checked against the brute-force
 oracle in scalar_oracle: the same sign rows, and type_space's in the same
-lexicographic order.  They count with packed_columns, distinct_rows and
-segment_count, which are checked against their unpacked NumPy
-equivalents."""
+lexicographic order.  They count with packed_columns, distinct_rows,
+segment_count and range_set_count, which are checked against their unpacked
+NumPy equivalents."""
 
 import json
 import tracemalloc
@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 from scalar_oracle import Tree, corpus_rows, holds, shuffled_ids, with_unary_nodes
 
-from laminarvc import ResourceCapError, harness, save_model, setsystem
+from laminarvc import ResourceCapError, harness, models, save_model, setsystem
 from laminarvc.cli import main
 from laminarvc.harness import ExperimentConfig, _sample_params, resolve_model, run_growth
 from laminarvc.models import (
     CORPUS, GROWTH_KINDS, OrderModel, UltrametricModel, growth_formula, random_ultrametric,
 )
 from laminarvc.setsystem import (
-    distinct_ranges, distinct_rows, laminar_union_count, packed_columns, segment_count,
-    type_space,
+    distinct_ranges, distinct_rows, laminar_union_count, packed_columns, range_set_count,
+    segment_count, type_space,
 )
 
 
@@ -150,15 +150,24 @@ def factored_models(seed):
     return trees + unary + [OrderModel(rng.randint(2, 12), seed=seed)]
 
 
+def caterpillar(size):
+    """A tree whose inner nodes form one path, each with a leaf child, and
+    two leaves below the last: every ball is a leaf or a suffix of leaves."""
+    return UltrametricModel((-1, *range(size - 2), *range(size - 1), size - 2))
+
+
 def unpacked(packed, m):
     return sorted(bytes(row) for row in np.unpackbits(packed, axis=1)[:, :m])
 
 
-def packed_ranges(a, b, m):
-    """Packed rows with the bits a[i] <= j < b[i] set, one bit per position."""
+def packed_ranges(a, b, m, a2=(), b2=()):
+    """Packed rows with the bits a[i] <= j < b[i] set, one bit per position,
+    and then the bits a2[i] <= j < b2[i] flipped, when given."""
     rows = np.zeros((len(a), m), dtype=bool)
     for i, (lo, hi) in enumerate(zip(a, b)):
         rows[i, lo:hi] = True
+    for i, (lo, hi) in enumerate(zip(a2, b2)):
+        rows[i, lo:hi] ^= True
     return np.packbits(rows, axis=1)
 
 
@@ -187,21 +196,31 @@ def is_laminar(packed):
 
 def arity_2_rows(spec, model, xs):
     """The distinct sign rows the corpus entry gives over the column xs, in
-    its sorted order: the unions of two profile ranges, its row ranges, or
-    its candidate rows."""
+    its sorted order: the unions of two profile ranges, or the symmetric
+    differences of its row ranges."""
     if spec.ranges is not None:
         profiles = packed_ranges(*spec.ranges(model, xs), len(xs))
         assert is_laminar(profiles)
         return distinct_rows(pair_unions(profiles))
-    if spec.row_ranges is not None:
-        return distinct_rows(packed_ranges(*spec.row_ranges(model, xs), len(xs)))
-    return distinct_rows(spec.rows(model, xs, lambda r: None))
+    a1, b1, a2, b2 = spec.row_ranges(model, xs, lambda r: None)
+    return distinct_rows(packed_ranges(a1, b1, len(xs), a2, b2))
+
+
+def profile_counts(model, xs):
+    """(d_pos, d_neg): the distinct xs ∩ ball_2(y) and xs ∩ ball_1(y),
+    whose pairs give boolean-mix's candidate rows."""
+    return tuple(
+        len(distinct_ranges(*models._ball_ranges(model, model.ancestor_array(k), xs))[0])
+        for k in (2, 1)
+    )
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_factored_rows_match_oracle(seed):
     rng = Random(600 + seed)
-    for model in factored_models(600 + seed):
+    trees = factored_models(600 + seed)[:4]
+    extra = [shuffled_ids(tree, rng) for tree in trees] + [caterpillar(rng.randint(3, 12))]
+    for model in factored_models(600 + seed) + extra:
         # a few parameters, repeated ones, and every carrier element (m = L)
         columns = [
             rng.sample(range(model.size), rng.randint(1, model.size)),
@@ -211,8 +230,7 @@ def test_factored_rows_match_oracle(seed):
         for kind, spec in CORPUS.items():
             if not isinstance(model, spec.carriers):
                 continue
-            factorings = (spec.ranges, spec.row_ranges, spec.rows)
-            assert sum(f is not None for f in factorings) == 1, kind
+            assert (spec.ranges is None) != (spec.row_ranges is None), kind
             for xs in columns:
                 got = arity_2_rows(spec, model, np.array(xs))
                 column = sorted_column(kind, model, xs)
@@ -222,8 +240,16 @@ def test_factored_rows_match_oracle(seed):
                     unions, _ = laminar_union_count(*spec.ranges(model, np.array(xs)))
                     assert unions == len(want), (kind, model, xs)
                 if spec.row_ranges is not None:
-                    a, _ = distinct_ranges(*spec.row_ranges(model, np.array(xs)))
-                    assert len(a) == len(want), (kind, model, xs)
+                    rows = []
+                    ends = spec.row_ranges(model, np.array(xs), rows.append)
+                    assert range_set_count(*ends) == len(want), (kind, model, xs)
+                    for a1, b1, a2, b2 in zip(*(e.tolist() for e in ends)):
+                        assert b1 <= a2 or b2 <= a1 or a1 <= a2 <= b2 <= b1, (kind, xs)
+                    if kind == "boolean-mix":
+                        # one row per candidate pair at most, afforded before
+                        # the rows are built
+                        d_pos, d_neg = profile_counts(model, np.array(xs))
+                        assert rows == [len(ends[0])] and rows[0] <= d_pos * d_neg, xs
 
 
 UNION_KINDS = [kind for kind, spec in CORPUS.items() if spec.ranges is not None]
@@ -294,8 +320,7 @@ def test_laminar_union_count_on_random_range_families(seed):
 
 def growth_rows_match_oracle(config, model):
     report = run_growth(config)
-    engine = "rows" if config.formula_kind == "boolean-mix" else "ranges"
-    assert report.complete and report.engine == engine
+    assert report.complete and report.engine == "ranges"
     for row in report.rows:
         params = _sample_params(
             Random(f"{config.seed}/{row.m}/{row.trial}"), model.size, 1, row.m, model.size,
@@ -311,9 +336,10 @@ def test_factored_growth_on_model_files_matches_oracle(duplicates, tmp_path):
     # carrier when drawn without duplicates; with duplicates a cell may hold
     # more parameters than the carrier has elements
     tree = with_unary_nodes(random_ultrametric(7, 3, 4), Random(4), 5)
+    shuffled = shuffled_ids(tree, Random(5))
     star = UltrametricModel((-1,) + (0,) * 7)
     order = OrderModel(7, seed=1)
-    for model in (tree, star, order):
+    for model in (tree, shuffled, caterpillar(7), star, order):
         path = tmp_path / f"{type(model).__name__}.model.json"
         save_model(model, path)
         for kind, spec in CORPUS.items():
@@ -347,14 +373,13 @@ def test_row_kinds_allocate_no_m_by_m_table():
 
 
 def arity_2_cell_work(kind, model, xs):
-    """What an arity-2 cell over the column xs may spend: R * m candidate
-    bits for boolean-mix, L * m profile bits otherwise."""
-    spec, m = CORPUS[kind], len(xs)
-    if spec.rows is None:
-        return model.size * m
-    rows = []
-    spec.rows(model, xs, rows.append)
-    return rows[0] * m
+    """What an arity-2 cell over the column xs may spend, and the term
+    that names it: its L * m sign bits, or for boolean-mix the R * m bits of
+    its R rows when they are more."""
+    m, rows = len(xs), [0]
+    if CORPUS[kind].row_ranges is not None:
+        CORPUS[kind].row_ranges(model, xs, rows.append)
+    return max((model.size * m, "elements"), (rows[-1] * m, "candidate rows"))
 
 
 def test_factored_growth_keeps_the_enumeration_cap(capsys):
@@ -365,7 +390,7 @@ def test_factored_growth_keeps_the_enumeration_cap(capsys):
         argv = ["growth", "--formula", kind, "--arity", "2", "--sizes", "2,4,8",
                 "--trials", "2", "--seed", "5"]
         model = resolve_model(ExperimentConfig(kind, 2, (2, 4, 8), trials=2, seed=5))
-        work = max(
+        work, _ = max(
             arity_2_cell_work(kind, model, _sample_params(
                 Random(f"5/{m}/{t}"), model.size, 1, m, model.size, False)[:, 0])
             for m in (2, 4, 8) for t in range(2)
@@ -390,21 +415,41 @@ def assert_cap_reported(out, tail):
 
 
 def test_arity_2_cap_names_the_cell_work_before_the_matrix_it_bounds(monkeypatch):
-    # one short of a cell's work: a union cell never starts the count, and
-    # the message names what was counted
+    # one short of a cell's work: a cell never starts the count, and the
+    # message names what was counted; boolean-mix's rows outnumber the
+    # leaves here
     model = random_ultrametric(64, 3, 2)
     xs = np.arange(0, 64, 2)
 
-    def no_count(a, b):
-        raise AssertionError("the union count ran")
+    def no_count(*ends):
+        raise AssertionError("the count ran")
 
     monkeypatch.setattr(harness, "laminar_union_count", no_count)
-    for kind, spec in CORPUS.items():
-        work = arity_2_cell_work(kind, model, xs)
+    monkeypatch.setattr(harness, "range_set_count", no_count)
+    for kind in CORPUS:
+        work, what = arity_2_cell_work(kind, model, xs)
+        assert (what == "candidate rows") == (kind == "boolean-mix"), kind
         config = ExperimentConfig(kind, 2, (2, 4, 8), cap=work - 1)
-        what = "elements" if spec.rows is None else "candidate rows"
         with pytest.raises(ResourceCapError, match=f"{what}.* = {work} exceeds cap {work - 1}$"):
             harness._factored_count(config, model, xs[:, None])
+
+
+def test_boolean_mix_cap_breaks_before_the_rows_are_built():
+    # a 4096-leaf caterpillar at m = 2048: about 2.1 million rows, whose R * m
+    # bits break the default cap; the cell raises before it allocates their
+    # int64 ends (16 MB per array)
+    model = caterpillar(4096)
+    model.ancestor_array(1), model.ancestor_array(2)  # the views, built first
+    params = _sample_params(Random(0), model.size, 1, 2048, model.size, False)
+    config = ExperimentConfig("boolean-mix", 2, (2, 4, 8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="candidate rows x 2048 parameters"):
+            harness._factored_count(config, model, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_lca_ball_rows_are_the_distinct_balls_only():
@@ -417,11 +462,11 @@ def test_lca_ball_rows_are_the_distinct_balls_only():
         base = random_ultrametric(rng.randint(2, 40), 4, rng.randrange(1 << 20))
         model = with_unary_nodes(base, rng, rng.randint(0, 30))
         xs = np.arange(model.size)
-        a, b = spec.row_ranges(model, xs)
+        a, b, a2, b2 = spec.row_ranges(model, xs, None)
         rows = packed_ranges(a, b, len(xs))
         # the ranges lay the parameters out by leaf rank
         every_ball = np.packbits(model.ball_bool[:, sorted_column(kind, model, xs)], axis=1)
-        assert len(a) <= 2 * model.size - 1
+        assert len(a) <= 2 * model.size - 1 and not a2.any() and not b2.any()
         assert len(distinct_ranges(a, b)[0]) == len(distinct_rows(rows)) == len(a)
         assert (distinct_rows(rows) == distinct_rows(every_ball)).all()
 
@@ -685,6 +730,42 @@ def test_segment_count_matches_unpacked_columns(size):
             a1, b1, a2, b2 = (np.array(c, dtype=np.int64) for c in zip(*cols))
             assert segment_count(size, a1, b1, a2, b2) == segment_oracle(
                 size, a1, b1, a2, b2), (size, m)
+
+
+def range_set_oracle(a1, b1, a2, b2):
+    """The distinct sets [a1[j], b1[j]) XOR [a2[j], b2[j]) as Python sets."""
+    return len({frozenset(range(a, b)) ^ frozenset(range(c, d))
+                for a, b, c, d in zip(a1, b1, a2, b2)})
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 64, 200])
+def test_range_set_count_matches_python_sets(size):
+    # random pairs, nested, crossing or with no second range, and the edge
+    # pairs: empty ranges, touching parts, nests that share an end, equal
+    # ranges; then the same sets with their ends scaled past 55108, where
+    # the count keys the ranks of the ends
+    rng = Random(size)
+    for m in (1, 2, 5, 64, 130):
+        pairs = []
+        for _ in range(m):
+            first = random_range(rng, size)
+            second = rng.choice([random_range(rng, size), (0, 0), (first[0], first[0]),
+                                 (first[1], rng.randint(first[1], size))])
+            pairs.append(first + second)
+        pairs += special_range_pairs(rng, size)
+        pairs += rng.sample(pairs, len(pairs) // 3)
+        rng.shuffle(pairs)
+        ends = [np.array(c, dtype=np.int64) for c in zip(*pairs)]
+        want = range_set_oracle(*ends)
+        assert range_set_count(*ends) == want, (size, m)
+        assert range_set_count(*(e * 60001 for e in ends)) == want, (size, m)
+    # two sets that differ in their first part only, with ends up to
+    # 2**32 - 1: keyed with w = 2**32 unranked, both keys would wrap to the
+    # same int64
+    top = (1 << 32) - 1
+    assert range_set_count([0, 2], [1, 3], [5, 5], [top, top]) == 2
+    none = np.zeros(0, dtype=np.int64)
+    assert range_set_count(none, none, none, none) == 0
 
 
 def test_segment_count_of_no_sets_or_only_empty_ones_is_one_row():

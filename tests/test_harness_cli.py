@@ -7,8 +7,6 @@ import shutil
 import subprocess
 import sys
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from random import Random
 
@@ -23,7 +21,7 @@ from laminarvc import (
 )
 from laminarvc.cli import main
 from laminarvc.harness import (
-    CSV_HEADER, ExperimentConfig, _sample_params, csv_text, run_growth, thread_budget,
+    CSV_HEADER, ExperimentConfig, _sample_params, csv_text, run_growth,
 )
 from laminarvc.models import SetFamily, growth_formula, random_ultrametric
 from laminarvc.setsystem import sauer_check
@@ -59,17 +57,11 @@ def small_config(**kw):
     return ExperimentConfig(**base)
 
 
-def test_growth_rows_deterministic_across_runs(monkeypatch):
+def test_growth_rows_deterministic_across_runs():
     a = run_growth(small_config())
     b = run_growth(small_config())
     assert rows_without_ms(a) == rows_without_ms(b)
     assert a.exponents == b.exponents
-    # only arity-2 cells go to the pool
-    inline = run_growth(small_config(arity=2))
-    monkeypatch.setenv("LAMINAR_VC_THREADS", "3")
-    monkeypatch.setattr(harness, "_INLINE_BITS", 0)  # every arity-2 cell to the pool
-    c = run_growth(small_config(arity=2))
-    assert rows_without_ms(inline) == rows_without_ms(c)
 
 
 def test_growth_rows_sorted_and_csv_header():
@@ -192,10 +184,13 @@ sys.path.insert(0, sys.argv[1])
 import numpy as np
 from laminarvc.cli import main
 sizes = ["--sizes", "4,8,16", "--trials", "2", "--seed", "3"]
+wide = ["--sizes", "512,1024,2048", "--trials", "1", "--seed", "7"]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for kind in ("lca-ball", "twin-ball-1", "boolean-mix"):
         assert main(["growth", "--formula", kind, "--arity", "1"] + sizes) == 0
     assert main(["growth", "--formula", "twin-ball-1", "--arity", "2"] + sizes) == 0
+    assert main(["growth", "--formula", "boolean-mix", "--arity", "2"] + wide) == 0
+assert "concurrent.futures" not in sys.modules
 loaded = "numpy.ma" in sys.modules
 np.unique(np.arange(3))
 print(loaded, "numpy.ma" in sys.modules)
@@ -205,8 +200,10 @@ print(loaded, "numpy.ma" in sys.modules)
 def test_growth_cells_do_not_import_numpy_ma():
     """np.unique with no return_* flag imports numpy.ma the first time a
     process calls it, which took 14.5 ms of a growth command in a fresh
-    interpreter on a shared 2-core VM.  Arity-1 cells of every kind and
-    twin-ball-k cells at arity 2 must not pay it.  The probe's own np.unique
+    interpreter on a shared 2-core VM.  Arity-1 cells of every kind, and
+    twin-ball-k and boolean-mix cells at arity 2 (on 4096 leaves up to
+    m = 2048), must not pay it; nor do they import concurrent.futures, as
+    every cell runs in the calling thread.  The probe's own np.unique
     shows the check can fail; on a NumPy whose np.unique leaves numpy.ma
     alone there is no cost to guard, and the test skips."""
     src = Path(harness.__file__).resolve().parents[1]
@@ -231,75 +228,16 @@ def test_growth_cap_marks_incomplete():
     assert not report.complete and not report.passed
 
 
+def no_thread(monkeypatch):
+    def start(self):
+        raise AssertionError("a growth run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+
+
 def test_growth_cancels_queued_cells_after_cap_error(monkeypatch):
-    monkeypatch.setenv("LAMINAR_VC_THREADS", "2")
-    calls = []
-    lock = threading.Lock()
-
-    def over_cap(*args, **kwargs):
-        with lock:
-            calls.append(None)
-            first = len(calls) == 1
-        # the first cell outlasts the rest, so the run learns of a later failure
-        # while the first cell is still running
-        time.sleep(0.3 if first else 0.005)
-        raise ResourceCapError("over the cap")
-
-    monkeypatch.setattr(harness, "_factored_count", over_cap)
-    monkeypatch.setattr(harness, "_INLINE_BITS", 0)  # every arity-2 cell to the pool
-    report = run_growth(small_config(arity=2, sizes=(4, 8, 16, 32), trials=10))
-    assert not report.complete
-    assert len(calls) < 40
-
-
-def test_small_growth_runs_start_no_thread(monkeypatch):
-    # every cell of L = 512, m <= 256 has fewer than 2^20 sign bits
-    monkeypatch.setenv("LAMINAR_VC_THREADS", "2")
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a small run started the thread pool")
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
-    report = run_growth(small_config(arity=2, sizes=(8, 64, 256), trials=3))
-    assert report.complete and len(report.rows) == 9
-
-
-def test_cells_of_many_sign_bits_go_to_the_pool(monkeypatch):
-    # L = 2048: the m = 512 and m = 1024 arity-2 cells have 2^20 sign bits
-    # or more
-    monkeypatch.setenv("LAMINAR_VC_THREADS", "3")
-    pools = []
-
-    def recording(max_workers):
-        pools.append(max_workers)
-        return ThreadPoolExecutor(max_workers)
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", recording)
-    report = run_growth(small_config(arity=2, sizes=(8, 512, 1024), trials=2))
-    assert report.complete and len(report.rows) == 6
-    assert pools == [3]
-
-
-@pytest.mark.parametrize("kind", ["lca-ball", "boolean-mix"])
-def test_arity_1_cells_of_many_sign_bits_start_no_thread(kind, monkeypatch):
-    # L = 4096: the m = 2048 cells have 2^23 sign bits, but arity-1 cells
-    # hold the interpreter lock and always run inline
-    monkeypatch.setenv("LAMINAR_VC_THREADS", "3")
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("an arity-1 run started the thread pool")
-
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
-    report = run_growth(small_config(formula_kind=kind, sizes=(8, 1024, 2048), trials=2))
-    assert report.complete and len(report.rows) == 6
-    assert report.model_label == "ultrametric-L4096-s3"
-
-
-def test_cap_error_in_an_inline_cell_starts_no_pooled_cell(monkeypatch):
-    # L = 32 here: arity-2 cells with m < 8 run inline (32 * 8 = 2^8 bits),
-    # the rest would go to the pool
-    monkeypatch.setenv("LAMINAR_VC_THREADS", "2")
-    monkeypatch.setattr(harness, "_INLINE_BITS", 1 << 8)
+    # cells run one after another: after the first one over the cap, no
+    # later cell starts
     sizes = []
 
     def over_cap_at_4(config, model, params):
@@ -308,14 +246,25 @@ def test_cap_error_in_an_inline_cell_starts_no_pooled_cell(monkeypatch):
             raise ResourceCapError("over the cap")
         return 1, len(params)
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("the pool started after a failed inline cell")
-
     monkeypatch.setattr(harness, "_factored_count", over_cap_at_4)
-    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
     report = run_growth(small_config(arity=2, sizes=(2, 4, 8, 16), trials=3))
-    assert report.cap_error == "over the cap"
+    assert report.cap_error == "over the cap" and not report.complete
     assert sizes == [2, 2, 2, 4]
+
+
+def test_small_growth_runs_start_no_thread(monkeypatch):
+    no_thread(monkeypatch)
+    report = run_growth(small_config(arity=2, sizes=(8, 64, 256), trials=3))
+    assert report.complete and len(report.rows) == 9
+
+
+@pytest.mark.parametrize("kind", ["lca-ball", "boolean-mix"])
+def test_arity_1_cells_of_many_sign_bits_start_no_thread(kind, monkeypatch):
+    # L = 4096: the m = 2048 cells have 2^23 sign bits
+    no_thread(monkeypatch)
+    report = run_growth(small_config(formula_kind=kind, sizes=(8, 1024, 2048), trials=2))
+    assert report.complete and len(report.rows) == 6
+    assert report.model_label == "ultrametric-L4096-s3"
 
 
 def test_growth_model_path(tmp_path):
@@ -339,18 +288,19 @@ def test_report_json_carries_cell_cost_and_quotient():
     assert doc["engine"] == "segments" and "quotient" not in doc
     assert [r["tuples_refined"] for r in doc["rows"]] == [4, 4, 8, 8, 16, 16]
     # arity 2: a union kind counts the d^2 pairs of its d profile ranges,
-    # lca-ball dedupes row ranges and boolean-mix candidate rows
+    # lca-ball and boolean-mix dedupe row ranges
     report = run_growth(small_config(formula_kind="twin-ball-1", arity=2, sizes=(2, 4, 8)))
     doc = report.to_json()
     assert doc["engine"] == "ranges"
     assert run_growth(small_config(formula_kind="lca-ball", arity=2)).engine == "ranges"
-    assert run_growth(small_config(formula_kind="boolean-mix", arity=2)).engine == "rows"
+    assert run_growth(small_config(formula_kind="boolean-mix", arity=2)).engine == "ranges"
     assert all(r["type_count"] <= r["tuples_refined"] <= 16**2 for r in doc["rows"])
     assert csv_text(report).splitlines()[0] == ",".join(CSV_HEADER)
     assert all(len(line.split(",")) == len(CSV_HEADER) for line in csv_text(report).splitlines())
 
 
 def test_growth_json_carries_an_environment_stamp(monkeypatch, capsys):
+    # a variable the program no longer reads leaves no trace in the stamp
     monkeypatch.setenv("LAMINAR_VC_THREADS", "3")
     argv = ["growth", "--formula", "lca-ball", "--arity", "1", "--sizes", "4,8,16",
             "--trials", "2", "--seed", "3"]
@@ -364,7 +314,6 @@ def test_growth_json_carries_an_environment_stamp(monkeypatch, capsys):
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "threads": 3,
         "git_sha": harness.git_sha(root),
     }
     # the CSV is the same with and without the stamp, but for the ms column
@@ -496,24 +445,6 @@ def test_cli_growth_rejects_order_model_for_ball_formulas(kind, tmp_path, capsys
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "order model" in err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_thread_budget_rejects_bad_values(value, monkeypatch, capsys):
-    monkeypatch.setenv("LAMINAR_VC_THREADS", value)
-    with pytest.raises(DomainError):
-        thread_budget()
-    code = main(["growth", "--formula", "lca-ball", "--arity", "1", "--sizes", "4,8,16"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and "LAMINAR_VC_THREADS" in err
-
-
-def test_thread_budget_reads_positive_values(monkeypatch):
-    monkeypatch.setenv("LAMINAR_VC_THREADS", " 3 ")
-    assert thread_budget() == 3
-    monkeypatch.setenv("LAMINAR_VC_THREADS", "")
-    assert thread_budget() >= 1
 
 
 def test_cli_growth_cap_exit_code(tmp_path):

@@ -1,8 +1,8 @@
 """Regression guard: the stdout of pinned CLI commands, byte for byte.
 
 The recorded outputs in pinned_outputs.json are the lemma report and the
-incremental-count reports at seed 0, and the CSV rows of six growth runs at
-seed 7, without their `ms` column (a timing): three at arity 2, and at
+incremental-count reports at seed 0, and the CSV rows of seven growth runs
+at seed 7, without their `ms` column (a timing): four at arity 2, and at
 arity 1 lca-ball and boolean-mix on 4096 leaves up to 2048 parameters, and
 a small twin-ball-1 run.  Every growth
 run builds its carrier with random_ultrametric or OrderModel and draws its
@@ -29,7 +29,8 @@ COMMANDS = [
     *(["fullvcmin-demo", "--b-size", str(b), "--seed", "0", "--json"] for b in (4, 8, 16)),
     ["verify-lemmas", "--json", "--trials", "40", "--seed", "0"],
     *(["growth", "--arity", "2", "--sizes", "8,16,32,64,128,256", "--trials", "5",
-       "--seed", "7", "--formula", f] for f in ("lca-ball", "twin-ball-1", "pair-equality")),
+       "--seed", "7", "--formula", f]
+      for f in ("lca-ball", "twin-ball-1", "pair-equality", "boolean-mix")),
     *(["growth", "--arity", "1", "--sizes", "64,128,256,512,1024,2048", "--trials", "20",
        "--seed", "7", "--formula", f] for f in ("lca-ball", "boolean-mix")),
     ["growth", "--arity", "1", "--sizes", "8,16,32,64,128,256", "--trials", "5",
