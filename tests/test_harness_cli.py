@@ -252,6 +252,24 @@ def test_growth_cancels_queued_cells_after_cap_error(monkeypatch):
     assert sizes == [2, 2, 2, 4]
 
 
+def test_cap_error_in_an_inline_cell_starts_no_pooled_cell(monkeypatch):
+    # every cell runs inline: a cap error part way up the sizes starts no
+    # thread for the cells that would have followed it
+    no_thread(monkeypatch)
+    sizes = []
+
+    def over_cap_at_8(config, model, params):
+        sizes.append(len(params))
+        if len(params) == 8:
+            raise ResourceCapError("over the cap")
+        return 1, len(params)
+
+    monkeypatch.setattr(harness, "_factored_count", over_cap_at_8)
+    report = run_growth(small_config(arity=2, sizes=(2, 4, 8, 16), trials=3))
+    assert report.cap_error == "over the cap" and not report.complete
+    assert sizes == [2, 2, 2, 4, 4, 4, 8]
+
+
 def test_small_growth_runs_start_no_thread(monkeypatch):
     no_thread(monkeypatch)
     report = run_growth(small_config(arity=2, sizes=(8, 64, 256), trials=3))
