@@ -11,21 +11,20 @@ import json
 import sys
 from dataclasses import asdict
 
+from . import forest
 from .errors import DomainError, ModelFormatError, ResourceCapError, ValidationError
-from .forest import CrossingPair, check_directed
 from .fullvcmin import dlo_instance, incremental_count_check
 from .harness import ExperimentConfig, csv_text, run_growth, write_csv
 from .models import (
     GROWTH_KINDS,
     OrderModel,
     UltrametricModel,
-    ball_family,
+    initial_segments,
     load_model,
-    order_family,
     random_ultrametric,
     save_model,
 )
-from .setsystem import ENUM_CAP, SetFamily
+from .setsystem import ENUM_CAP
 from .verify import run_all
 from random import Random
 
@@ -47,22 +46,24 @@ def cmd_gen_model(args) -> int:
     return 0
 
 
-def _designated_family(model) -> SetFamily:
+def _designated_member(model):
+    """The member matrix of a model's designated family: a tree's balls by
+    node id, an order's proper initial segments by cut point, or the sets of
+    a family file."""
     if isinstance(model, UltrametricModel):
-        return ball_family(model).base
+        return model.ball_bool
     if isinstance(model, OrderModel):
-        return order_family(model).base
-    return model
+        return initial_segments(model)
+    return model.member
 
 
 def cmd_check_directed(args) -> int:
-    model = load_model(args.model)
-    family = _designated_family(model)
-    result = check_directed(family)
-    if isinstance(result, CrossingPair):
-        print(json.dumps({"directed": False, "violation": [result.i, result.j]}))
+    member = _designated_member(load_model(args.model))
+    witness = forest.first_crossing(member)
+    if witness is not None:
+        print(json.dumps({"directed": False, "violation": [witness.i, witness.j]}))
         return 1
-    print(json.dumps({"directed": True, "sets": len(family.sets)}))
+    print(json.dumps({"directed": True, "sets": len(member)}))
     return 0
 
 

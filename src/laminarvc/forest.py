@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -32,9 +32,10 @@ class CrossingPair:
 _CROSSING_BYTES = 1 << 20
 
 
-def first_crossing(family: SetFamily) -> Optional[CrossingPair]:
-    """Lexicographically first pair of member sets that are neither nested nor
-    disjoint, or None if the family is directed.
+def first_crossing(member: np.ndarray) -> Optional[CrossingPair]:
+    """Lexicographically first pair of rows of an (n, U) bool member matrix,
+    row i the set S_i, that are neither nested nor disjoint, or None if the
+    family is directed.
 
     Sets i and j cross exactly when 0 < |S_i & S_j| < min(|S_i|, |S_j|).  Each
     set is packed into 64-element words, and the intersection sizes are
@@ -43,15 +44,13 @@ def first_crossing(family: SetFamily) -> Optional[CrossingPair]:
     Rows go in chunks, in order, so that the working arrays fit
     _CROSSING_BYTES; the first crossing of a chunk in row-major order is the
     first of the family once the chunks above it have none."""
-    n, u = len(family.sets), family.universe.size
-    lens = [len(s) for s in family.sets]
-    elements = np.fromiter(chain.from_iterable(family.sets), np.int64, sum(lens))
-    member = np.zeros((n, -(-u // 64) * 64), dtype=bool)
-    member[np.repeat(np.arange(n), lens), elements] = True
+    n, u = member.shape
+    packed = np.zeros((n, -(-u // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-u // 8)] = np.packbits(member, axis=1)
     # words[w, i]: set i's members among elements 64w .. 64w + 63
-    words = np.ascontiguousarray(np.packbits(member, axis=1).view(np.uint64).T)
+    words = np.ascontiguousarray(packed.view(np.uint64).T)
     holders = [np.flatnonzero(word) for word in words]
-    sizes = np.array(lens)
+    sizes = np.count_nonzero(member, axis=1)
     # per chunk: the (side, n) int32 sums, three (side, n) bool masks, and
     # per word the uint64 AND and its uint8 popcount of at most (side, n)
     side = max(1, _CROSSING_BYTES // (16 * max(1, n)))
@@ -90,7 +89,7 @@ class DirectedFamily:
     def __post_init__(self, checked: bool):
         if checked:
             return
-        witness = first_crossing(self.base)
+        witness = first_crossing(self.base.member)
         if witness is not None:
             raise ValidationError(
                 f"family is not directed: sets {witness.i} and {witness.j} cross"
@@ -102,77 +101,70 @@ class DirectedFamily:
 
 
 def check_directed(family: SetFamily) -> Union[DirectedFamily, CrossingPair]:
-    witness = first_crossing(family)
-    if witness is not None:
-        return witness
-    return DirectedFamily(family, checked=True)
+    witness = first_crossing(family.member)
+    return DirectedFamily(family, checked=True) if witness is None else witness
 
 
 # --- quasi-forests ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiForest:
-    """Nodes under the preorder s <= t iff extent(t) is contained in extent(s);
-    so larger balls sit lower.  leq[i][j] means node i <= node j.
-
-    Extents are optional: forests read off a type (rather than computed from a
-    carrier) carry only the order matrix.
-    """
+    """Nodes under the preorder s <= t iff extent(t) is contained in extent(s),
+    so larger balls sit lower: leq, an (n, n) bool matrix read from any array
+    like, has leq[i, j] when node i <= node j.  Forests computed from a carrier
+    carry their extents too, as an (n, U) bool member matrix."""
 
     labels: tuple[Hashable, ...]
-    leq: tuple[tuple[bool, ...], ...]
-    extents: Optional[tuple[frozenset[int], ...]] = None
+    leq: np.ndarray
+    extents: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "leq", np.asarray(self.leq, bool).reshape(self.n_nodes, self.n_nodes))
 
     @property
     def n_nodes(self) -> int:
         return len(self.labels)
 
     @cached_property
-    def class_of(self) -> tuple[int, ...]:
-        """Quotient by mutual comparability (extensional equality of extents)."""
-        n = self.n_nodes
-        cls = [-1] * n
-        next_id = 0
-        for i in range(n):
-            if cls[i] != -1:
-                continue
-            cls[i] = next_id
-            for j in range(i + 1, n):
-                if cls[j] == -1 and self.leq[i][j] and self.leq[j][i]:
-                    cls[j] = next_id
-            next_id += 1
-        return tuple(cls)
+    def _same(self) -> np.ndarray:  # mutual comparability: equal extents
+        return self.leq & self.leq.T
+
+    @cached_property
+    def reps(self) -> np.ndarray:
+        """Each class's least node: one mutually comparable with no earlier
+        node.  The quotient assumes leq is a preorder."""
+        return np.flatnonzero(~np.tril(self._same, -1).any(axis=1))
+
+    @cached_property
+    def class_of(self) -> np.ndarray:
+        """Quotient by mutual comparability: node i's class is the index of
+        the one representative it is mutually comparable with."""
+        return np.nonzero(self._same[:, self.reps])[1]
 
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
-        groups: dict[int, list[int]] = {}
-        for i, c in enumerate(self.class_of):
-            groups.setdefault(c, []).append(i)
-        return tuple(tuple(groups[c]) for c in range(len(groups)))
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self._same[self.reps])
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return len(self.reps)
 
     @cached_property
-    def class_leq(self) -> tuple[tuple[bool, ...], ...]:
-        reps = [g[0] for g in self.classes]
-        return tuple(
-            tuple(self.leq[a][b] for b in reps) for a in reps
-        )
+    def class_leq(self) -> np.ndarray:
+        return self.leq[np.ix_(self.reps, self.reps)]
 
     def class_down_set(self, c: int) -> frozenset[int]:
-        return frozenset(a for a in range(self.n_classes) if self.class_leq[a][c])
+        return frozenset(np.flatnonzero(self.class_leq[:, c]).tolist())
 
     def same_order(self, other: "QuasiForest") -> bool:
         """Order-equality under the positional node bijection."""
-        return self.leq == other.leq
+        return np.array_equal(self.leq, other.leq)
 
     def validate(self) -> None:
         """Check the quasi-forest axioms, raising ValidationError naming the
         first violated one."""
-        leq = np.array(self.leq, dtype=bool).reshape(self.n_nodes, self.n_nodes)
+        leq = self.leq
         irreflexive = np.flatnonzero(~leq.diagonal())
         if len(irreflexive):
             raise ValidationError(f"reflexivity fails at node {self.labels[irreflexive[0]]}")
@@ -189,50 +181,61 @@ class QuasiForest:
         self._validate_chains()
 
     def _validate_chains(self) -> None:
+        """Any two classes below a common class are comparable.  With C the
+        class order, classes a and b are both below some class exactly when
+        (C Cᵀ)[a, b] > 0.  Only if a pair breaks the condition are the classes
+        walked, to name the least class c, then least pair a < b below it."""
+        order = self.class_leq
+        broken = (order.astype(np.int64) @ order.T > 0) & ~(order | order.T)
+        if not broken.any():
+            return
         for c in range(self.n_classes):
-            down = sorted(self.class_down_set(c))
-            for x in range(len(down)):
-                for y in range(x + 1, len(down)):
-                    a, b = down[x], down[y]
-                    if not (self.class_leq[a][b] or self.class_leq[b][a]):
-                        raise ValidationError(
-                            "forest chain condition fails: classes of "
-                            f"{self.labels[self.classes[a][0]]} and "
-                            f"{self.labels[self.classes[b][0]]} are incomparable "
-                            f"below {self.labels[self.classes[c][0]]}"
-                        )
+            down = np.flatnonzero(order[:, c])
+            pairs = np.argwhere(np.triu(broken[np.ix_(down, down)], 1))
+            if len(pairs):
+                a, b = self.reps[down[pairs[0]]]
+                raise ValidationError(
+                    "forest chain condition fails: classes of "
+                    f"{self.labels[a]} and {self.labels[b]} are incomparable "
+                    f"below {self.labels[self.reps[c]]}"
+                )
+
+
+def _extent_forest(member: np.ndarray, labels: tuple[Hashable, ...]) -> QuasiForest:
+    """Quasi-forest of the extents E_i, the rows of an (n, U) bool matrix:
+    node i <= node j exactly when |E_i & E_j| == |E_j|, from one integer
+    product.  An empty extent lies inside every extent, so its node sits
+    above every node, and the forest needs every two extents nested.  When
+    they are not, a DomainError names the first empty instance.  Empty nodes
+    are kept: each counts towards n_raw."""
+    ints = member.astype(np.int32)
+    inter = ints @ ints.T
+    forest = QuasiForest(labels, inter == inter.diagonal(), member)
+    try:
+        forest._validate_chains()
+    except ValidationError as err:
+        empty = np.flatnonzero(~member.any(axis=1))
+        if not len(empty):
+            raise
+        raise DomainError(
+            f"instance {labels[empty[0]]} has an empty extent, which sits above every "
+            "node, so every two extents must be nested, and some are not"
+        ) from err
+    return forest
 
 
 def forest_from_extents(
     extents: Sequence[frozenset[int]], labels: Optional[Sequence[Hashable]] = None
 ) -> QuasiForest:
-    """Quasi-forest of concrete ball extents under reverse inclusion.
-
-    An empty extent lies inside every extent, so its node sits above every
-    node, and the forest needs every two extents nested.  When they are
-    not, a DomainError names the first empty instance.  Empty nodes are
-    kept: each counts towards n_raw."""
-    extents = tuple(frozenset(e) for e in extents)
+    """Quasi-forest of concrete ball extents under reverse inclusion, read
+    once into the member matrix of a family over 0 .. the largest element
+    (a Universe, so within its cap); empty extents as for _extent_forest."""
     if labels is None:
-        labels = tuple(range(len(extents)))
+        labels = range(len(extents))
     elif len(labels) != len(extents):
         raise DomainError("labels and extents must have equal length")
-    masks = [sum(1 << x for x in e) for e in extents]
-    leq = tuple(
-        tuple((mj & mi) == mj for mj in masks) for mi in masks
-    )
-    forest = QuasiForest(tuple(labels), leq, extents)
-    try:
-        forest._validate_chains()
-    except ValidationError as err:
-        empty = next((i for i, e in enumerate(extents) if not e), None)
-        if empty is None:
-            raise
-        raise DomainError(
-            f"instance {labels[empty]} has an empty extent, which sits above every "
-            "node, so every two extents must be nested, and some are not"
-        ) from err
-    return forest
+    family = SetFamily.of(1 + max(chain.from_iterable(extents), default=0), extents)
+    return _extent_forest(family.member, tuple(labels))
 
 
 def build_forest(
@@ -245,19 +248,16 @@ def build_forest(
     index) in row-major order.  Raises DomainError if the instance family is
     not directed.  `signs`, when the caller has it, is the instances'
     sign_matrix over the carrier's elements, which is otherwise computed."""
-    n = carrier.size
     if signs is None:
-        signs = sign_matrix(delta, params, carrier, np.arange(n)[:, None])
-    extents = [frozenset(np.flatnonzero(row).tolist()) for row in signs]
-    labels = [(ci, di) for ci in range(len(params)) for di in range(len(delta))]
-    fam = SetFamily.of(n, extents) if extents else SetFamily.of(max(n, 1), [])
-    witness = first_crossing(fam)
+        signs = sign_matrix(delta, params, carrier, np.arange(carrier.size)[:, None])
+    labels = tuple((ci, di) for ci in range(len(params)) for di in range(len(delta)))
+    witness = first_crossing(signs)
     if witness is not None:
         raise DomainError(
             f"instance family is not directed: instances {labels[witness.i]} "
             f"and {labels[witness.j]} cross"
         )
-    return forest_from_extents(extents, labels)
+    return _extent_forest(signs, labels)
 
 
 # --- the tree of types -----------------------------------------------------
@@ -277,16 +277,12 @@ class TypeTree:
             raise ValidationError("type tree nodes must be distinct")
         if frozenset() not in node_set:
             raise ValidationError("type tree must contain the empty type")
-        for p in self.nodes:
-            for q in self.nodes:
-                if p & q not in node_set:
-                    raise ValidationError("type tree is not meet-closed")
+        if any(p & q not in node_set for p, q in combinations(self.nodes, 2)):
+            raise ValidationError("type tree is not meet-closed")
         for r in self.nodes:
             subs = [p for p in self.nodes if p < r]
-            for p in subs:
-                for q in subs:
-                    if not (p <= q or q <= p):
-                        raise ValidationError("type tree has a node with incomparable subsets")
+            if any(not (p <= q or q <= p) for p, q in combinations(subs, 2)):
+                raise ValidationError("type tree has a node with incomparable subsets")
 
     @cached_property
     def index(self) -> dict[frozenset[int], int]:
@@ -298,26 +294,18 @@ class TypeTree:
 
     @cached_property
     def parent(self) -> tuple[int, ...]:
-        """Index of each node's unique maximal proper subset (-1 for the root)."""
+        """Index of each node's unique maximal proper subset (-1 for the root):
+        the first of the largest nodes inside it."""
         out = []
-        for i, p in enumerate(self.nodes):
-            if not p:
-                out.append(-1)
-                continue
-            best = self.root
-            for j, q in enumerate(self.nodes):
-                if q < p and len(q) > len(self.nodes[best]):
-                    best = j
-            out.append(best)
+        for p in self.nodes:
+            subs = [j for j, q in enumerate(self.nodes) if q < p]
+            out.append(max(subs, key=lambda j: len(self.nodes[j])) if p else -1)
         return tuple(out)
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
-        kids: list[list[int]] = [[] for _ in self.nodes]
-        for i, par in enumerate(self.parent):
-            if par != -1:
-                kids[par].append(i)
-        return tuple(tuple(sorted(k)) for k in kids)
+        parent = self.parent
+        return tuple(tuple(i for i, p in enumerate(parent) if p == v) for v in range(len(parent)))
 
     def _require(self, p: frozenset[int]) -> None:
         if p not in self.index:
@@ -333,8 +321,7 @@ class TypeTree:
 
 
 def type_tree(forest: QuasiForest) -> TypeTree:
-    down_sets = {forest.class_down_set(c) for c in range(forest.n_classes)}
-    down_sets.add(frozenset())
+    down_sets = {frozenset(), *map(forest.class_down_set, range(forest.n_classes))}
     nodes = tuple(sorted(down_sets, key=lambda s: (len(s), sorted(s))))
     return TypeTree(nodes, forest.n_nodes)
 
@@ -478,9 +465,7 @@ class VirtualTypeSpace:
 def virtual_space_from_forest(forest: QuasiForest, n_params: int, n_formulas: int) -> VirtualTypeSpace:
     if forest.n_nodes != n_params * n_formulas:
         raise DomainError("forest raw nodes must be the full params x formulas grid")
-    entries = [
-        bytes(forest.leq[j][cls[0]] for j in range(forest.n_nodes)) for cls in forest.classes
-    ]
+    entries = [column.tobytes() for column in forest.leq.T[forest.reps]]
     entries.append(bytes(forest.n_nodes))
     if len(set(entries)) != len(entries):
         raise ValidationError("virtual generics must be pairwise distinct")

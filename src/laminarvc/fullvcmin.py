@@ -25,7 +25,7 @@ from .forest import (
     virtual_space_from_forest,
 )
 from .models import CarrierModel, OrderModel
-from .setsystem import ParametrizedFormula, sign_matrix, type_space
+from .setsystem import ParametrizedFormula, sign_matrix
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ def forest_from_type(p: np.ndarray, B: Sequence[int], delta0_count: int) -> Quas
     if np.shape(p) != (n, n):
         raise DomainError("psi-type shape does not match B and delta0")
     labels = tuple((bi, i) for bi in range(len(B)) for i in range(delta0_count))
-    forest = QuasiForest(labels, tuple(map(tuple, np.asarray(p, dtype=bool).tolist())))
+    forest = QuasiForest(labels, p)
     forest.validate()
     return forest
 
@@ -233,10 +233,6 @@ class IncrementalCountReport:
         return self.per_step_ok and self.sum_dist_ok and self.aggregate_ok and self.containment_ok
 
 
-def _hamming(a: bytes, b: bytes) -> int:
-    return sum(x != y for x, y in zip(a, b))
-
-
 def incremental_count_check(instance: FullVCMinInstance, B: Sequence[int]) -> IncrementalCountReport:
     """Run the full counting pipeline over the carrier and report every
     inequality: per-step growth of the virtual spaces against the distance of
@@ -268,12 +264,12 @@ def incremental_count_check(instance: FullVCMinInstance, B: Sequence[int]) -> In
     entries: list[tuple[int, bytes, bytes]] = []  # (order position, lift bits, psi key)
     containment_ok = True
     for key, a1 in realizers.items():
-        lift = bytes(a1 in extent for extent in d1_forest.extents)
-        down = frozenset(d1_forest.class_of[s] for s, v in enumerate(lift) if v)
+        lift = d1_forest.extents[:, a1]
+        down = frozenset(d1_forest.class_of[lift].tolist())
         if down not in tree.index:
             containment_ok = False
             continue
-        entries.append((order.position[tree.index[down]], lift, key))
+        entries.append((order.position[tree.index[down]], lift.tobytes(), key))
     entries.sort()
     ordered = [spaces[key] for _, _, key in entries]
 
@@ -281,17 +277,19 @@ def incremental_count_check(instance: FullVCMinInstance, B: Sequence[int]) -> In
     union: set[bytes] = set(ordered[0]) if ordered else set()
     sum_dist = 0
     for t in range(1, len(entries)):
-        dist = _hamming(entries[t - 1][1], entries[t][1])
+        dist = sum(x != y for x, y in zip(entries[t - 1][1], entries[t][1]))
         new = len(ordered[t] - ordered[t - 1])
         steps.append(CountStep(dist, new, new <= dist))
         union |= ordered[t]
         sum_dist += dist
 
-    # every realized one-variable type lands in its own virtual space
-    for a1 in range(carrier.size):
-        realized = type_space(
-            instance.delta0, [(a1, b) for b in B], carrier, 1
-        ).vector_set()
+    # every realized one-variable type lands in its own virtual space: a1's
+    # realized types are the columns of its (m * k0, n) block of one sign matrix
+    n = carrier.size
+    params = [(a1, b) for a1 in range(n) for b in B]
+    signs = sign_matrix(instance.delta0, params, carrier, np.arange(n)[:, None])
+    for a1, block in enumerate(signs.reshape(n, m * k0, n)):
+        realized = {column.tobytes() for column in block.T}
         if not realized <= spaces[types[a1].tobytes()]:
             containment_ok = False
             break

@@ -106,8 +106,9 @@ class UltrametricModel:
 
     @cached_property
     def ball_bool(self) -> np.ndarray:
-        """(nodes, L) matrix: is the leaf at carrier index i below node v.
-        No counting path reads it; the benchmark's model views timing does."""
+        """(nodes, L) matrix: is the leaf at carrier index i below node v, the
+        member matrix of ball_family that check-directed scans.  No counting
+        path reads it."""
         return (self.lo[:, None] <= self.rank) & (self.rank < self.hi[:, None])
 
     @cached_property
@@ -305,13 +306,18 @@ def ball_family(model: UltrametricModel) -> DirectedFamily:
     return DirectedFamily(SetFamily(Universe(model.size), sets), checked=True)
 
 
+def initial_segments(model: OrderModel, include_empty: bool = False) -> np.ndarray:
+    """(cuts, size) bool matrix of the proper initial segments {x : x < c},
+    row by cut point c, from 1 (0 with include_empty) up to size - 1."""
+    cuts = np.arange(0 if include_empty else 1, model.size)
+    return np.arange(model.size) < cuts[:, None]
+
+
 def order_family(model: OrderModel, include_empty: bool = False) -> DirectedFamily:
-    """Proper initial segments {x : x < c}, indexed by cut point; nested by
+    """The rows of initial_segments as sets, indexed by cut point; nested by
     construction, so not scanned for crossings."""
-    cuts = range(0 if include_empty else 1, model.size)
-    fam = SetFamily(
-        Universe(model.size), tuple(frozenset(range(c)) for c in cuts)
-    )
+    cuts = initial_segments(model, include_empty).sum(axis=1)
+    fam = SetFamily(Universe(model.size), tuple(frozenset(range(c)) for c in cuts))
     return DirectedFamily(fam, checked=True)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -72,6 +72,15 @@ class SetFamily:
     @cached_property
     def masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << x for x in s) for s in self.sets)
+
+    @cached_property
+    def member(self) -> np.ndarray:
+        """(sets, universe) bool matrix: does set i hold element x."""
+        lens = [len(s) for s in self.sets]
+        elements = np.fromiter(chain.from_iterable(self.sets), np.int64, sum(lens))
+        member = np.zeros((len(self.sets), self.universe.size), dtype=bool)
+        member[np.repeat(np.arange(len(self.sets)), lens), elements] = True
+        return member
 
 
 def trace(family: SetFamily, probe: Iterable[int]) -> SetFamily:

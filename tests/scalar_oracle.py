@@ -128,3 +128,47 @@ def random_ultrametric_parent(leaf_count, max_branching, seed):
         sizes = [hi - lo for lo, hi in zip([0] + cuts, cuts + [n_leaves])]
         stack.extend((s, node) for s in reversed(sizes))
     return tuple(parent)
+
+
+def extent_leq(extents):
+    """The quasi-forest order of concrete extents, from Python-int masks:
+    leq[i][j] when extent j lies inside extent i."""
+    masks = [sum(1 << x for x in e) for e in extents]
+    return [[(mj & mi) == mj for mj in masks] for mi in masks]
+
+
+def class_of(leq):
+    """The quotient of a preorder by mutual comparability, by the pairwise
+    loop: each node not yet placed opens the next class, and takes every
+    later node it is mutually comparable with."""
+    n = len(leq)
+    cls = [-1] * n
+    next_id = 0
+    for i in range(n):
+        if cls[i] != -1:
+            continue
+        cls[i] = next_id
+        for j in range(i + 1, n):
+            if cls[j] == -1 and leq[i][j] and leq[j][i]:
+                cls[j] = next_id
+        next_id += 1
+    return cls
+
+
+def chain_failure(leq, labels):
+    """The message QuasiForest.validate gives when the chain condition fails
+    on a preorder, or None: the first class c, then the first pair of
+    classes a < b below it, with a and b incomparable; classes are named by
+    the labels of their least nodes."""
+    cls = class_of(leq)
+    reps = [cls.index(c) for c in range(max(cls, default=-1) + 1)]
+    for c in reps:
+        down = [a for a in reps if leq[a][c]]
+        for x, a in enumerate(down):
+            for b in down[x + 1:]:
+                if not (leq[a][b] or leq[b][a]):
+                    return (
+                        f"forest chain condition fails: classes of {labels[a]} and "
+                        f"{labels[b]} are incomparable below {labels[c]}"
+                    )
+    return None

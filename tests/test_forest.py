@@ -29,9 +29,12 @@ from laminarvc import (
 from laminarvc import forest as forest_module
 from laminarvc import save_model
 from laminarvc.cli import main
-from laminarvc.forest import TypeTree, first_crossing
+from laminarvc.forest import TypeTree, first_crossing, virtual_space_from_forest
+from laminarvc.fullvcmin import dlo_instance, forest_from_type, psi_type
 from laminarvc.models import OrderModel, ball_family, growth_formula, random_ultrametric
 from laminarvc.verify import verify_directed_linear_bound
+
+import scalar_oracle as oracle
 
 
 def balanced_binary_extents():
@@ -136,7 +139,7 @@ def test_first_crossing_matches_pair_loop(seed, budget, monkeypatch):
     for _ in range(10):
         for family in random_families(rng):
             want = pair_loop_crossing(family)
-            assert first_crossing(family) == want
+            assert first_crossing(family.member) == want
             if want is None:
                 assert isinstance(check_directed(family), DirectedFamily)
             else:
@@ -179,7 +182,7 @@ def test_first_crossing_on_wide_universes_matches_pair_loop(budget, monkeypatch)
     for _ in range(4):
         for family in wide_families(rng):
             want = pair_loop_crossing(family)
-            assert first_crossing(family) == want
+            assert first_crossing(family.member) == want
             found += want is not None
     assert found >= 8
 
@@ -258,9 +261,30 @@ def first_axiom_failure(leq):
     return None
 
 
+def random_preorder(rng, n):
+    """The reflexive-transitive closure of a sparse random relation on n
+    nodes, by Warshall's loops."""
+    leq = [[i == j or rng.random() < 0.15 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if leq[i][k]:
+                leq[i] = [x or y for x, y in zip(leq[i], leq[k])]
+    return leq
+
+
+def validate_message(labels, leq):
+    try:
+        QuasiForest(tuple(labels), tuple(map(tuple, leq))).validate()
+    except ValidationError as e:
+        return str(e)
+    return None
+
+
 def test_validate_names_first_failing_axiom():
+    # the chain condition's witness, its two classes and the class above
+    # them, is checked against the brute-force loops of scalar_oracle
     rng = Random(11)
-    transitivity = 0
+    transitivity = chains = 0
     for _ in range(3000):
         n = rng.randint(1, 7)
         density = rng.random()
@@ -268,19 +292,21 @@ def test_validate_names_first_failing_axiom():
         if rng.random() < 0.9:
             for i in range(n):
                 leq[i][i] = True
-        want = first_axiom_failure(leq)
-        forest = QuasiForest(tuple(range(n)), tuple(map(tuple, leq)))
-        try:
-            forest.validate()
-            got = None
-        except ValidationError as e:
-            got = str(e)
-        if want is None:
-            assert got is None or got.startswith("forest chain condition fails")
-        else:
-            assert got == want
-            transitivity += want.startswith("transitivity")
-    assert transitivity > 500
+        want = first_axiom_failure(leq) or oracle.chain_failure(leq, range(n))
+        assert validate_message(range(n), leq) == want
+        transitivity += want is not None and want.startswith("transitivity")
+        chains += want is not None and want.startswith("forest chain")
+    # preorders fail only the chain condition; labels name the classes
+    passed = 0
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        leq = random_preorder(rng, n)
+        labels = [f"v{i}" for i in range(n)]
+        want = oracle.chain_failure(leq, labels)
+        assert validate_message(labels, leq) == want
+        chains += want is not None
+        passed += want is None
+    assert transitivity > 500 and chains > 150 and passed > 300
 
 
 # --- tree of types -------------------------------------------------------------
@@ -342,6 +368,59 @@ def test_type_tree_accepts_a_hand_built_tree():
     assert tt.parent == (-1, 0, 0, 1)
     assert tt.children == ((1, 2), (3,), (), ())
     assert tt.dist(A | B, C) == 3
+
+
+def assert_matches_oracle(forest, leq):
+    """The forest's order, quotient and class order are the scalar oracle's,
+    for the oracle's order leq (lists of bools); returns the least node of
+    each class."""
+    assert forest.leq.tolist() == leq
+    cls = oracle.class_of(leq)
+    reps = [cls.index(c) for c in range(max(cls, default=-1) + 1)]
+    assert forest.class_of.tolist() == cls
+    assert forest.reps.tolist() == reps
+    assert forest.classes == tuple(
+        tuple(i for i, c in enumerate(cls) if c == k) for k in range(len(reps))
+    )
+    assert forest.class_leq.tolist() == [[leq[a][b] for b in reps] for a in reps]
+    return reps
+
+
+def test_matrix_forests_match_the_scalar_oracle():
+    rng = Random(19)
+    with_empty = rejected = 0
+    for _ in range(300):
+        model = random_ultrametric(rng.randint(2, 40), rng.randint(2, 4), rng.randrange(1 << 20))
+        # balls with repeats, and now and then one or two empty extents
+        extents = [model.ball(rng.randrange(model.n_nodes)) for _ in range(rng.randint(1, 16))]
+        extents += rng.choices(extents, k=rng.randint(0, 4))
+        extents += [frozenset()] * rng.choice((0, 0, 1, 2))
+        rng.shuffle(extents)
+        leq = oracle.extent_leq(extents)
+        failure = oracle.chain_failure(leq, range(len(extents)))
+        if failure is not None:
+            # an empty extent sits above two disjoint balls
+            with pytest.raises(DomainError, match="has an empty extent"):
+                forest_from_extents(extents)
+            rejected += 1
+        else:
+            assert_matches_oracle(forest_from_extents(extents), leq)
+            with_empty += frozenset() in extents
+        # lca-ball instances, their extents walked by the oracle's tree
+        C = [(rng.randrange(model.size), rng.randrange(model.size)) for _ in range(rng.randint(1, 8))]
+        built = build_forest(C, [growth_formula("lca-ball", 1)], model)
+        leq = oracle.extent_leq([oracle.positive_part("lca-ball", model, *c) for c in C])
+        reps = assert_matches_oracle(built, leq)
+        generics = [bytes(leq[j][r] for j in range(len(C))) for r in reps] + [bytes(len(C))]
+        assert virtual_space_from_forest(built, len(C), 1).entries == tuple(generics)
+    assert with_empty >= 10 and rejected > 100
+    # forests read off psi-types
+    for n, m in ((8, 2), (14, 4), (20, 6)):
+        instance = dlo_instance(n)
+        B = sorted(rng.sample(range(n), m))
+        for a1 in range(n):
+            p = psi_type(instance.psi_family, a1, B)
+            assert_matches_oracle(forest_from_type(p, B, 2), p.tolist())
 
 
 def test_quotient_partitions_and_class_order_antisymmetric():

@@ -132,6 +132,10 @@ def test_order_family_size_three():
     assert set(fam.sets) == {frozenset({0}), frozenset({0, 1})}
     with_empty = order_family(OrderModel(3), include_empty=True)
     assert frozenset() in set(with_empty.sets)
+    # the rows of the matrix check-directed scans are the family's sets
+    for include_empty in (False, True):
+        fam = order_family(OrderModel(5), include_empty).base
+        assert (models.initial_segments(OrderModel(5), include_empty) == fam.member).all()
 
 
 def test_order_family_directed_and_vc_one():

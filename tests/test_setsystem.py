@@ -42,6 +42,12 @@ def brute_trace(family, probe):
 # --- trace ------------------------------------------------------------------
 
 
+def test_member_matrix_marks_each_set():
+    fam = SetFamily.of(4, [{0, 2}, set(), {3}, {0, 2}])
+    assert fam.member.tolist() == [[x in s for x in range(4)] for s in fam.sets]
+    assert SetFamily.of(2, []).member.shape == (0, 2)
+
+
 def test_trace_identical_members_collapse():
     fam = SetFamily.of(3, [{0, 1}, {1, 2}])
     assert set(trace(fam, {1}).sets) == {frozenset({1})}
