@@ -47,9 +47,7 @@ def cmd_gen_model(args) -> int:
 
 
 def _designated_member(model):
-    """The member matrix of a model's designated family: a tree's balls by
-    node id, an order's proper initial segments by cut point, or the sets of
-    a family file."""
+    """Member matrix of a tree's balls, an order's cuts or a file's sets."""
     if isinstance(model, UltrametricModel):
         return model.ball_bool
     if isinstance(model, OrderModel):

@@ -33,9 +33,8 @@ _CROSSING_BYTES = 1 << 20
 
 
 def first_crossing(member: np.ndarray) -> Optional[CrossingPair]:
-    """Lexicographically first pair of rows of an (n, U) bool member matrix,
-    row i the set S_i, that are neither nested nor disjoint, or None if the
-    family is directed.
+    """Lexicographically first pair of rows S_i, S_j of an (n, U) bool member
+    matrix that are neither nested nor disjoint, or None if there is none.
 
     Sets i and j cross exactly when 0 < |S_i & S_j| < min(|S_i|, |S_j|).  Each
     set is packed into 64-element words, and the intersection sizes are
@@ -102,7 +101,9 @@ class DirectedFamily:
 
 def check_directed(family: SetFamily) -> Union[DirectedFamily, CrossingPair]:
     witness = first_crossing(family.member)
-    return DirectedFamily(family, checked=True) if witness is None else witness
+    if witness is not None:
+        return witness
+    return DirectedFamily(family, checked=True)
 
 
 # --- quasi-forests ---------------------------------------------------------
@@ -111,9 +112,8 @@ def check_directed(family: SetFamily) -> Union[DirectedFamily, CrossingPair]:
 @dataclass(frozen=True, eq=False)
 class QuasiForest:
     """Nodes under the preorder s <= t iff extent(t) is contained in extent(s),
-    so larger balls sit lower: leq, an (n, n) bool matrix read from any array
-    like, has leq[i, j] when node i <= node j.  Forests computed from a carrier
-    carry their extents too, as an (n, U) bool member matrix."""
+    so larger balls sit lower: leq[i, j], an (n, n) bool matrix, when node
+    i <= node j.  Extents, when computed, are an (n, U) bool member matrix."""
 
     labels: tuple[Hashable, ...]
     leq: np.ndarray
@@ -132,14 +132,12 @@ class QuasiForest:
 
     @cached_property
     def reps(self) -> np.ndarray:
-        """Each class's least node: one mutually comparable with no earlier
-        node.  The quotient assumes leq is a preorder."""
+        """Each class's least node (leq must be a preorder)."""
         return np.flatnonzero(~np.tril(self._same, -1).any(axis=1))
 
     @cached_property
     def class_of(self) -> np.ndarray:
-        """Quotient by mutual comparability: node i's class is the index of
-        the one representative it is mutually comparable with."""
+        """Quotient by mutual comparability: the index of node i's rep."""
         return np.nonzero(self._same[:, self.reps])[1]
 
     @cached_property
@@ -181,10 +179,9 @@ class QuasiForest:
         self._validate_chains()
 
     def _validate_chains(self) -> None:
-        """Any two classes below a common class are comparable.  With C the
-        class order, classes a and b are both below some class exactly when
-        (C Cᵀ)[a, b] > 0.  Only if a pair breaks the condition are the classes
-        walked, to name the least class c, then least pair a < b below it."""
+        """Any two classes below a common class are comparable: on the class
+        order C, a and b are both below some class iff (C Cᵀ)[a, b] > 0.  Only
+        a broken pair walks the classes, to name the least c, then a < b."""
         order = self.class_leq
         broken = (order.astype(np.int64) @ order.T > 0) & ~(order | order.T)
         if not broken.any():
@@ -202,12 +199,10 @@ class QuasiForest:
 
 
 def _extent_forest(member: np.ndarray, labels: tuple[Hashable, ...]) -> QuasiForest:
-    """Quasi-forest of the extents E_i, the rows of an (n, U) bool matrix:
-    node i <= node j exactly when |E_i & E_j| == |E_j|, from one integer
-    product.  An empty extent lies inside every extent, so its node sits
-    above every node, and the forest needs every two extents nested.  When
-    they are not, a DomainError names the first empty instance.  Empty nodes
-    are kept: each counts towards n_raw."""
+    """Quasi-forest of the rows E_i of an (n, U) bool matrix: i <= j iff
+    |E_i & E_j| == |E_j|.  An empty extent sits above every node, so then
+    every two extents must be nested, or a DomainError names the first empty
+    instance.  Empty nodes are kept: each counts towards n_raw."""
     ints = member.astype(np.int32)
     inter = ints @ ints.T
     forest = QuasiForest(labels, inter == inter.diagonal(), member)
@@ -227,9 +222,8 @@ def _extent_forest(member: np.ndarray, labels: tuple[Hashable, ...]) -> QuasiFor
 def forest_from_extents(
     extents: Sequence[frozenset[int]], labels: Optional[Sequence[Hashable]] = None
 ) -> QuasiForest:
-    """Quasi-forest of concrete ball extents under reverse inclusion, read
-    once into the member matrix of a family over 0 .. the largest element
-    (a Universe, so within its cap); empty extents as for _extent_forest."""
+    """Quasi-forest of concrete ball extents under reverse inclusion, read into
+    the member matrix of a Universe up to the largest element."""
     if labels is None:
         labels = range(len(extents))
     elif len(labels) != len(extents):
@@ -304,8 +298,11 @@ class TypeTree:
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
-        parent = self.parent
-        return tuple(tuple(i for i, p in enumerate(parent) if p == v) for v in range(len(parent)))
+        kids: list[list[int]] = [[] for _ in self.nodes]
+        for i, par in enumerate(self.parent):
+            if par != -1:
+                kids[par].append(i)
+        return tuple(tuple(sorted(k)) for k in kids)
 
     def _require(self, p: frozenset[int]) -> None:
         if p not in self.index:
@@ -321,7 +318,8 @@ class TypeTree:
 
 
 def type_tree(forest: QuasiForest) -> TypeTree:
-    down_sets = {frozenset(), *map(forest.class_down_set, range(forest.n_classes))}
+    down_sets = {forest.class_down_set(c) for c in range(forest.n_classes)}
+    down_sets.add(frozenset())
     nodes = tuple(sorted(down_sets, key=lambda s: (len(s), sorted(s))))
     return TypeTree(nodes, forest.n_nodes)
 

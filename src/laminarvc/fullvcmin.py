@@ -233,6 +233,10 @@ class IncrementalCountReport:
         return self.per_step_ok and self.sum_dist_ok and self.aggregate_ok and self.containment_ok
 
 
+def _hamming(a: bytes, b: bytes) -> int:
+    return sum(x != y for x, y in zip(a, b))
+
+
 def incremental_count_check(instance: FullVCMinInstance, B: Sequence[int]) -> IncrementalCountReport:
     """Run the full counting pipeline over the carrier and report every
     inequality: per-step growth of the virtual spaces against the distance of
@@ -277,14 +281,13 @@ def incremental_count_check(instance: FullVCMinInstance, B: Sequence[int]) -> In
     union: set[bytes] = set(ordered[0]) if ordered else set()
     sum_dist = 0
     for t in range(1, len(entries)):
-        dist = sum(x != y for x, y in zip(entries[t - 1][1], entries[t][1]))
+        dist = _hamming(entries[t - 1][1], entries[t][1])
         new = len(ordered[t] - ordered[t - 1])
         steps.append(CountStep(dist, new, new <= dist))
         union |= ordered[t]
         sum_dist += dist
 
-    # every realized one-variable type lands in its own virtual space: a1's
-    # realized types are the columns of its (m * k0, n) block of one sign matrix
+    # a1's realized types, the columns of its block of one sign matrix, are virtual
     n = carrier.size
     params = [(a1, b) for a1 in range(n) for b in B]
     signs = sign_matrix(instance.delta0, params, carrier, np.arange(n)[:, None])

@@ -106,10 +106,11 @@ class UltrametricModel:
 
     @cached_property
     def ball_bool(self) -> np.ndarray:
-        """(nodes, L) matrix: is the leaf at carrier index i below node v, the
-        member matrix of ball_family that check-directed scans.  No counting
-        path reads it."""
-        return (self.lo[:, None] <= self.rank) & (self.rank < self.hi[:, None])
+        """(nodes, L) matrix: is the leaf at carrier index i below node v."""
+        out = self.lo[:, None] <= self.rank
+        for v in range(0, len(out), 256):  # row blocks of <= 1 MB, no second matrix
+            out[v : v + 256] &= self.rank < self.hi[v : v + 256, None]
+        return out
 
     @cached_property
     def lca_node_matrix(self) -> np.ndarray:
@@ -306,18 +307,19 @@ def ball_family(model: UltrametricModel) -> DirectedFamily:
     return DirectedFamily(SetFamily(Universe(model.size), sets), checked=True)
 
 
-def initial_segments(model: OrderModel, include_empty: bool = False) -> np.ndarray:
-    """(cuts, size) bool matrix of the proper initial segments {x : x < c},
-    row by cut point c, from 1 (0 with include_empty) up to size - 1."""
-    cuts = np.arange(0 if include_empty else 1, model.size)
-    return np.arange(model.size) < cuts[:, None]
+def initial_segments(model: OrderModel) -> np.ndarray:
+    """(size - 1, size) bool matrix of the non-empty proper initial segments
+    {x : x < c}, row c - 1 for cut point c: the member matrix of order_family."""
+    return np.arange(model.size) < np.arange(1, model.size)[:, None]
 
 
 def order_family(model: OrderModel, include_empty: bool = False) -> DirectedFamily:
-    """The rows of initial_segments as sets, indexed by cut point; nested by
+    """Proper initial segments {x : x < c}, indexed by cut point; nested by
     construction, so not scanned for crossings."""
-    cuts = initial_segments(model, include_empty).sum(axis=1)
-    fam = SetFamily(Universe(model.size), tuple(frozenset(range(c)) for c in cuts))
+    cuts = range(0 if include_empty else 1, model.size)
+    fam = SetFamily(
+        Universe(model.size), tuple(frozenset(range(c)) for c in cuts)
+    )
     return DirectedFamily(fam, checked=True)
 
 

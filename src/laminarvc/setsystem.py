@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -76,10 +76,9 @@ class SetFamily:
     @cached_property
     def member(self) -> np.ndarray:
         """(sets, universe) bool matrix: does set i hold element x."""
-        lens = [len(s) for s in self.sets]
-        elements = np.fromiter(chain.from_iterable(self.sets), np.int64, sum(lens))
         member = np.zeros((len(self.sets), self.universe.size), dtype=bool)
-        member[np.repeat(np.arange(len(self.sets)), lens), elements] = True
+        for i, s in enumerate(self.sets):
+            member[i, list(s)] = True
         return member
 
 

@@ -380,15 +380,44 @@ def test_cli_check_directed_missing_file(tmp_path):
 
 
 PEAK_RSS_PROBE = """
-import resource, sys
+import sys
 sys.path.insert(0, sys.argv[1])
 from laminarvc.cli import main
+from laminarvc.models import load_model
+
+def peak():
+    # this process's own high-water RSS in bytes; ru_maxrss would start from
+    # the forking test process's RSS, which exec carries over
+    with open("/proc/self/status") as status:
+        return 1024 * int(next(l for l in status if l.startswith("VmHWM")).split()[1])
+
+load_model(sys.argv[2])
+before = peak()
 code = main(["check-directed", "--model", sys.argv[2]])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+print(before, peak(), file=sys.stderr)
 sys.exit(code)
 """
 
 
+def check_directed_peak(path):
+    """Run check-directed on a model file in a fresh interpreter: its JSON,
+    its peak RSS after loading the model and its peak at the end, in bytes."""
+    src = Path(harness.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_PROBE, str(src), str(path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = map(int, proc.stderr.split()[-2:])
+    return json.loads(proc.stdout), before, after
+
+
+needs_proc_status = pytest.mark.skipif(
+    not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc/self/status"
+)
+
+
+@needs_proc_status
 def test_cli_check_directed_scans_a_wide_order_in_little_memory(tmp_path):
     """check-directed on a 4096-element order scans the (4095, 4096) bool
     matrix of its initial segments, 16 MB.  As frozensets, the same family
@@ -396,15 +425,24 @@ def test_cli_check_directed_scans_a_wide_order_in_little_memory(tmp_path):
     the matrix scan peaks at about 52 MB there."""
     path = tmp_path / "order.model.json"
     save_model(OrderModel(4096), path)
-    src = Path(harness.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_PROBE, str(src), str(path)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"directed": True, "sets": 4095}
-    peak_kb = int(proc.stderr.split()[-1])  # Linux reports ru_maxrss in KB
-    assert peak_kb < 200 * 1024
+    out, _, peak = check_directed_peak(path)
+    assert out == {"directed": True, "sets": 4095}
+    assert peak < 200 * 2**20
+
+
+@needs_proc_status
+def test_cli_check_directed_holds_one_ball_matrix_of_a_wide_tree(tmp_path):
+    """check-directed on a 4096-leaf tree scans its (nodes, L) ball matrix,
+    29 MB, and holds no second matrix of that size.  Over the loaded model,
+    on a 2-core VM, the peak rose 58 MB when the matrix came from two full
+    comparisons, 40 MB with the frozenset family of the balls, and 37 MB
+    with the matrix built in row blocks."""
+    path = tmp_path / "tree.model.json"
+    model = random_ultrametric(4096, 3, 7)
+    save_model(model, path)
+    out, before, after = check_directed_peak(path)
+    assert out == {"directed": True, "sets": model.n_nodes}
+    assert after - before < 1.5 * model.n_nodes * model.size
 
 
 @pytest.mark.parametrize("content", [

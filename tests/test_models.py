@@ -133,9 +133,9 @@ def test_order_family_size_three():
     with_empty = order_family(OrderModel(3), include_empty=True)
     assert frozenset() in set(with_empty.sets)
     # the rows of the matrix check-directed scans are the family's sets
-    for include_empty in (False, True):
-        fam = order_family(OrderModel(5), include_empty).base
-        assert (models.initial_segments(OrderModel(5), include_empty) == fam.member).all()
+    for size in (1, 2, 5):
+        fam = order_family(OrderModel(size)).base
+        assert (models.initial_segments(OrderModel(size)) == fam.member).all()
 
 
 def test_order_family_directed_and_vc_one():
@@ -265,6 +265,13 @@ def test_ball_bool_matches_ancestor_walk():
         tree = Tree(model)
         want = [[tree.in_ball(x, v) for x in range(model.size)] for v in range(model.n_nodes)]
         assert model.ball_bool.tolist() == want
+    # the matrix is filled in blocks of 256 rows: trees with a partial last block
+    for leaves in (300, 700):
+        model = random_ultrametric(leaves, 2, leaves)
+        want = np.zeros((model.n_nodes, model.size), dtype=bool)
+        for v in range(model.n_nodes):
+            want[v, list(model.ball(v))] = True
+        assert model.n_nodes % 256 and (model.ball_bool == want).all()
 
 
 def interval_models(seed):
