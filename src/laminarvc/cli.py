@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("fullvcmin-demo", help="run the built-in incremental counting demo")
-    p.add_argument("--b-size", type=int, choices=[4, 8, 16], required=True)
+    p.add_argument("--b-size", type=int, choices=[4, 8, 16, 32, 64], required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fullvcmin_demo)

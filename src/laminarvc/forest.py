@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -112,60 +112,26 @@ def check_directed(family: SetFamily) -> Union[DirectedFamily, CrossingPair]:
 @dataclass(frozen=True, eq=False)
 class QuasiForest:
     """Nodes under the preorder s <= t iff extent(t) is contained in extent(s),
-    so larger balls sit lower: leq[i, j], an (n, n) bool matrix, when node
-    i <= node j.  Extents, when computed, are an (n, U) bool member matrix."""
+    so larger balls sit lower, held once per class of nodes with equal
+    extents: class_of[i] is node i's class, classes numbered by their least
+    node, and class_leq[a, b], a (k, k) bool matrix, when class a <= class b.
+    Extents, when computed, are the (k, U) bool member matrix of the classes."""
 
     labels: tuple[Hashable, ...]
-    leq: np.ndarray
+    class_of: np.ndarray
+    class_leq: np.ndarray
     extents: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "leq", np.asarray(self.leq, bool).reshape(self.n_nodes, self.n_nodes))
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.labels)
-
-    @cached_property
-    def _same(self) -> np.ndarray:  # mutual comparability: equal extents
-        return self.leq & self.leq.T
-
-    @cached_property
-    def reps(self) -> np.ndarray:
-        """Each class's least node (leq must be a preorder)."""
-        return np.flatnonzero(~np.tril(self._same, -1).any(axis=1))
-
-    @cached_property
-    def class_of(self) -> np.ndarray:
-        """Quotient by mutual comparability: the index of node i's rep."""
-        return np.nonzero(self._same[:, self.reps])[1]
-
-    @cached_property
-    def classes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self._same[self.reps])
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.reps)
-
-    @cached_property
-    def class_leq(self) -> np.ndarray:
-        return self.leq[np.ix_(self.reps, self.reps)]
-
-    def class_down_set(self, c: int) -> frozenset[int]:
-        return frozenset(np.flatnonzero(self.class_leq[:, c]).tolist())
-
-    def same_order(self, other: "QuasiForest") -> bool:
-        """Order-equality under the positional node bijection."""
-        return np.array_equal(self.leq, other.leq)
-
-    def validate(self) -> None:
-        """Check the quasi-forest axioms, raising ValidationError naming the
-        first violated one."""
-        leq = self.leq
+    @classmethod
+    def from_preorder(cls, labels: Sequence[Hashable], leq) -> "QuasiForest":
+        """The forest of an (n, n) bool preorder on the nodes, quotiented by
+        mutual comparability once reflexivity and then transitivity are
+        checked, a ValidationError naming the first failing node(s)."""
+        labels = tuple(labels)
+        leq = np.asarray(leq, bool).reshape(len(labels), len(labels))
         irreflexive = np.flatnonzero(~leq.diagonal())
         if len(irreflexive):
-            raise ValidationError(f"reflexivity fails at node {self.labels[irreflexive[0]]}")
+            raise ValidationError(f"reflexivity fails at node {labels[irreflexive[0]]}")
         # i <= j <= k without i <= k; the first witness in (i, j, k) order
         step = leq.astype(np.int64)
         broken = (step @ step > 0) & ~leq
@@ -173,15 +139,36 @@ class QuasiForest:
             i = int(np.flatnonzero(broken.any(axis=1))[0])
             j, k = np.argwhere(leq[i][:, None] & leq & ~leq[i][None, :])[0]
             raise ValidationError(
-                "transitivity fails at nodes "
-                f"{self.labels[i]}, {self.labels[j]}, {self.labels[k]}"
+                f"transitivity fails at nodes {labels[i]}, {labels[j]}, {labels[k]}"
             )
-        self._validate_chains()
+        same = leq & leq.T
+        reps = np.flatnonzero(~np.tril(same, -1).any(axis=1))
+        return cls(labels, np.nonzero(same[:, reps])[1], leq[np.ix_(reps, reps)])
 
-    def _validate_chains(self) -> None:
-        """Any two classes below a common class are comparable: on the class
-        order C, a and b are both below some class iff (C Cᵀ)[a, b] > 0.  Only
-        a broken pair walks the classes, to name the least c, then a < b."""
+    @property
+    def n_nodes(self) -> int:
+        return len(self.labels)
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.class_leq)
+
+    @cached_property
+    def reps(self) -> np.ndarray:
+        """Each class's least node: where class_of first exceeds all before."""
+        return np.flatnonzero(np.diff(np.maximum.accumulate(self.class_of), prepend=-1))
+
+    def same_order(self, other: "QuasiForest") -> bool:
+        """Order-equality under the positional node bijection."""
+        return np.array_equal(self.class_of, other.class_of) and np.array_equal(
+            self.class_leq, other.class_leq
+        )
+
+    def validate(self) -> None:
+        """Check the chain condition, raising ValidationError on a failure:
+        any two classes below a common class are comparable.  On the class
+        order C, a and b are both below some class iff (C Cᵀ)[a, b] > 0.
+        Only a broken pair walks the classes, to name the least c, then a < b."""
         order = self.class_leq
         broken = (order.astype(np.int64) @ order.T > 0) & ~(order | order.T)
         if not broken.any():
@@ -199,22 +186,32 @@ class QuasiForest:
 
 
 def _extent_forest(member: np.ndarray, labels: tuple[Hashable, ...]) -> QuasiForest:
-    """Quasi-forest of the rows E_i of an (n, U) bool matrix: i <= j iff
-    |E_i & E_j| == |E_j|.  An empty extent sits above every node, so then
-    every two extents must be nested, or a DomainError names the first empty
-    instance.  Empty nodes are kept: each counts towards n_raw."""
-    ints = member.astype(np.int32)
+    """Quasi-forest of the rows E_i of an (n, U) bool matrix, not yet
+    validated: one class per distinct row, in order of first occurrence, and
+    class a <= class b iff |E_a & E_b| == |E_b|.  Empty rows are kept as
+    nodes: each counts towards n_raw."""
+    first: dict[bytes, int] = {}
+    least = [first.setdefault(row.tobytes(), i) for i, row in enumerate(np.packbits(member, axis=1))]
+    reps = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    rows = member[reps]
+    ints = rows.astype(np.int32)
     inter = ints @ ints.T
-    forest = QuasiForest(labels, inter == inter.diagonal(), member)
+    return QuasiForest(labels, np.searchsorted(reps, least), inter == inter.diagonal(), rows)
+
+
+def _check_chains(forest: QuasiForest) -> QuasiForest:
+    """forest.validate() on a forest of extents.  An empty extent sits above
+    every class, so then every two extents must be nested, or a DomainError
+    names the first empty instance."""
     try:
-        forest._validate_chains()
+        forest.validate()
     except ValidationError as err:
-        empty = np.flatnonzero(~member.any(axis=1))
+        empty = np.flatnonzero(~forest.extents.any(axis=1))
         if not len(empty):
             raise
         raise DomainError(
-            f"instance {labels[empty[0]]} has an empty extent, which sits above every "
-            "node, so every two extents must be nested, and some are not"
+            f"instance {forest.labels[forest.reps[empty[0]]]} has an empty extent, which "
+            "sits above every node, so every two extents must be nested, and some are not"
         ) from err
     return forest
 
@@ -229,7 +226,7 @@ def forest_from_extents(
     elif len(labels) != len(extents):
         raise DomainError("labels and extents must have equal length")
     family = SetFamily.of(1 + max(chain.from_iterable(extents), default=0), extents)
-    return _extent_forest(family.member, tuple(labels))
+    return _check_chains(_extent_forest(family.member, tuple(labels)))
 
 
 def build_forest(
@@ -245,13 +242,16 @@ def build_forest(
     if signs is None:
         signs = sign_matrix(delta, params, carrier, np.arange(carrier.size)[:, None])
     labels = tuple((ci, di) for ci in range(len(params)) for di in range(len(delta)))
-    witness = first_crossing(signs)
+    forest = _extent_forest(signs, labels)
+    # equal rows never cross, and the first crossing pair of classes is the
+    # first of the instances: both are the least nodes of their classes
+    witness = first_crossing(forest.extents)
     if witness is not None:
+        i, j = forest.reps[[witness.i, witness.j]]
         raise DomainError(
-            f"instance family is not directed: instances {labels[witness.i]} "
-            f"and {labels[witness.j]} cross"
+            f"instance family is not directed: instances {labels[i]} and {labels[j]} cross"
         )
-    return _extent_forest(signs, labels)
+    return _check_chains(forest)
 
 
 # --- the tree of types -----------------------------------------------------
@@ -259,42 +259,23 @@ def build_forest(
 
 @dataclass(frozen=True)
 class TypeTree:
-    """Class-level down-sets of a quasi-forest plus the empty set, ordered by
-    inclusion.  n_raw remembers the raw node count for distance bounds."""
+    """The empty type and the class down-sets of a quasi-forest, ordered by
+    inclusion: nodes in (depth, sorted members) order, so the empty type,
+    the root, comes first, and parent[i] the index of node i's unique
+    maximal proper subset (-1 at the root).  n_raw remembers the raw node
+    count for distance bounds."""
 
     nodes: tuple[frozenset[int], ...]
+    parent: tuple[int, ...]
     n_raw: int
 
-    def __post_init__(self):
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
-            raise ValidationError("type tree nodes must be distinct")
-        if frozenset() not in node_set:
-            raise ValidationError("type tree must contain the empty type")
-        if any(p & q not in node_set for p, q in combinations(self.nodes, 2)):
-            raise ValidationError("type tree is not meet-closed")
-        for r in self.nodes:
-            subs = [p for p in self.nodes if p < r]
-            if any(not (p <= q or q <= p) for p, q in combinations(subs, 2)):
-                raise ValidationError("type tree has a node with incomparable subsets")
+    @property
+    def root(self) -> int:
+        return 0
 
     @cached_property
     def index(self) -> dict[frozenset[int], int]:
         return {p: i for i, p in enumerate(self.nodes)}
-
-    @cached_property
-    def root(self) -> int:
-        return self.index[frozenset()]
-
-    @cached_property
-    def parent(self) -> tuple[int, ...]:
-        """Index of each node's unique maximal proper subset (-1 for the root):
-        the first of the largest nodes inside it."""
-        out = []
-        for p in self.nodes:
-            subs = [j for j, q in enumerate(self.nodes) if q < p]
-            out.append(max(subs, key=lambda j: len(self.nodes[j])) if p else -1)
-        return tuple(out)
 
     @cached_property
     def children(self) -> tuple[tuple[int, ...], ...]:
@@ -318,10 +299,24 @@ class TypeTree:
 
 
 def type_tree(forest: QuasiForest) -> TypeTree:
-    down_sets = {forest.class_down_set(c) for c in range(forest.n_classes)}
-    down_sets.add(frozenset())
-    nodes = tuple(sorted(down_sets, key=lambda s: (len(s), sorted(s))))
-    return TypeTree(nodes, forest.n_nodes)
+    """The tree of types read off the class order: class c's down-set is
+    column c of class_leq and its depth the column's count.  The classes
+    strictly below c form a chain, so its parent is the down-set of the one
+    class a below c at depth depth[c] - 1, or else the empty type."""
+    order = forest.class_leq
+    depth = order.sum(axis=0)
+    lower, upper = np.nonzero(order & (depth[:, None] == depth - 1))
+    downs = [tuple(np.flatnonzero(column).tolist()) for column in order.T]
+    ranked = sorted(range(len(downs)), key=lambda c: (len(downs[c]), downs[c]))
+    node_of = np.zeros(len(downs), dtype=np.intp)
+    node_of[ranked] = np.arange(1, len(downs) + 1)
+    parent = np.zeros(len(downs), dtype=np.intp)
+    parent[upper] = node_of[lower]
+    return TypeTree(
+        (frozenset(), *(frozenset(downs[c]) for c in ranked)),
+        (-1, *parent[ranked].tolist()),
+        forest.n_nodes,
+    )
 
 
 # --- convex ordering -------------------------------------------------------
@@ -463,7 +458,7 @@ class VirtualTypeSpace:
 def virtual_space_from_forest(forest: QuasiForest, n_params: int, n_formulas: int) -> VirtualTypeSpace:
     if forest.n_nodes != n_params * n_formulas:
         raise DomainError("forest raw nodes must be the full params x formulas grid")
-    entries = [column.tobytes() for column in forest.leq.T[forest.reps]]
+    entries = [column.tobytes() for column in forest.class_leq[forest.class_of].T]
     entries.append(bytes(forest.n_nodes))
     if len(set(entries)) != len(entries):
         raise ValidationError("virtual generics must be pairwise distinct")

@@ -74,7 +74,7 @@ def forest_from_type(p: np.ndarray, B: Sequence[int], delta0_count: int) -> Quas
     if np.shape(p) != (n, n):
         raise DomainError("psi-type shape does not match B and delta0")
     labels = tuple((bi, i) for bi in range(len(B)) for i in range(delta0_count))
-    forest = QuasiForest(labels, p)
+    forest = QuasiForest.from_preorder(labels, p)
     forest.validate()
     return forest
 
@@ -233,10 +233,6 @@ class IncrementalCountReport:
         return self.per_step_ok and self.sum_dist_ok and self.aggregate_ok and self.containment_ok
 
 
-def _hamming(a: bytes, b: bytes) -> int:
-    return sum(x != y for x, y in zip(a, b))
-
-
 def incremental_count_check(instance: FullVCMinInstance, B: Sequence[int]) -> IncrementalCountReport:
     """Run the full counting pipeline over the carrier and report every
     inequality: per-step growth of the virtual spaces against the distance of
@@ -264,27 +260,31 @@ def incremental_count_check(instance: FullVCMinInstance, B: Sequence[int]) -> In
         key: p_virtual_space(types[a1], B, k0).entry_set() for key, a1 in realizers.items()
     }
 
-    # place each realized psi-type by the delta1-type of its least realizer
-    entries: list[tuple[int, bytes, bytes]] = []  # (order position, lift bits, psi key)
+    # place each realized psi-type by the delta1-type of its least realizer:
+    # the classes whose extents hold it, a down-set of the class order
+    lifts = {key: d1_forest.extents[:, a1] for key, a1 in realizers.items()}
+    entries: list[tuple[int, bytes]] = []  # (order position, psi key)
     containment_ok = True
-    for key, a1 in realizers.items():
-        lift = d1_forest.extents[:, a1]
-        down = frozenset(d1_forest.class_of[lift].tolist())
+    for key, lift in lifts.items():
+        down = frozenset(np.flatnonzero(lift).tolist())
         if down not in tree.index:
             containment_ok = False
             continue
-        entries.append((order.position[tree.index[down]], lift.tobytes(), key))
+        entries.append((order.position[tree.index[down]], key))
     entries.sort()
-    ordered = [spaces[key] for _, _, key in entries]
+    first = spaces[entries[0][1]] if entries else frozenset()
 
+    # the raw Hamming distance of two lifts: the nodes of each class that
+    # holds one of the two realizers and not the other
+    weight = np.bincount(d1_forest.class_of, minlength=d1_forest.n_classes)
     steps = []
-    union: set[bytes] = set(ordered[0]) if ordered else set()
+    union = set(first)
     sum_dist = 0
-    for t in range(1, len(entries)):
-        dist = _hamming(entries[t - 1][1], entries[t][1])
-        new = len(ordered[t] - ordered[t - 1])
+    for (_, prev), (_, key) in zip(entries, entries[1:]):
+        dist = int(weight[lifts[prev] != lifts[key]].sum())
+        new = len(spaces[key] - spaces[prev])
         steps.append(CountStep(dist, new, new <= dist))
-        union |= ordered[t]
+        union |= spaces[key]
         sum_dist += dist
 
     # a1's realized types, the columns of its block of one sign matrix, are virtual
@@ -308,7 +308,7 @@ def incremental_count_check(instance: FullVCMinInstance, B: Sequence[int]) -> In
         steps=tuple(steps),
         sum_dist=sum_dist,
         sum_dist_bound=sum_dist_bound,
-        first_space_size=len(ordered[0]) if ordered else 0,
+        first_space_size=len(first),
         union_size=len(union),
         aggregate_bound=aggregate_bound,
         per_step_ok=all(s.ok for s in steps),

@@ -313,12 +313,11 @@ def initial_segments(model: OrderModel) -> np.ndarray:
     return np.arange(model.size) < np.arange(1, model.size)[:, None]
 
 
-def order_family(model: OrderModel, include_empty: bool = False) -> DirectedFamily:
-    """Proper initial segments {x : x < c}, indexed by cut point; nested by
-    construction, so not scanned for crossings."""
-    cuts = range(0 if include_empty else 1, model.size)
+def order_family(model: OrderModel) -> DirectedFamily:
+    """Non-empty proper initial segments {x : x < c}, row c - 1 for cut point
+    c; nested by construction, so not scanned for crossings."""
     fam = SetFamily(
-        Universe(model.size), tuple(frozenset(range(c)) for c in cuts)
+        Universe(model.size), tuple(frozenset(range(c)) for c in range(1, model.size))
     )
     return DirectedFamily(fam, checked=True)
 

@@ -16,11 +16,11 @@ import numpy as np
 from .forest import (
     ComponentsFailure,
     DirectedFamily,
-    check_directed,
     build_forest,
     check_convexity,
     components,
     convex_order,
+    first_crossing,
     forest_from_extents,
     sum_dist_check,
     type_tree,
@@ -83,9 +83,8 @@ def verify_directed_linear_bound(seed: int, trials: int = 500,
         model = random_ultrametric(
             rng.randint(4, max_leaves), rng.randint(2, 4), rng.randrange(1 << 30)
         )
-        fam = ball_family(model)
-        crossing = check_directed(fam.base)
-        if not isinstance(crossing, DirectedFamily):
+        crossing = first_crossing(model.ball_bool)  # row v is ball(v)
+        if crossing is not None:
             fails.add(key, f"balls {crossing.i} and {crossing.j} of {model.label} cross")
             continue
         delta = [growth_formula("lca-ball", 1)]

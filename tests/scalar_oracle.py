@@ -6,7 +6,7 @@ one tuple at a time.  Nothing here uses the library's formula table or its
 tree views, so the tests compare two independent implementations.
 """
 
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 
@@ -172,3 +172,42 @@ def chain_failure(leq, labels):
                         f"{labels[b]} are incomparable below {labels[c]}"
                     )
     return None
+
+
+def type_tree(leq):
+    """The tree of types of a preorder as a frozenset lattice: the empty type
+    and each class's down-set, the ids (class_of numbering) of the classes
+    below it, sorted by (size, sorted members).  Returns (nodes, parent,
+    children), the last two from lattice."""
+    cls = class_of(leq)
+    reps = [cls.index(c) for c in range(max(cls, default=-1) + 1)]
+    downs = {frozenset(cls[a] for a in reps if leq[a][r]) for r in reps} | {frozenset()}
+    nodes = tuple(sorted(downs, key=lambda s: (len(s), sorted(s))))
+    return (nodes, *lattice(nodes))
+
+
+def lattice(nodes):
+    """(parent, children) of a tree of types given by its nodes, once the
+    nodes pass the checks that make them one, or a ValueError naming the
+    first that fails: distinct, holding the empty type, meet-closed, and the
+    proper subsets of each node a chain.  A node's parent is the first of
+    the largest nodes inside it (-1 for the empty type)."""
+    node_set = set(nodes)
+    if len(node_set) != len(nodes):
+        raise ValueError("type tree nodes must be distinct")
+    if frozenset() not in node_set:
+        raise ValueError("type tree must contain the empty type")
+    if any(p & q not in node_set for p, q in combinations(nodes, 2)):
+        raise ValueError("type tree is not meet-closed")
+    for r in nodes:
+        subs = [p for p in nodes if p < r]
+        if any(not (p <= q or q <= p) for p, q in combinations(subs, 2)):
+            raise ValueError("type tree has a node with incomparable subsets")
+    parent = []
+    for p in nodes:
+        subs = [j for j, q in enumerate(nodes) if q < p]
+        parent.append(max(subs, key=lambda j: len(nodes[j])) if p else -1)
+    children = tuple(
+        tuple(i for i, par in enumerate(parent) if par == k) for k in range(len(nodes))
+    )
+    return tuple(parent), children

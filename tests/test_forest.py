@@ -28,10 +28,12 @@ from laminarvc import (
 )
 from laminarvc import forest as forest_module
 from laminarvc import save_model
+from laminarvc import verify as verify_module
 from laminarvc.cli import main
 from laminarvc.forest import TypeTree, first_crossing, virtual_space_from_forest
 from laminarvc.fullvcmin import dlo_instance, forest_from_type, psi_type
 from laminarvc.models import OrderModel, ball_family, growth_formula, random_ultrametric
+from laminarvc.setsystem import ParametrizedFormula
 from laminarvc.verify import verify_directed_linear_bound
 
 import scalar_oracle as oracle
@@ -74,13 +76,14 @@ def test_directed_families_are_scanned_once(monkeypatch, tmp_path, capsys):
         return first_crossing(family)
 
     monkeypatch.setattr(forest_module, "first_crossing", counting)
+    monkeypatch.setattr(verify_module, "first_crossing", counting)
     assert isinstance(check_directed(SetFamily.of(3, [{0}, {0, 1}, {2}])), DirectedFamily)
     assert len(scans) == 1
     assert check_directed(SetFamily.of(3, [{0, 1}, {1, 2}])) == CrossingPair(0, 1)
     assert len(scans) == 2
     scans.clear()
-    # per trial: the ball family once, in check_directed, and the lca-ball
-    # instance family once, in build_forest
+    # per trial: the ball matrix once, and the lca-ball instance family
+    # once, in build_forest
     report = verify_directed_linear_bound(seed=3, trials=6)
     assert report.failures == 0 and len(scans) == 2 * 6
     # check-directed scans its family once: initial segments and balls are
@@ -222,6 +225,31 @@ def test_build_forest_rejects_crossing_instances():
         build_forest([(0,), (1,)], [member], Carrier())
 
 
+def test_crossing_witness_on_classes_is_the_first_raw_crossing():
+    # build_forest scans the distinct rows of its sign matrix only; mapped
+    # through each class's least node, its witness is the first crossing
+    # pair of all the rows, repeats included
+    rng = Random(29)
+    row = ParametrizedFormula("row", 1, 1, None)  # never evaluated: the rows are given
+    crossing = 0
+    for _ in range(200):
+        for family in random_families(rng):
+            pool = family.member
+            if not len(pool):
+                continue
+            rows = pool[[rng.randrange(len(pool)) for _ in range(rng.randint(1, 2 * len(pool)))]]
+            want = first_crossing(rows)
+            if want is None:
+                continue
+            with pytest.raises(DomainError) as err:
+                build_forest([(i,) for i in range(len(rows))], [row], None, rows)
+            assert str(err.value) == (
+                f"instance family is not directed: instances ({want.i}, 0) and ({want.j}, 0) cross"
+            )
+            crossing += 1
+    assert crossing > 150
+
+
 def test_forest_chain_condition_guard():
     # {0, 1} and {0, 2} both contain {0}, so both sit below it, incomparable
     with pytest.raises(ValidationError, match="incomparable below 0"):
@@ -274,7 +302,7 @@ def random_preorder(rng, n):
 
 def validate_message(labels, leq):
     try:
-        QuasiForest(tuple(labels), tuple(map(tuple, leq))).validate()
+        QuasiForest.from_preorder(labels, leq).validate()
     except ValidationError as e:
         return str(e)
     return None
@@ -357,32 +385,33 @@ E, A, B, C = frozenset(), frozenset({0}), frozenset({1}), frozenset({2})
     ((E, A, B, A | B), "type tree has a node with incomparable subsets"),
 ])
 def test_type_tree_rejects_each_broken_axiom(nodes, message):
-    with pytest.raises(ValidationError, match=message):
-        TypeTree(nodes, len(nodes))
+    # the checks of the reference lattice, which type_tree must match
+    with pytest.raises(ValueError, match=message):
+        oracle.lattice(nodes)
 
 
 def test_type_tree_accepts_a_hand_built_tree():
     # {0} below {0, 1}, and {2} beside them
-    tt = TypeTree((E, A, C, A | B), 3)
-    assert tt.root == 0
-    assert tt.parent == (-1, 0, 0, 1)
-    assert tt.children == ((1, 2), (3,), (), ())
+    parent, children = oracle.lattice((E, A, C, A | B))
+    assert parent == (-1, 0, 0, 1)
+    assert children == ((1, 2), (3,), (), ())
+    tt = TypeTree((E, A, C, A | B), parent, 3)
+    assert tt.root == 0 and tt.children == children
     assert tt.dist(A | B, C) == 3
 
 
 def assert_matches_oracle(forest, leq):
-    """The forest's order, quotient and class order are the scalar oracle's,
-    for the oracle's order leq (lists of bools); returns the least node of
-    each class."""
-    assert forest.leq.tolist() == leq
+    """The forest's quotient, class order and tree of types are the scalar
+    oracle's, for the oracle's order leq (lists of bools); returns the least
+    node of each class."""
     cls = oracle.class_of(leq)
     reps = [cls.index(c) for c in range(max(cls, default=-1) + 1)]
     assert forest.class_of.tolist() == cls
     assert forest.reps.tolist() == reps
-    assert forest.classes == tuple(
-        tuple(i for i, c in enumerate(cls) if c == k) for k in range(len(reps))
-    )
     assert forest.class_leq.tolist() == [[leq[a][b] for b in reps] for a in reps]
+    assert forest.class_leq[np.ix_(forest.class_of, forest.class_of)].tolist() == leq
+    tree = type_tree(forest)
+    assert (tree.nodes, tree.parent, tree.children) == oracle.type_tree(leq)
     return reps
 
 
@@ -405,6 +434,8 @@ def test_matrix_forests_match_the_scalar_oracle():
             rejected += 1
         else:
             assert_matches_oracle(forest_from_extents(extents), leq)
+            # the same order read as a psi-type, one formula per node
+            assert_matches_oracle(forest_from_type(np.array(leq), range(len(leq)), 1), leq)
             with_empty += frozenset() in extents
         # lca-ball instances, their extents walked by the oracle's tree
         C = [(rng.randrange(model.size), rng.randrange(model.size)) for _ in range(rng.randint(1, 8))]
@@ -427,13 +458,13 @@ def test_quotient_partitions_and_class_order_antisymmetric():
     rng = Random(6)
     for _ in range(30):
         forest = random_ball_forest(rng)
-        assert sorted(i for cls in forest.classes for i in cls) == list(range(forest.n_nodes))
+        assert sorted(set(forest.class_of.tolist())) == list(range(forest.n_classes))
         for a in range(forest.n_classes):
             for b in range(forest.n_classes):
                 if a != b:
                     assert not (forest.class_leq[a][b] and forest.class_leq[b][a])
         for c in range(forest.n_classes):
-            down = sorted(forest.class_down_set(c))
+            down = np.flatnonzero(forest.class_leq[:, c])
             for x in down:
                 for y in down:
                     assert forest.class_leq[x][y] or forest.class_leq[y][x]

@@ -11,6 +11,7 @@ from laminarvc import (
     PsiFamily,
     ValidationError,
     build_forest,
+    convex_order,
     dlo_instance,
     eval_psi,
     forest_from_type,
@@ -18,10 +19,11 @@ from laminarvc import (
     p_virtual_space,
     psi_type,
     type_space,
+    type_tree,
     validate_certificate,
 )
 from laminarvc.models import OrderModel
-from laminarvc.setsystem import ParametrizedFormula
+from laminarvc.setsystem import ParametrizedFormula, sign_matrix
 
 
 # the linear-order semantics of dlo_instance's delta0, (x0; x1, y) -> bool
@@ -266,3 +268,30 @@ def test_incremental_count_sizes_four_and_eight():
         report = incremental_count_check(inst, B)
         assert report.all_ok
         assert report.aggregate_bound == 2 * m * m * 2 + m * 2 + 1
+
+
+def test_step_distances_are_raw_hamming_distances():
+    # a step's dist sums the sizes of the classes that hold one realizer and
+    # not the other: the Hamming distance of their raw delta1 lifts, every
+    # instance over B x B read off the carrier, placed as the report places
+    # them (by convex-order position, then raw lift, then psi-type)
+    for m, seed in ((3, 0), (5, 1), (8, 2)):
+        inst = dlo_instance(3 * m)
+        B = sorted(Random(f"hamming/{seed}").sample(range(3 * m), m))
+        pairs = [(b, bp) for b in B for bp in B]
+        delta1 = inst.certificate.delta1
+        signs = sign_matrix(delta1, pairs, inst.carrier, np.arange(3 * m)[:, None])
+        forest = build_forest(pairs, delta1, inst.carrier)
+        order = convex_order(type_tree(forest))
+        realizers = {}
+        for a1 in range(3 * m):
+            realizers.setdefault(psi_type(inst.psi_family, a1, B).tobytes(), a1)
+        placed = sorted(
+            (order.position[order.tree.index[frozenset(forest.class_of[lift].tolist())]],
+             lift.tobytes(), key)
+            for key, lift in ((key, signs[:, a1]) for key, a1 in realizers.items())
+        )
+        hamming = [sum(x != y for x, y in zip(p[1], q[1])) for p, q in zip(placed, placed[1:])]
+        report = incremental_count_check(inst, B)
+        assert [step.dist for step in report.steps] == hamming
+        assert max(hamming) > 1  # classes of several raw nodes differ

@@ -380,6 +380,7 @@ def test_cli_check_directed_missing_file(tmp_path):
 
 
 PEAK_RSS_PROBE = """
+import json
 import sys
 sys.path.insert(0, sys.argv[1])
 from laminarvc.cli import main
@@ -391,25 +392,34 @@ def peak():
     with open("/proc/self/status") as status:
         return 1024 * int(next(l for l in status if l.startswith("VmHWM")).split()[1])
 
-load_model(sys.argv[2])
+argv = json.loads(sys.argv[2])
+if argv[0] == "check-directed":
+    load_model(argv[-1])
 before = peak()
-code = main(["check-directed", "--model", sys.argv[2]])
+code = main(argv)
 print(before, peak(), file=sys.stderr)
 sys.exit(code)
 """
 
 
-def check_directed_peak(path):
-    """Run check-directed on a model file in a fresh interpreter: its JSON,
-    its peak RSS after loading the model and its peak at the end, in bytes."""
+def cli_peak(argv):
+    """Run a CLI command in a fresh interpreter: its stdout, its peak RSS
+    before the command (after loading the model of check-directed) and its
+    peak at the end, in bytes."""
     src = Path(harness.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS_PROBE, str(src), str(path)],
+        [sys.executable, "-c", PEAK_RSS_PROBE, str(src), json.dumps(argv)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     before, after = map(int, proc.stderr.split()[-2:])
-    return json.loads(proc.stdout), before, after
+    return proc.stdout, before, after
+
+
+def check_directed_peak(path):
+    """cli_peak of check-directed on a model file, its JSON parsed."""
+    out, before, after = cli_peak(["check-directed", "--model", str(path)])
+    return json.loads(out), before, after
 
 
 needs_proc_status = pytest.mark.skipif(
@@ -443,6 +453,18 @@ def test_cli_check_directed_holds_one_ball_matrix_of_a_wide_tree(tmp_path):
     out, before, after = check_directed_peak(path)
     assert out == {"directed": True, "sets": model.n_nodes}
     assert after - before < 1.5 * model.n_nodes * model.size
+
+
+@needs_proc_status
+def test_cli_fullvcmin_demo_at_b_size_64_runs_in_little_memory():
+    """fullvcmin-demo --b-size 64 builds the delta1 forest on 64² × 2 = 8192
+    instances over 192 carrier points once per class, 107 of them.  With an
+    (8192, 8192) inclusion product of the raw instances, the same library
+    call peaked at 555 MB on a 2-core VM."""
+    out, _, peak = cli_peak(["fullvcmin-demo", "--b-size", "64", "--seed", "0", "--json"])
+    report = json.loads(out)
+    assert report["b_size"] == 64 and report["aggregate_ok"]
+    assert peak < 150 * 2**20
 
 
 @pytest.mark.parametrize("content", [

@@ -26,7 +26,7 @@ from laminarvc.cli import main
 
 PINS = Path(__file__).with_name("pinned_outputs.json")
 COMMANDS = [
-    *(["fullvcmin-demo", "--b-size", str(b), "--seed", "0", "--json"] for b in (4, 8, 16)),
+    *(["fullvcmin-demo", "--b-size", str(b), "--seed", "0", "--json"] for b in (4, 8, 16, 32, 64)),
     ["verify-lemmas", "--json", "--trials", "40", "--seed", "0"],
     *(["growth", "--arity", "2", "--sizes", "8,16,32,64,128,256", "--trials", "5",
        "--seed", "7", "--formula", f]
