@@ -350,7 +350,6 @@ class ConvexOrder:
 def convex_order(
     tree: TypeTree,
     sibling_orders: Optional[Mapping[int, Sequence[int]]] = None,
-    seed: Optional[int] = None,
 ) -> ConvexOrder:
     """Total order extending inclusion: p < q whenever p is a proper subset of
     q; incomparable p, q are settled by comparing, under the sibling order at
@@ -358,31 +357,20 @@ def convex_order(
 
     Equivalently: depth-first preorder with children visited in sibling order.
     The default sibling order is ascending node index; pass sibling_orders to
-    override per parent, or seed for a reproducible shuffle.
+    override per parent.
     """
     orders: list[tuple[int, ...]] = []
-    if sibling_orders is not None and seed is not None:
-        raise DomainError("pass sibling_orders or seed, not both")
-    if seed is not None:
-        from random import Random
-
-        rng = Random(f"sibling-orders/{seed}")
-        for i in range(len(tree.nodes)):
-            kids = list(tree.children[i])
-            rng.shuffle(kids)
-            orders.append(tuple(kids))
-    else:
-        for i in range(len(tree.nodes)):
-            kids = tree.children[i]
-            if sibling_orders is not None and i in sibling_orders:
-                given = tuple(sibling_orders[i])
-                if sorted(given) != sorted(kids):
-                    raise DomainError(
-                        f"sibling order at node {i} is not a total order on its children"
-                    )
-                orders.append(given)
-            else:
-                orders.append(kids)
+    for i in range(len(tree.nodes)):
+        kids = tree.children[i]
+        if sibling_orders is not None and i in sibling_orders:
+            given = tuple(sibling_orders[i])
+            if sorted(given) != sorted(kids):
+                raise DomainError(
+                    f"sibling order at node {i} is not a total order on its children"
+                )
+            orders.append(given)
+        else:
+            orders.append(kids)
 
     sequence: list[int] = []
     stack = [tree.root]

@@ -125,27 +125,36 @@ class UltrametricModel:
         return mat
 
     @cached_property
-    def ancestor_by_depth(self) -> np.ndarray:
-        """(L, height + 1) matrix: per carrier index, its leaf's ancestor at
-        each depth, and the leaf itself at every depth below the leaf's own."""
-        parent = np.array(self.parent)
-        leaves = np.array(self.leaves, dtype=np.int32)
-        table = np.repeat(leaves[:, None], self.depth.max() + 1, axis=1)
-        rows, nodes = np.arange(self.size), leaves
-        while len(nodes):
-            table[rows, self.depth[nodes]] = nodes
-            up = parent[nodes]
-            keep = up != -1
-            rows, nodes = rows[keep], up[keep]
-        return table
+    def lca_table(self) -> np.ndarray:
+        """Sparse table over the 2L - 1 places of the leaf order (Bender and
+        Farach-Colton, "The LCA Problem Revisited"): place 2r holds the leaf
+        of rank r, and place 2r + 1 lca(rank r, rank r + 1), the parent of the
+        one child c that is not its parent's first and has lo[c] = r + 1.  A
+        place holds the key depth * n_nodes + node, and row k the least key
+        over the 2**k places from each place on."""
+        parent, n = np.array(self.parent), self.n_nodes
+        key = self.depth * n + np.arange(n)
+        places = np.empty(2 * self.size - 1, dtype=np.int64)
+        places[::2] = key[np.array(self.leaves)[self.by_rank]]
+        c = np.flatnonzero(parent >= 0)
+        c = c[self.lo[c] > self.lo[parent[c]]]
+        places[2 * self.lo[c] - 1] = key[parent[c]]
+        rows = [places]
+        while 2 ** len(rows) <= len(places):
+            prev, step = rows[-1], 2 ** (len(rows) - 1)
+            rows.append(np.concatenate([np.minimum(prev[:-step], prev[step:]), prev[-step:]]))
+        return np.array(rows)
 
     def lca_of(self, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
-        """lca node ids of the leaves at carrier index arrays y0, y1: their
-        ancestor_by_depth rows agree down to the lca's depth and nowhere below
-        it, since a leaf is nobody's ancestor."""
-        a, b = self.ancestor_by_depth[y0], self.ancestor_by_depth[y1]
-        d = np.count_nonzero(a == b, axis=-1) - 1
-        return np.take_along_axis(a, d[..., None], axis=-1)[..., 0]
+        """lca node ids of the leaves at carrier index arrays y0, y1: for ranks
+        a <= b, the least lca_table key over places 2a ... 2b, the leaf itself
+        when a = b, else the shallowest adjacent lca between them.  Two
+        windows of 2**k places, k = floor(log2(2b - 2a + 1)), cover the span."""
+        r0, r1 = self.rank[y0], self.rank[y1]
+        a, b = 2 * np.minimum(r0, r1), 2 * np.maximum(r0, r1)
+        k = np.frexp(b - a + 1)[1] - 1
+        table = self.lca_table
+        return np.minimum(table[k, a], table[k, b + 1 - (1 << k)]) % self.n_nodes
 
     @cached_property
     def _anc_arrays(self) -> dict[int, np.ndarray]:
@@ -153,12 +162,15 @@ class UltrametricModel:
 
     def ancestor_array(self, k: int) -> np.ndarray:
         """Per carrier index, the node id k levels above its leaf, clamped at
-        the root: its ancestor_by_depth entry at the leaf's depth minus k."""
+        the root: min(k, height) steps up the parent array, in which the root
+        is its own parent."""
         if k not in self._anc_arrays:
-            depth = self.depth[list(self.leaves)]
-            self._anc_arrays[k] = self.ancestor_by_depth[
-                np.arange(self.size), np.maximum(depth - k, 0)
-            ]
+            up = np.array(self.parent)
+            up[self.root] = self.root
+            nodes = np.array(self.leaves)
+            for _ in range(min(k, int(self.depth.max()))):
+                nodes = up[nodes]
+            self._anc_arrays[k] = nodes
         return self._anc_arrays[k]
 
     def distinct_nodes(self, ids: np.ndarray) -> np.ndarray:

@@ -40,9 +40,6 @@ class Universe:
         if self.size > self.cap:
             raise DomainError(f"universe size {self.size} exceeds cap {self.cap}")
 
-    def elements(self) -> range:
-        return range(self.size)
-
 
 @dataclass(frozen=True)
 class SetFamily:

@@ -9,6 +9,8 @@ tree views, so the tests compare two independent implementations.
 from itertools import combinations, product
 from random import Random
 
+from laminarvc.models import UltrametricModel
+
 
 class Tree:
     """Ancestor and lca walks over an ultrametric model's parent array."""
@@ -109,6 +111,12 @@ def shuffled_ids(model, rng):
     for v, p in enumerate(model.parent):
         parent[perm[v]] = -1 if p == -1 else perm[p]
     return type(model)(tuple(parent), seed=model.seed)
+
+
+def caterpillar(size):
+    """A tree whose inner nodes form one path, each with a leaf child, and
+    two leaves below the last: every ball is a leaf or a suffix of leaves."""
+    return UltrametricModel((-1, *range(size - 2), *range(size - 1), size - 2))
 
 
 def random_ultrametric_parent(leaf_count, max_branching, seed):

@@ -13,7 +13,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from scalar_oracle import Tree, corpus_rows, holds, shuffled_ids, with_unary_nodes
+from scalar_oracle import Tree, caterpillar, corpus_rows, holds, shuffled_ids, with_unary_nodes
 
 from laminarvc import ResourceCapError, harness, models, save_model, setsystem
 from laminarvc.cli import main
@@ -148,12 +148,6 @@ def factored_models(seed):
              for _ in range(2)]
     unary = [with_unary_nodes(t, rng, rng.randint(1, 6)) for t in trees]
     return trees + unary + [OrderModel(rng.randint(2, 12), seed=seed)]
-
-
-def caterpillar(size):
-    """A tree whose inner nodes form one path, each with a leaf child, and
-    two leaves below the last: every ball is a leaf or a suffix of leaves."""
-    return UltrametricModel((-1, *range(size - 2), *range(size - 1), size - 2))
 
 
 def unpacked(packed, m):
@@ -927,11 +921,21 @@ def test_block_batch_rows_equal_single_tuple_calls(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_vectorized_lca_matches_scalar_lca(seed):
     rng = Random(seed)
-    model = random_ultrametric(rng.randint(2, 24), rng.randint(2, 4), seed)
-    tree = Tree(model)
-    pairs = np.array(list(product(range(model.size), repeat=2)))
-    got = model.lca_of(pairs[:, :1], pairs[:, 1:])[:, 0].tolist()
-    assert got == [tree.lca(a, b) for a, b in pairs]
+    base = random_ultrametric(rng.randint(2, 24), rng.randint(2, 4), seed)
+    trees = [base, with_unary_nodes(base, rng, rng.randint(1, 10)), shuffled_ids(base, rng)]
+    # the six seeds share out the caterpillars with 2 to 40 leaves
+    trees += [caterpillar(leaves) for leaves in range(2 + seed, 41, 6)]
+    for model in trees:
+        tree = Tree(model)
+        y = np.arange(model.size)
+        want = [[tree.lca(a, b) for b in y] for a in y]
+        # a (k, 1) block against a (T,) column, (m,) against (m,) pairs, and
+        # (k, 1) against (k, 1), both ways round
+        assert model.lca_of(y[:, None], y).tolist() == want, model
+        y0, y1 = np.divmod(np.arange(model.size**2), model.size)
+        flat = [v for row in want for v in row]
+        assert model.lca_of(y0, y1).tolist() == flat, model
+        assert model.lca_of(y1[:, None], y0[:, None]).tolist() == [[v] for v in flat], model
 
 
 def test_arity_1_growth_at_4096_leaves_builds_no_lca_matrix(monkeypatch):

@@ -528,8 +528,12 @@ def test_adversarial_order_breaks_convexity():
 def test_convexity_random_forests_random_sibling_orders(seed):
     rng = Random(seed)
     tt = type_tree(random_ball_forest(rng))
-    order = convex_order(tt, seed=seed)
-    assert check_convexity(order)
+    shuffle = Random(f"sibling-orders/{seed}")
+    orders = {}
+    for i, kids in enumerate(tt.children):
+        orders[i] = list(kids)
+        shuffle.shuffle(orders[i])
+    assert check_convexity(convex_order(tt, sibling_orders=orders))
 
 
 # --- diff / dist / sum-dist ------------------------------------------------------

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_oracle import caterpillar
 
 from laminarvc import (
     DomainError, OrderModel, ResourceCapError, UltrametricModel, harness, save_model, type_space,
@@ -456,6 +457,22 @@ def test_cli_check_directed_holds_one_ball_matrix_of_a_wide_tree(tmp_path):
 
 
 @needs_proc_status
+def test_cli_growth_on_a_deep_tree_holds_no_table_of_its_height(tmp_path):
+    """Arity-1 lca-ball growth on a 4096-leaf caterpillar, height 4095.  A
+    per-leaf table of ancestors at every depth, 64 MB here, raised the peak
+    139 MB on a 2-core VM; the sparse table over the leaf order holds
+    0.85 MB, and the peak rose 5 MB."""
+    path = tmp_path / "caterpillar.model.json"
+    save_model(caterpillar(4096), path)
+    out, before, after = cli_peak([
+        "growth", "--formula", "lca-ball", "--arity", "1", "--sizes", "512,1024,2048",
+        "--trials", "1", "--model", str(path),
+    ])
+    assert len(out.splitlines()) == 4
+    assert after - before < 24 * 2**20
+
+
+@needs_proc_status
 def test_cli_fullvcmin_demo_at_b_size_64_runs_in_little_memory():
     """fullvcmin-demo --b-size 64 builds the delta1 forest on 64² × 2 = 8192
     instances over 192 carrier points once per class, 107 of them.  With an
@@ -522,7 +539,7 @@ def test_cli_growth_caps_ultrametric_leaves_before_building_views(monkeypatch, t
     def no_views(self):
         raise AssertionError("a model view was built")
 
-    for view in ("ball_bool", "ancestor_by_depth"):
+    for view in ("ball_bool", "lca_table"):
         monkeypatch.setattr(UltrametricModel, view, property(no_views))
     argv = ["growth", "--formula", "lca-ball", "--arity", "1", "--sizes", "8,16,3000"]
     assert main(argv) == 2
