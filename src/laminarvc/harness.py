@@ -213,14 +213,14 @@ def _stream_draws(rng: Random, space: int, m: int, distinct: bool) -> np.ndarray
         draws = (mt_words(rng, c) >> (32 - bits)).astype(np.int64)
         out = np.concatenate([out, draws[draws < space]])
         if distinct:
-            # keep each value's first occurrence: a stable sort puts it first
-            # among its equals
-            order = np.argsort(out, kind="stable")
-            first = np.ones(len(out), dtype=bool)
-            first[1:] = out[order[1:]] != out[order[:-1]]
-            keep = np.empty_like(first)
-            keep[order] = first
-            out = out[keep]
+            # keep each value's first occurrence, its least key
+            # value * len(out) + position, and put the kept positions back
+            # in stream order
+            w = len(out)
+            value, position = np.divmod(np.sort(out * w + np.arange(w)), w)
+            first = np.ones(w, dtype=bool)
+            first[1:] = value[1:] != value[:-1]
+            out = out[np.sort(position[first])]
     return out[:m]
 
 

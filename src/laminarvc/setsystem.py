@@ -23,6 +23,11 @@ UNIVERSE_CAP = 4096
 VC_UNIVERSE_CAP = 24
 ENUM_CAP = 1 << 26
 _PROFILE_BYTES = 1 << 23
+# max_trace_profile's working bytes per probe of a chunk (its word, repeat
+# count and place in the size order, the closure's scratch) and per pair
+# of a seeding slice (the difference, its tests, the pair's indices)
+_PROBE_BYTES = 32
+_PAIR_BYTES = 64
 _BLOCK_BYTES = 1 << 17
 _SWEEP_CHUNK = 1 << 18
 
@@ -159,24 +164,56 @@ def shatter_function(family: SetFamily, k: int, cap: int = ENUM_CAP) -> int:
 
 
 def max_trace_profile(family: SetFamily, cap: int = VC_UNIVERSE_CAP) -> list[int]:
-    """profile[k] = shatter_function(family, k), computed in one vectorized sweep
-    over all 2^n probe masks.
+    """profile[s] = shatter_function(family, s) for every s, from one superset
+    closure over the 2^n probe masks.
 
-    Equal member sets trace equally, so they are dropped first; probes then go
-    in chunks whose (probe, set) working arrays fit _PROFILE_BYTES."""
+    With m_0 < ... < m_{k-1} the distinct member masks, set j's trace on a
+    probe P repeats an earlier set's exactly when (m_i ^ m_j) & P == 0 for
+    some i < j, that is when P lies below the probe ~(m_i ^ m_j).  So P has
+    k distinct traces less the sets repeated at P.  For each block of 64
+    sets [lo, lo + 64), bit j - lo of one uint64 word per probe is seeded
+    at every probe ~(m_i ^ m_j), i < j, and ORed down into every subset of
+    it, one element at a time (the zeta transform of Bjorklund, Husfeldt,
+    Kaski and Koivisto, "Fourier meets Mobius", STOC 2007); the set bits of
+    P's word are the block's sets repeated at P.
+
+    The probes go in chunks of 2^c that share their bits >= c, H: only the
+    pairs with (m_i ^ m_j) & H == 0 seed a chunk, at their c low bits, in
+    slices of the sets i.  c and the slice length keep the chunk's
+    per-probe arrays and a slice's per-pair arrays within _PROFILE_BYTES.
+    The work is O(2^(n-c) k^2 / 2 + n 2^n ceil(k / 64))."""
     _check_vc_cap(family, cap)
     n = family.universe.size
-    masks = np.array(sorted(set(family.masks)), dtype=np.uint32)
+    masks = np.array(sorted(set(family.masks)), dtype=np.int64)
+    k = len(masks)
+    half = _PROFILE_BYTES // 2
+    c = min(n, max(0, (half // _PROBE_BYTES).bit_length() - 1))
+    rows = max(1, half // (64 * _PAIR_BYTES))
+    low = (1 << c) - 1
+    # the chunk's probes grouped by their number of elements, s = 0 ... c
+    order = np.argsort(np.bitwise_count(np.arange(1 << c)), kind="stable")
+    starts = np.cumsum([0] + [math.comb(c, s) for s in range(c)])
     profile = np.zeros(n + 1, dtype=np.int64)
-    total = 1 << n
-    # per (probe, set): a uint32 trace, a uint32 difference and a bool
-    chunk = max(1, _PROFILE_BYTES // (9 * max(1, len(masks))))
-    for lo in range(0, total, chunk):
-        probes = np.arange(lo, min(lo + chunk, total), dtype=np.uint32)
-        traced = probes[:, None] & masks[None, :]
-        traced.sort(axis=1)
-        distinct = 1 + np.count_nonzero(np.diff(traced, axis=1), axis=1)
-        np.maximum.at(profile, np.bitwise_count(probes), distinct)
+    # shatter_function(family, 0) is 1, even for the empty family
+    profile[0] = 1
+    for high in range(0, 1 << n, 1 << c):
+        repeated = np.zeros(1 << c, dtype=np.int32)
+        for lo in range(0, k, 64):
+            hi = min(lo + 64, k)
+            words = np.zeros(1 << c, dtype=np.uint64)
+            bit = np.left_shift(np.uint64(1), np.arange(hi - lo, dtype=np.uint64))
+            for a in range(0, hi - 1, rows):
+                b = min(a + rows, hi - 1)
+                d = masks[a:b, None] ^ masks[lo:hi]
+                i, j = np.nonzero((d & high == 0) & (np.arange(a, b)[:, None] < np.arange(lo, hi)))
+                np.bitwise_or.at(words, ~d[i, j] & low, bit[j])
+            for e in range(c):
+                split = words.reshape(-1, 2, 1 << e)
+                split[:, 0] |= split[:, 1]
+            repeated += np.bitwise_count(words)
+        least = np.minimum.reduceat(repeated[order], starts)
+        top = high.bit_count()
+        np.maximum(profile[top : top + c + 1], k - least, out=profile[top : top + c + 1])
     return [int(x) for x in profile]
 
 
@@ -288,9 +325,10 @@ def distinct_rows(packed: np.ndarray) -> np.ndarray:
     Each row, zero-padded to whole words (a copy only when the width is not
     a multiple of 8), is read as big-endian uint64 words, which compare in
     the order their bytes do.  np.lexsort sorts the rows by their words, the
-    first word most significant, and a row is kept unless every word equals
-    its sorted predecessor's.  Zero-width rows are all equal: one of them,
-    or none when there are no rows."""
+    first word most significant; the sorted rows' words are gathered once,
+    and a row is kept unless every word equals its sorted predecessor's.
+    Zero-width rows are all equal: one of them, or none when there are no
+    rows."""
     n, width = packed.shape
     if width == 0:
         return packed[:1]
@@ -300,11 +338,9 @@ def distinct_rows(packed: np.ndarray) -> np.ndarray:
     else:
         padded = np.ascontiguousarray(packed)
     order = np.lexsort(padded.view(">u8").T[::-1])
-    keep = np.zeros(n, dtype=bool)
-    keep[:1] = True
-    for word in padded.view(np.uint64).T:
-        word = word[order]
-        keep[1:] |= word[1:] != word[:-1]
+    words = padded.view(np.uint64)[order]
+    keep = np.ones(n, dtype=bool)
+    keep[1:] = (words[1:] != words[:-1]).any(axis=1)
     return packed[order[keep]]
 
 
@@ -469,11 +505,13 @@ def type_space(
 
     Raises ResourceCapError when a full enumeration would exceed `cap`
     evaluations; pass `sample` (a tuple budget) to fall back to a seeded
-    sample, which yields a lower bound flagged with complete=False.  The
-    sample is drawn with random.Random(f"{seed}/type-space-sample"): of the
-    T = carrier.size ** object_arity tuple indices, budget = min(sample, T)
-    distinct ones by rng.sample(range(T), budget) when T <= 8 * budget, else
-    budget independent rng.randrange(T) draws.
+    sample, which yields a lower bound flagged with complete=False.  Of the
+    T = carrier.size ** object_arity tuple indices, a budget of sample >= T
+    sweeps them all, in index order (a sample of every tuple is a
+    permutation of them, which realizes the same rows).  A smaller budget
+    is drawn with random.Random(f"{seed}/type-space-sample"): `sample`
+    distinct indices by rng.sample(range(T), sample) when T <= 8 * sample,
+    else `sample` independent rng.randrange(T) draws.
 
     The tuples are swept in chunks of at most _SWEEP_CHUNK, so memory grows
     with the chunk, not with T.  In each chunk, each _slot_blocks block is
@@ -505,26 +543,26 @@ def type_space(
     total = n**object_arity
     evals = total * slots
     complete = evals <= cap
-    if complete:
-        indices = range(total)
-    elif sample is None:
+    if not complete and sample is None:
         raise ResourceCapError(
             f"enumerating {total} tuples x {slots} slots = {evals} evaluations "
             f"exceeds cap {cap}; pass sample=<tuple budget> for a flagged lower bound"
         )
+    swept = complete or sample >= total
+    if swept:
+        indices = range(total)
     else:
         rng = Random(f"{seed}/type-space-sample")
-        budget = min(sample, total)
-        if total <= 8 * budget:
-            indices = rng.sample(range(total), budget)
+        if total <= 8 * sample:
+            indices = rng.sample(range(total), sample)
         else:
-            indices = [rng.randrange(total) for _ in range(budget)]
+            indices = [rng.randrange(total) for _ in range(sample)]
     chunks = []
     # one chunk, even of no tuples, is counted alone
     for lo in range(0, max(1, len(indices)), _SWEEP_CHUNK):
         hi = min(lo + _SWEEP_CHUNK, len(indices))
-        # a complete sweep's chunk is an arange: no Python int per tuple
-        chunk = np.arange(lo, hi) if complete else np.asarray(indices[lo:hi], dtype=np.int64)
+        # a sweep of every tuple goes in aranges: no Python int per tuple
+        chunk = np.arange(lo, hi) if swept else np.asarray(indices[lo:hi], dtype=np.int64)
         objs = _decode_tuples(chunk, n, object_arity)
         packed = np.empty((slots, -(-len(objs) // 8)), dtype=np.uint8)
         row = 0

@@ -127,6 +127,26 @@ def test_shatter_function_range_error():
         shatter_function(initial_segments(5), -1)
 
 
+def profile_families():
+    """The empty family, a single set, one set repeated, and random families
+    at n <= 12, with repeated sets and up to 90 distinct ones (two words
+    per probe when more than 64)."""
+    rng = Random(11)
+    yield SetFamily.of(3, [])
+    yield SetFamily.of(5, [{1, 3}])
+    yield SetFamily.of(4, [{0, 2}] * 3)
+    for _ in range(8):
+        n = rng.randint(1, 12)
+        distinct = [
+            frozenset(i for i in range(n) if rng.random() < 0.5)
+            for _ in range(rng.randint(1, 90))
+        ]
+        yield SetFamily.of(n, distinct + [rng.choice(distinct) for _ in range(rng.randint(0, 20))])
+    for n in (10, 12):
+        masks = rng.sample(range(1 << n), 90)
+        yield SetFamily.of(n, [frozenset(i for i in range(n) if m >> i & 1) for m in masks])
+
+
 def test_profile_matches_shatter_function():
     rng = Random(2)
     for _ in range(20):
@@ -137,6 +157,9 @@ def test_profile_matches_shatter_function():
         ])
         profile = max_trace_profile(fam)
         assert profile == [shatter_function(fam, k) for k in range(n + 1)]
+    for fam in profile_families():
+        n = fam.universe.size
+        assert max_trace_profile(fam) == [shatter_function(fam, k) for k in range(n + 1)]
 
 
 def test_profile_in_small_chunks_with_duplicate_sets(monkeypatch):
@@ -153,6 +176,12 @@ def test_profile_in_small_chunks_with_duplicate_sets(monkeypatch):
         fam = SetFamily.of(n, [rng.choice(distinct) for _ in range(rng.randint(1, 30))])
         profile = max_trace_profile(fam)
         assert profile == [shatter_function(fam, k) for k in range(n + 1)]
+    # 2^8 probes a chunk and two sets i a seeding slice: the n >= 9
+    # families go in many high-bit chunks, and every one in many slices
+    monkeypatch.setattr(setsystem, "_PROFILE_BYTES", 1 << 14)
+    for fam in profile_families():
+        n = fam.universe.size
+        assert max_trace_profile(fam) == [shatter_function(fam, k) for k in range(n + 1)]
 
 
 def test_profile_memory_bounded_by_budget():
@@ -172,6 +201,27 @@ def test_profile_memory_bounded_by_budget():
     finally:
         tracemalloc.stop()
     # one chunk of 16384 probes x 400 sets would take more than 50 MB
+    assert peak < 2 * setsystem._PROFILE_BYTES
+
+
+def test_profile_memory_bounded_at_twenty_elements():
+    import tracemalloc
+
+    from laminarvc import setsystem
+
+    rng = Random(6)
+    n = 20
+    fam = SetFamily.of(n, [
+        frozenset(i for i in range(n) if rng.random() < 0.5) for _ in range(30)
+    ])
+    tracemalloc.start()
+    try:
+        max_trace_profile(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one chunk of all 2^20 probes would hold 8 MB in its words alone,
+    # and more in their counts and their order by size
     assert peak < 2 * setsystem._PROFILE_BYTES
 
 
@@ -196,6 +246,7 @@ def test_shatter_monotone_and_capped():
 
 def test_sauer_trivial_and_derived():
     assert sauer_check(SetFamily.of(1, [set(), {0}]))
+    assert sauer_check(SetFamily.of(3, []))
     assert sauer_check(intervals(6))
 
 
@@ -276,6 +327,30 @@ def test_type_space_cap_and_sampling():
     # a budget of no tuples realizes no type
     empty = type_space([eq], B, model, 2, cap=1000, sample=0)
     assert empty.count == 0 and empty.vectors == () and not empty.complete
+
+
+def test_type_space_sample_of_every_tuple_is_the_sweep(monkeypatch):
+    import tracemalloc
+
+    from laminarvc import setsystem
+
+    monkeypatch.setattr(setsystem, "_SWEEP_CHUNK", 4096)
+    eq = growth_formula("pair-equality", 2)
+    B = [(i,) for i in range(16)]
+    model = OrderModel(256)
+    total = model.size**2
+    full = type_space([eq], B, model, 2)
+    for sample in (total, 2 * total):
+        tracemalloc.start()
+        try:
+            sampled = type_space([eq], B, model, 2, cap=1, sample=sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not sampled.complete
+        assert sampled.rows.tolist() == full.rows.tolist()
+        # a list of every index holds a pointer and an int object for each
+        assert peak < 16 * total
 
 
 def test_type_space_arity_mismatch():
