@@ -16,7 +16,7 @@ from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .setsystem import ParametrizedFormula, SetFamily, sign_matrix
+from .setsystem import ParametrizedFormula, SetFamily, meets, row_words, sign_matrix
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,9 @@ def first_crossing(member: np.ndarray) -> Optional[CrossingPair]:
     Rows go in chunks, in order, so that the working arrays fit
     _CROSSING_BYTES; the first crossing of a chunk in row-major order is the
     first of the family once the chunks above it have none."""
-    n, u = member.shape
-    packed = np.zeros((n, -(-u // 64) * 8), dtype=np.uint8)
-    packed[:, : -(-u // 8)] = np.packbits(member, axis=1)
+    n = len(member)
     # words[w, i]: set i's members among elements 64w .. 64w + 63
-    words = np.ascontiguousarray(packed.view(np.uint64).T)
+    words = np.ascontiguousarray(row_words(member).T)
     holders = [np.flatnonzero(word) for word in words]
     sizes = np.count_nonzero(member, axis=1)
     # per chunk: the (side, n) int32 sums, three (side, n) bool masks, and
@@ -133,8 +131,7 @@ class QuasiForest:
         if len(irreflexive):
             raise ValidationError(f"reflexivity fails at node {labels[irreflexive[0]]}")
         # i <= j <= k without i <= k; the first witness in (i, j, k) order
-        step = leq.astype(np.int64)
-        broken = (step @ step > 0) & ~leq
+        broken = meets(leq, leq.T) & ~leq
         if broken.any():
             i = int(np.flatnonzero(broken.any(axis=1))[0])
             j, k = np.argwhere(leq[i][:, None] & leq & ~leq[i][None, :])[0]
@@ -166,11 +163,12 @@ class QuasiForest:
 
     def validate(self) -> None:
         """Check the chain condition, raising ValidationError on a failure:
-        any two classes below a common class are comparable.  On the class
-        order C, a and b are both below some class iff (C Cᵀ)[a, b] > 0.
-        Only a broken pair walks the classes, to name the least c, then a < b."""
+        any two classes below a common class are comparable.  Row a of the
+        class order holds the classes above a, so a and b are both below
+        some class iff rows a and b meet.  Only a broken pair walks the
+        classes, to name the least c, then a < b."""
         order = self.class_leq
-        broken = (order.astype(np.int64) @ order.T > 0) & ~(order | order.T)
+        broken = meets(order, order) & ~(order | order.T)
         if not broken.any():
             return
         for c in range(self.n_classes):
@@ -188,15 +186,14 @@ class QuasiForest:
 def _extent_forest(member: np.ndarray, labels: tuple[Hashable, ...]) -> QuasiForest:
     """Quasi-forest of the rows E_i of an (n, U) bool matrix, not yet
     validated: one class per distinct row, in order of first occurrence, and
-    class a <= class b iff |E_a & E_b| == |E_b|.  Empty rows are kept as
-    nodes: each counts towards n_raw."""
+    class a <= class b iff E_b lies inside E_a, that is E_b meets the
+    complement of E_a nowhere.  Empty rows are kept as nodes: each counts
+    towards n_raw."""
     first: dict[bytes, int] = {}
     least = [first.setdefault(row.tobytes(), i) for i, row in enumerate(np.packbits(member, axis=1))]
     reps = np.fromiter(first.values(), dtype=np.intp, count=len(first))
     rows = member[reps]
-    ints = rows.astype(np.int32)
-    inter = ints @ ints.T
-    return QuasiForest(labels, np.searchsorted(reps, least), inter == inter.diagonal(), rows)
+    return QuasiForest(labels, np.searchsorted(reps, least), ~meets(~rows, rows), rows)
 
 
 def _check_chains(forest: QuasiForest) -> QuasiForest:

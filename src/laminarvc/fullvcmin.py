@@ -25,7 +25,7 @@ from .forest import (
     virtual_space_from_forest,
 )
 from .models import CarrierModel, OrderModel
-from .setsystem import ParametrizedFormula, sign_matrix
+from .setsystem import ParametrizedFormula, meets, sign_matrix
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,11 @@ def psi_type(family: PsiFamily, a1: int, B: Sequence[int]) -> np.ndarray:
 
     Row (b, i) of the extent matrix E is the extent of delta0[i](x0; a1, b);
     instance (b', j) lies inside (b, i) exactly when E[(b', j)] meets the
-    complement of E[(b, i)] nowhere, read off one integer product."""
+    complement of E[(b, i)] nowhere: ~meets(~E, E)."""
     carrier = family.carrier
     elements = np.arange(carrier.size)[:, None]
-    extents = sign_matrix(family.delta0, [(a1, b) for b in B], carrier, elements).astype(np.int64)
-    return (1 - extents) @ extents.T == 0
+    extents = sign_matrix(family.delta0, [(a1, b) for b in B], carrier, elements)
+    return ~meets(~extents, extents)
 
 
 def eval_psi(family: PsiFamily, a1: int, b: int, bp: int, i: int, j: int) -> bool:

@@ -3,6 +3,7 @@ counts per size, per-trial exponent fits, and CSV/JSON emission."""
 
 from __future__ import annotations
 
+import math
 import os
 import platform
 import statistics
@@ -96,6 +97,8 @@ class ExperimentConfig:
             raise DomainError("sizes must be strictly increasing")
         if any(m < 2 for m in self.sizes):
             raise DomainError("sizes must be >= 2")
+        if not math.isfinite(self.tol):
+            raise DomainError(f"tol must be finite, got {self.tol}")
 
     @property
     def ceiling(self) -> float:
@@ -146,7 +149,8 @@ class GrowthReport:
             "model": self.model_label,
             "rows": [asdict(r) for r in self.rows],
             "exponents": list(self.exponents),
-            "median_exponent": self.median_exponent,
+            # an incomplete run fits no exponent: null, as NaN is not JSON
+            "median_exponent": self.median_exponent if self.exponents else None,
             "ceiling": self.ceiling,
             "passed": self.passed,
             "complete": self.complete,

@@ -84,6 +84,35 @@ class SetFamily:
         return member
 
 
+def row_words(member: np.ndarray) -> np.ndarray:
+    """The rows of an (n, U) bool matrix packed into (n, ceil(U/64)) uint64
+    words, zero padded.  Bit order within a word is np.packbits', which
+    every caller only ANDs and counts."""
+    n, u = member.shape
+    packed = np.zeros((n, -(-u // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-u // 8)] = np.packbits(member, axis=1)
+    return packed.view(np.uint64)
+
+
+def meets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (len(a), len(b)) bool matrix: rows a[i] and b[j] of two (., U)
+    bool matrices share a column.  "b[j] lies inside a[i]" is
+    ~meets(~a, b), and the Boolean product of relations r and s is
+    meets(r, s.T).
+
+    On row_words, a pair meets when some word position ANDs to non-zero.
+    Rows of a go in blocks, so that one word position's AND, a
+    (rows, len(b)) uint64 array, takes at most _BLOCK_BYTES bytes."""
+    wa, wb = row_words(a), row_words(b)
+    out = np.zeros((len(wa), len(wb)), dtype=bool)
+    side = max(1, _BLOCK_BYTES // max(1, 8 * len(wb)))
+    for lo in range(0, len(wa), side):
+        block = out[lo : lo + side]
+        for w in range(wa.shape[1]):
+            block |= (wa[lo : lo + side, w, None] & wb[:, w]) != 0
+    return out
+
+
 def trace(family: SetFamily, probe: Iterable[int]) -> SetFamily:
     """Deduplicated family {S & probe : S in family}, members keeping their labels."""
     probe_set = frozenset(probe)
@@ -101,47 +130,12 @@ def trace(family: SetFamily, probe: Iterable[int]) -> SetFamily:
     return SetFamily(family.universe, tuple(out))
 
 
-def _check_vc_cap(family: SetFamily, cap: int) -> None:
-    if family.universe.size > cap:
-        raise ResourceCapError(
-            f"universe size {family.universe.size} exceeds exhaustive cap {cap}; "
-            "reduce the universe or sample probe sets externally"
-        )
-
-
 def vc_dimension(family: SetFamily, cap: int = VC_UNIVERSE_CAP) -> int:
-    """Largest d such that some d-subset of the universe is shattered.
-
-    Climbs the subset lattice: a shattered (d+1)-set has all its d-subsets
-    shattered, so candidates at level d+1 extend level-d survivors upward.
-    """
+    """Largest d such that some d-subset is shattered: max_trace_profile's d-th entry is 2**d."""
     if not family.sets:
         raise DomainError("vc_dimension requires a nonempty family")
-    _check_vc_cap(family, cap)
-    n = family.universe.size
-    masks = family.masks
-    distinct = len(set(masks))
-    max_d = min(n, max(0, distinct.bit_length() - 1) + 1)
-
-    def shattered(probe_mask: int, size: int) -> bool:
-        return len({m & probe_mask for m in masks}) == 1 << size
-
-    level = [(1 << i, i) for i in range(n) if shattered(1 << i, 1)]
-    if not level:
-        return 0
-    d = 1
-    while d < max_d:
-        nxt = []
-        for pm, top in level:
-            for j in range(top + 1, n):
-                cand = pm | (1 << j)
-                if shattered(cand, d + 1):
-                    nxt.append((cand, j))
-        if not nxt:
-            return d
-        level = nxt
-        d += 1
-    return d
+    profile = max_trace_profile(family, cap=cap)
+    return max(s for s, v in enumerate(profile) if v == 1 << s)
 
 
 def shatter_function(family: SetFamily, k: int, cap: int = ENUM_CAP) -> int:
@@ -182,8 +176,12 @@ def max_trace_profile(family: SetFamily, cap: int = VC_UNIVERSE_CAP) -> list[int
     slices of the sets i.  c and the slice length keep the chunk's
     per-probe arrays and a slice's per-pair arrays within _PROFILE_BYTES.
     The work is O(2^(n-c) k^2 / 2 + n 2^n ceil(k / 64))."""
-    _check_vc_cap(family, cap)
     n = family.universe.size
+    if n > cap:
+        raise ResourceCapError(
+            f"universe size {n} exceeds exhaustive cap {cap}; "
+            "reduce the universe or sample probe sets externally"
+        )
     masks = np.array(sorted(set(family.masks)), dtype=np.int64)
     k = len(masks)
     half = _PROFILE_BYTES // 2

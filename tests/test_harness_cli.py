@@ -579,6 +579,30 @@ def test_cli_growth_cap_exit_code(tmp_path):
     assert code == 3
 
 
+def test_cli_growth_json_of_an_incomplete_run_is_strict_json(capsys):
+    # no exponent is fitted, and NaN is not JSON (RFC 8259): null stands in
+    code = main([
+        "growth", "--formula", "lca-ball", "--arity", "1", "--sizes", "8,16,32",
+        "--cap", "100", "--json",
+    ])
+    assert code == 3
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    doc = json.loads(capsys.readouterr().out.splitlines()[-1], parse_constant=reject)
+    assert doc["complete"] is False and doc["median_exponent"] is None
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_cli_growth_rejects_a_non_finite_tol(tol, capsys):
+    code = main(["growth", "--formula", "lca-ball", "--arity", "1", "--sizes", "4,8,16",
+                 "--tol", tol])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: tol must be finite, got {tol}\n"
+
+
 def test_cli_fullvcmin_demo(capsys):
     assert main(["fullvcmin-demo", "--b-size", "4"]) == 0
     out = capsys.readouterr().out

@@ -1,7 +1,10 @@
+import ast
 import math
 from itertools import combinations, product
+from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from laminarvc import (
     type_space,
     vc_dimension,
 )
+from laminarvc import setsystem
 from laminarvc.models import OrderModel, growth_formula
 
 
@@ -112,6 +116,9 @@ def test_vc_dimension_brute_force_agreement():
 def test_vc_dimension_cap():
     with pytest.raises(ResourceCapError):
         vc_dimension(SetFamily.of(30, [{0}]))
+    # no sets is a domain error, whatever the universe
+    with pytest.raises(DomainError):
+        vc_dimension(SetFamily.of(30, []))
 
 
 def test_shatter_function_values():
@@ -257,6 +264,74 @@ def test_sauer_random_laminar_families():
     for _ in range(50):
         model = random_ultrametric(rng.randint(2, 10), rng.randint(2, 4), rng.randrange(1 << 20))
         assert sauer_check(ball_family(model).base)
+
+
+# --- the relation primitive -------------------------------------------------
+
+
+def relation_matrices(rng):
+    """(n, u) bool matrices of every width around a word boundary, sparse,
+    even and dense, with no rows, and with an empty row and two equal rows
+    among random ones."""
+    for u in (1, 63, 64, 65, 130):
+        for n in (0, 1, 5, 40):
+            m = rng.random((n, u)) < rng.choice([0.05, 0.5, 0.95])
+            if n >= 4:
+                m[1] = False
+                m[2] = m[3]
+            yield m
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+def test_meets_matches_the_integer_products(block_rows, monkeypatch):
+    # meets(a, b) against A Bᵀ > 0, the subset form against (1 - A) Bᵀ == 0
+    # and the Boolean product against R S > 0; the rows of a go in blocks
+    # of block_rows, or all in one block
+    def blocked(a, b):
+        if block_rows is not None:
+            monkeypatch.setattr(setsystem, "_BLOCK_BYTES", 8 * len(b) * block_rows)
+        return setsystem.meets(a, b)
+
+    ints = lambda m: m.astype(np.int64)
+    rng = np.random.default_rng(0)
+    for a in relation_matrices(rng):
+        # a's rows reversed, then as many random rows
+        b = np.concatenate([a[::-1], rng.random(a.shape) < 0.5])
+        assert np.array_equal(blocked(a, b), ints(a) @ ints(b).T > 0)
+        assert np.array_equal(~blocked(~a, b), (1 - ints(a)) @ ints(b).T == 0)
+        assert np.array_equal(~blocked(~b, a), (1 - ints(b)) @ ints(a).T == 0)
+    for n in (0, 1, 63, 64, 65, 130):
+        r, s = rng.random((2, n, n)) < 0.05
+        assert np.array_equal(blocked(r, s.T), ints(r) @ ints(s) > 0)
+
+
+def matrix_products(source: str) -> list[int]:
+    """The lines of `source` that multiply matrices: the @ operator, or a
+    call of matmul, dot or einsum, as a function or a method."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if name in {"matmul", "dot", "einsum"}:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_package_multiplies_no_matrices():
+    # relations are composed and compared through setsystem.meets alone,
+    # and no NumPy product starts BLAS threads on the lemma path
+    sample = "a @ b\nnp.matmul(a, b)\nx.dot(y)\nnp.einsum('ij,jk', a, b)\na @= b\ndot(a, b)\n"
+    assert matrix_products(sample) == [1, 2, 3, 4, 5, 6]
+    package = Path(setsystem.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := matrix_products(path.read_text()))
+    }
+    assert found == {}
 
 
 # --- type spaces -------------------------------------------------------------
