@@ -26,10 +26,10 @@ from .setsystem import ParametrizedFormula, SetFamily, Universe, distinct_keys, 
 class UltrametricModel:
     """Rooted tree given as a parent array (root has parent -1); the carrier is
     the set of leaves, indexed in ascending node-id order.  One depth-first
-    pass, children in ascending id order, gives root, children, depth and
-    leaves, and ranks the leaves in the order it meets them: carrier index
-    x has rank[x], by_rank lists the carrier indices by rank, and ball(v) is
-    the ranks lo[v] <= r < hi[v]."""
+    pass, children in ascending id order, gives root, depth and leaves, and
+    ranks the leaves in the order it meets them: carrier index x has
+    rank[x], by_rank lists the carrier indices by rank, and ball(v) is the
+    ranks lo[v] <= r < hi[v]."""
 
     parent: tuple[int, ...]
     seed: Optional[int] = None
@@ -77,15 +77,46 @@ class UltrametricModel:
         rank = np.argsort(ranked)  # the x-th smallest leaf id is ranked[rank[x]]
         depth, lo, hi = np.array([depth, lo, hi])
         vars(self).update(
-            root=root, children=tuple(map(tuple, kids)), leaves=tuple(sorted(ranked)),
+            root=root, leaves=tuple(sorted(ranked)),
             depth=depth, lo=lo, hi=hi, rank=rank, by_rank=np.argsort(rank),
         )
+
+    @classmethod
+    def _preorder(cls, parent: tuple, seed, depth: list, count: list) -> UltrametricModel:
+        """The model of a parent array whose ids are a depth-first preorder,
+        children in ascending id order, given each node's depth and leaf
+        count, with the attributes __post_init__ would derive.  The root is
+        node 0, the leaves rank in id order, and lo[v] counts the leaves
+        before node v."""
+        self = object.__new__(cls)
+        depth, lo, hi = np.array([depth, count, count])
+        leaf = hi == 1
+        lo[:] = np.cumsum(leaf) - leaf
+        hi += lo
+        leaves = np.flatnonzero(leaf)
+        rank = np.arange(len(leaves))
+        vars(self).update(
+            parent=parent, seed=seed, root=0, leaves=tuple(leaves.tolist()),
+            depth=depth, lo=lo, hi=hi, rank=rank, by_rank=rank,
+        )
+        return self
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Per node id, the ids of its children, ascending."""
+        kids: list[list[int]] = [[] for _ in self.parent]
+        for i, p in enumerate(self.parent):
+            if p >= 0:
+                kids[p].append(i)
+        return tuple(map(tuple, kids))
 
     @cached_property
     def non_unary(self) -> np.ndarray:
         """Ids of the leaves and of the nodes with two or more children, whose
         balls are the distinct balls: a unary node's ball is its child's."""
-        return np.flatnonzero([len(kids) != 1 for kids in self.children])
+        # bin p + 1 counts the children of node p; bin 0 the root's parent -1
+        kids = np.bincount(np.array(self.parent) + 1, minlength=self.n_nodes + 1)
+        return np.flatnonzero(kids[1:] != 1)
 
     @property
     def size(self) -> int:
@@ -132,18 +163,19 @@ class UltrametricModel:
         one child c that is not its parent's first and has lo[c] = r + 1.  A
         place holds the key depth * n_nodes + node, and row k the least key
         over the 2**k places from each place on."""
-        parent, n = np.array(self.parent), self.n_nodes
+        parent, n, width = np.array(self.parent), self.n_nodes, 2 * self.size - 1
         key = self.depth * n + np.arange(n)
-        places = np.empty(2 * self.size - 1, dtype=np.int64)
-        places[::2] = key[np.array(self.leaves)[self.by_rank]]
+        # rows k < width.bit_length() have 2**k <= width places in a window
+        table = np.empty((width.bit_length(), width), dtype=np.int64)
+        table[0, ::2] = key[np.array(self.leaves)[self.by_rank]]
         c = np.flatnonzero(parent >= 0)
         c = c[self.lo[c] > self.lo[parent[c]]]
-        places[2 * self.lo[c] - 1] = key[parent[c]]
-        rows = [places]
-        while 2 ** len(rows) <= len(places):
-            prev, step = rows[-1], 2 ** (len(rows) - 1)
-            rows.append(np.concatenate([np.minimum(prev[:-step], prev[step:]), prev[-step:]]))
-        return np.array(rows)
+        table[0, 2 * self.lo[c] - 1] = key[parent[c]]
+        for k in range(1, len(table)):
+            prev, row, step = table[k - 1], table[k], 1 << (k - 1)
+            np.minimum(prev[:-step], prev[step:], out=row[:-step])
+            row[-step:] = prev[-step:]
+        return table
 
     def lca_of(self, y0: np.ndarray, y1: np.ndarray) -> np.ndarray:
         """lca node ids of the leaves at carrier index arrays y0, y1: for ranks
@@ -276,21 +308,28 @@ def random_ultrametric(leaf_count: int, max_branching: int, seed: int) -> Ultram
             r = next(words) >> shift
         return r
 
+    # the pass enters the nodes in id order, a preorder, and records each
+    # node's depth and leaf count, from which _preorder reads the balls' ranks
     parent: list[int] = []
-    stack = [(leaf_count, -1)]
+    depth: list[int] = []
+    count: list[int] = []
+    stack = [(leaf_count, -1, 0)]
     while stack:
-        n_leaves, par = stack.pop()
+        n_leaves, par, d = stack.pop()
+        node = len(parent)
         parent.append(par)
+        depth.append(d)
+        count.append(n_leaves)
         if n_leaves == 1:
             continue
-        node = len(parent) - 1
+        d += 1
         c = below(min(max_branching, n_leaves) - 1) + 1  # b - 1 cuts
         n = n_leaves - 1
         if c == 1:
             # both of sample's paths take range(1, n_leaves)[_randbelow(n)]
             cut = below(n) + 1
-            stack.append((n_leaves - cut, node))
-            stack.append((cut, node))
+            stack.append((n_leaves - cut, node, d))
+            stack.append((cut, node, d))
             continue
         if n <= sample_setsize(c):
             pool = list(range(1, n_leaves))
@@ -306,8 +345,8 @@ def random_ultrametric(leaf_count: int, max_branching: int, seed: int) -> Ultram
             cuts = [j + 1 for j in seen]
         cuts.sort()
         sizes = [hi - lo for lo, hi in zip([0] + cuts, cuts + [n_leaves])]
-        stack.extend((s, node) for s in reversed(sizes))
-    return UltrametricModel(tuple(parent), seed=seed)
+        stack.extend((s, node, d) for s in reversed(sizes))
+    return UltrametricModel._preorder(tuple(parent), seed, depth, count)
 
 
 def ball_family(model: UltrametricModel) -> DirectedFamily:

@@ -102,8 +102,10 @@ def meets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     On row_words, a pair meets when some word position ANDs to non-zero.
     Rows of a go in blocks, so that one word position's AND, a
-    (rows, len(b)) uint64 array, takes at most _BLOCK_BYTES bytes."""
-    wa, wb = row_words(a), row_words(b)
+    (rows, len(b)) uint64 array, takes at most _BLOCK_BYTES bytes; meets(a, a)
+    packs a once."""
+    wa = row_words(a)
+    wb = wa if b is a else row_words(b)
     out = np.zeros((len(wa), len(wb)), dtype=bool)
     side = max(1, _BLOCK_BYTES // max(1, 8 * len(wb)))
     for lo in range(0, len(wa), side):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -72,11 +73,21 @@ def test_generation_respects_parameters():
         assert all(len(k) != 1 for k in model.children)
 
 
+def assert_built_as_from_parent(model):
+    """The generator sets the attributes that UltrametricModel(parent) derives
+    in __post_init__; they must be equal, dtypes included."""
+    want = UltrametricModel(model.parent, model.seed)
+    assert (model.root, model.leaves, model.children) == (want.root, want.leaves, want.children)
+    for name in ("depth", "lo", "hi", "rank", "by_rank", "non_unary", "lca_table"):
+        got, ref = getattr(model, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+
 @pytest.mark.parametrize("leaves, branching, seed", [(4096, 3, 7), (512, 3, 7), (2, 2, 0)])
 def test_generation_matches_cpython_draws(leaves, branching, seed):
-    assert random_ultrametric(leaves, branching, seed).parent == random_ultrametric_parent(
-        leaves, branching, seed
-    )
+    model = random_ultrametric(leaves, branching, seed)
+    assert model.parent == random_ultrametric_parent(leaves, branching, seed)
+    assert_built_as_from_parent(model)
 
 
 # branching up to 40 gives sample up to 39 cuts, whose pool/set threshold
@@ -84,9 +95,22 @@ def test_generation_matches_cpython_draws(leaves, branching, seed):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(2, 600), st.integers(2, 40), st.integers(0, 1 << 30))
 def test_generation_matches_cpython_draws_everywhere(leaves, branching, seed):
-    assert random_ultrametric(leaves, branching, seed).parent == random_ultrametric_parent(
-        leaves, branching, seed
-    )
+    model = random_ultrametric(leaves, branching, seed)
+    assert model.parent == random_ultrametric_parent(leaves, branching, seed)
+    assert_built_as_from_parent(model)
+
+
+def test_generation_and_lca_table_stay_within_2_mb():
+    # the tree's arrays come from the generating pass, and the sparse table
+    # is filled in one (levels, 2L - 1) array: 1.7 MB peak at L = 4096,
+    # where a second pass over the tree and a second copy of the rows took 2.6 MB
+    tracemalloc.start()
+    try:
+        random_ultrametric(4096, 3, 7).lca_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_generation_reads_more_words_when_they_run_out(monkeypatch):
@@ -307,6 +331,9 @@ def test_ball_intervals_match_tree_walk(seed):
         assert model.children == tuple(
             tuple(c for c in range(n) if model.parent[c] == v) for v in range(n)
         )
+        assert model.non_unary.tolist() == [
+            v for v in range(n) if model.parent.count(v) != 1
+        ]
         lcas = [[tree.lca(x, y) for y in range(size)] for x in range(size)]
         assert model.lca_node_matrix.tolist() == lcas
         moved += model.rank.tolist() != list(range(size))

@@ -286,18 +286,24 @@ def relation_matrices(rng):
 def test_meets_matches_the_integer_products(block_rows, monkeypatch):
     # meets(a, b) against A Bᵀ > 0, the subset form against (1 - A) Bᵀ == 0
     # and the Boolean product against R S > 0; the rows of a go in blocks
-    # of block_rows, or all in one block
+    # of block_rows, or all in one block.  meets(a, a) packs a once
     def blocked(a, b):
         if block_rows is not None:
             monkeypatch.setattr(setsystem, "_BLOCK_BYTES", 8 * len(b) * block_rows)
         return setsystem.meets(a, b)
 
+    packed = []
+    pack = setsystem.row_words
+    monkeypatch.setattr(setsystem, "row_words", lambda m: packed.append(m) or pack(m))
     ints = lambda m: m.astype(np.int64)
     rng = np.random.default_rng(0)
     for a in relation_matrices(rng):
         # a's rows reversed, then as many random rows
         b = np.concatenate([a[::-1], rng.random(a.shape) < 0.5])
         assert np.array_equal(blocked(a, b), ints(a) @ ints(b).T > 0)
+        packed.clear()
+        assert np.array_equal(blocked(a, a), ints(a) @ ints(a).T > 0)
+        assert len(packed) == 1
         assert np.array_equal(~blocked(~a, b), (1 - ints(a)) @ ints(b).T == 0)
         assert np.array_equal(~blocked(~b, a), (1 - ints(b)) @ ints(a).T == 0)
     for n in (0, 1, 63, 64, 65, 130):
