@@ -13,8 +13,6 @@ from .setsystem import (
     fit_codensity_exponent,
     max_trace_profile,
     sauer_check,
-    shatter_function,
-    trace,
     type_space,
     vc_dimension,
 )
@@ -44,13 +42,10 @@ from .models import (
     ball_family,
     growth_formula,
     load_model,
-    order_family,
     random_ultrametric,
     save_model,
 )
 from .fullvcmin import (
-    Combo,
-    DecompositionCertificate,
     FullVCMinInstance,
     IncrementalCountReport,
     PsiFamily,

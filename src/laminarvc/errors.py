@@ -10,7 +10,8 @@ class ResourceCapError(RuntimeError):
 
 
 class ValidationError(ValueError):
-    """A structural axiom (directedness, forest axioms, certificate match) failed."""
+    """A structural axiom failed: directedness, the forest axioms, or a psi
+    instance that matches no delta1 literal."""
 
 
 class ModelFormatError(ValueError):

@@ -5,13 +5,15 @@ delta0 pointwise; the psi-type of a carrier element determines a quasi-forest
 on B x delta0 and through it a virtual space of candidate one-variable types.
 Enumerating realized psi-types along a convex order of the delta1 forest
 bounds how many genuinely new candidates each step can add, which yields the
-quadratic aggregate bound that the report checks.
+quadratic aggregate bound that the report checks.  That each psi instance is
+a Boolean combination of delta1 instances is not supplied but found: one
+delta1 literal per instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .forest import (
     virtual_space_from_forest,
 )
 from .models import CarrierModel, OrderModel
-from .setsystem import ParametrizedFormula, meets, sign_matrix
+from .setsystem import ParametrizedFormula, meets, row_words, sign_matrix
 
 
 @dataclass(frozen=True)
@@ -86,89 +88,75 @@ def p_virtual_space(p: np.ndarray, B: Sequence[int], delta0_count: int) -> Virtu
     return virtual_space_from_forest(forest, len(B), delta0_count)
 
 
-# --- boolean-combination certificates over delta1 --------------------------
-
-
-@dataclass(frozen=True)
-class Combo:
-    """Boolean combination over delta1 instances: a constant, a (delta1 index,
-    parameter tuple) atom, or the negation of a combination."""
-
-    op: str  # 'const' | 'atom' | 'not'
-    value: Optional[bool] = None
-    atom: Optional[tuple[int, tuple[int, ...]]] = None
-    args: tuple["Combo", ...] = ()
-
-    @staticmethod
-    def const(v: bool) -> "Combo":
-        return Combo("const", value=bool(v))
-
-    @staticmethod
-    def of(d1_idx: int, params: tuple[int, ...]) -> "Combo":
-        return Combo("atom", atom=(d1_idx, tuple(params)))
-
-    def negate(self) -> "Combo":
-        return Combo("not", args=(self,))
-
-
-def eval_combo(combo: Combo, delta1: Sequence[ParametrizedFormula], carrier) -> np.ndarray:
-    """Truth value of the combination at every carrier point x1, as a bool array."""
-    if combo.op == "const":
-        return np.full(carrier.size, combo.value)
-    if combo.op == "atom":
-        idx, params = combo.atom
-        elements = np.arange(carrier.size)[:, None]
-        return sign_matrix([delta1[idx]], [params], carrier, elements)[0]
-    if combo.op == "not":
-        return ~eval_combo(combo.args[0], delta1, carrier)
-    raise DomainError(f"unknown combo op {combo.op!r}")
-
-
-@dataclass(frozen=True)
-class DecompositionCertificate:
-    """For each psi instance (i, j, b, b'), a boolean combination over delta1
-    instances whose truth table matches the psi evaluation pointwise."""
-
-    delta1: tuple[ParametrizedFormula, ...]
-    combo_for: Callable[[int, int, int, int], Combo]
-
-    def __post_init__(self):
-        for d in self.delta1:
-            if d.object_arity != 1 or d.param_arity != 2:
-                raise DomainError("delta1 formulas must have shape (x1; y, y')")
+# --- certificates over delta1 ------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FullVCMinInstance:
+    """A psi family's carrier and delta0, with a second directed family
+    delta1(x1; y, y') whose literals each psi instance must match."""
+
     carrier: CarrierModel
     delta0: tuple[ParametrizedFormula, ...]
-    certificate: DecompositionCertificate
+    delta1: tuple[ParametrizedFormula, ...]
+
+    def __post_init__(self):
+        PsiFamily(self.carrier, self.delta0)  # delta0's shape check
+        for d in self.delta1:
+            if d.object_arity != 1 or d.param_arity != 2:
+                raise DomainError("delta1 formulas must have shape (x1; y, y')")
 
     @property
     def psi_family(self) -> PsiFamily:
         return PsiFamily(self.carrier, self.delta0)
 
 
+def _certified(instance: FullVCMinInstance, B: Sequence[int]):
+    """(extents, psi-types, atoms) over B, once every psi instance matches a
+    delta1 literal at its own (b, b').
+
+    extents[a1] is the extent matrix psi_type builds for a1, all cut from
+    one sign_matrix, and types[a1] is a1's psi-type.  atoms is the
+    sign_matrix of delta1 over B x B, rows ((b, b'), k).  Instance
+    psi[i][j](x1; b, b') matches when its row over x1 equals the constant
+    false or true row, some delta1[k](x1; b, b') or its complement: the rows
+    are packed into words and compared in one broadcast.  The first
+    unmatched instance in (i, j, b, b') order raises ValidationError."""
+    carrier = instance.carrier
+    n, m, k0, k1 = carrier.size, len(B), len(instance.delta0), len(instance.delta1)
+    elements = np.arange(n)[:, None]
+    params = [(a1, b) for a1 in range(n) for b in B]
+    extents = sign_matrix(instance.delta0, params, carrier, elements).reshape(n, m * k0, n)
+    types = np.array([~meets(~e, e) for e in extents])
+    atoms = sign_matrix(instance.delta1, [(b, bp) for b in B for bp in B], carrier, elements)
+
+    # psi rows (i, j, b, b') over x1, packed, against the packed literals at
+    # each (b, b'): false, true, then delta1[k] and its complement
+    psi = types.reshape(n, m, k0, m, k0).transpose(2, 4, 1, 3, 0).reshape(-1, n)
+    psi_words = row_words(psi).reshape(k0 * k0, m * m, 1, -1)
+    const = row_words(np.array([[False], [True]]).repeat(n, axis=1))
+    atom_words = row_words(atoms).reshape(m * m, k1, -1)
+    literals = np.concatenate(
+        [np.broadcast_to(const, (m * m, *const.shape)), atom_words, atom_words ^ const[1]], axis=1
+    )
+    matched = (psi_words == literals).all(-1).any(-1)
+    if not matched.all():
+        ij, pair = np.unravel_index(np.argmin(matched), matched.shape)
+        i, j = divmod(int(ij), k0)
+        b, bp = divmod(int(pair), m)
+        raise ValidationError(
+            f"psi[{i}][{j}] at (b={int(B[b])}, b'={int(B[bp])}) is no delta1 literal"
+        )
+    return extents, types, atoms
+
+
 def validate_certificate(instance: FullVCMinInstance, B: Sequence[int]) -> np.ndarray:
-    """Truth-table match of every certificate combo against the psi-types of
-    every carrier element; a mismatch names the psi instance and the least
-    carrier point where it fails.  Returns those psi-types, indexed by a1."""
-    family = instance.psi_family
-    cert = instance.certificate
-    k = family.n_formulas
-    types = np.array([psi_type(family, a1, B) for a1 in range(instance.carrier.size)])
-    for i in range(k):
-        for j in range(k):
-            for bi, b in enumerate(B):
-                for bpi, bp in enumerate(B):
-                    got = eval_combo(cert.combo_for(i, j, b, bp), cert.delta1, instance.carrier)
-                    wrong = np.flatnonzero(got != types[:, bi * k + i, bpi * k + j])
-                    if len(wrong):
-                        raise ValidationError(
-                            f"certificate mismatch for psi[{i}][{j}] at "
-                            f"(b={b}, b'={bp}), carrier point a1={wrong[0]}"
-                        )
-    return types
+    """The psi-types of every carrier element over B, indexed by a1, once
+    each psi instance is found to be a delta1 literal at its own (b, b'):
+    the Boolean combination of delta1 instances that VC-minimality asks for.
+    An instance that is none raises ValidationError naming psi[i][j] and
+    (b, b')."""
+    return _certified(instance, B)[1]
 
 
 def dlo_instance(carrier_size: int) -> FullVCMinInstance:
@@ -180,24 +168,7 @@ def dlo_instance(carrier_size: int) -> FullVCMinInstance:
     d0_before_y = ParametrizedFormula("before-y", 1, 2, lambda M, objs, p: objs[:, 0] < p[1])
     d1_geq_second = ParametrizedFormula("final-geq-y'", 1, 2, lambda M, objs, p: objs[:, 0] >= p[1])
     d1_gt_first = ParametrizedFormula("final-gt-y", 1, 2, lambda M, objs, p: objs[:, 0] > p[0])
-
-    A, B_ = 0, 1  # indices of before-x1 and before-y in delta0
-
-    def combo_for(i: int, j: int, b: int, bp: int) -> Combo:
-        if i == A and j == A:
-            # [0, x1) included in [0, x1)
-            return Combo.const(True)
-        if i == A and j == B_:
-            # [0, b') included in [0, x1)  <=>  x1 >= b'
-            return Combo.of(0, (b, bp))
-        if i == B_ and j == A:
-            # [0, x1) included in [0, b)  <=>  not (x1 > b)
-            return Combo.of(1, (b, bp)).negate()
-        # [0, b') included in [0, b), independent of x1
-        return Combo.const(bp <= b)
-
-    cert = DecompositionCertificate((d1_geq_second, d1_gt_first), combo_for)
-    return FullVCMinInstance(carrier, (d0_before_x1, d0_before_y), cert)
+    return FullVCMinInstance(carrier, (d0_before_x1, d0_before_y), (d1_geq_second, d1_gt_first))
 
 
 # --- the incremental counting report ---------------------------------------
@@ -241,10 +212,9 @@ def incremental_count_check(instance: FullVCMinInstance, B: Sequence[int]) -> In
     2|B|^2|delta1| + |B||delta0| + 1."""
     B = [int(b) for b in B]
     carrier = instance.carrier
-    cert = instance.certificate
-    types = validate_certificate(instance, B)
+    extents, types, atoms = _certified(instance, B)
 
-    k0, k1, m = len(instance.delta0), len(cert.delta1), len(B)
+    k0, k1, m = len(instance.delta0), len(instance.delta1), len(B)
 
     # realized psi-types, keyed by their matrix bytes, with a least realizer
     realizers: dict[bytes, int] = {}
@@ -253,7 +223,7 @@ def incremental_count_check(instance: FullVCMinInstance, B: Sequence[int]) -> In
 
     # the delta1 forest over B x B and its convex order
     pairs = [(b, bp) for b in B for bp in B]
-    d1_forest = build_forest(pairs, cert.delta1, carrier)
+    d1_forest = build_forest(pairs, instance.delta1, carrier, atoms)
     tree = type_tree(d1_forest)
     order = convex_order(tree)
     spaces = {
@@ -287,11 +257,8 @@ def incremental_count_check(instance: FullVCMinInstance, B: Sequence[int]) -> In
         union |= spaces[key]
         sum_dist += dist
 
-    # a1's realized types, the columns of its block of one sign matrix, are virtual
-    n = carrier.size
-    params = [(a1, b) for a1 in range(n) for b in B]
-    signs = sign_matrix(instance.delta0, params, carrier, np.arange(n)[:, None])
-    for a1, block in enumerate(signs.reshape(n, m * k0, n)):
+    # a1's realized types, the columns of its extents, are virtual
+    for a1, block in enumerate(extents):
         realized = {column.tobytes() for column in block.T}
         if not realized <= spaces[types[a1].tobytes()]:
             containment_ok = False

@@ -360,17 +360,9 @@ def ball_family(model: UltrametricModel) -> DirectedFamily:
 
 def initial_segments(model: OrderModel) -> np.ndarray:
     """(size - 1, size) bool matrix of the non-empty proper initial segments
-    {x : x < c}, row c - 1 for cut point c: the member matrix of order_family."""
+    {x : x < c}, row c - 1 for cut point c: an order's directed family,
+    nested by construction."""
     return np.arange(model.size) < np.arange(1, model.size)[:, None]
-
-
-def order_family(model: OrderModel) -> DirectedFamily:
-    """Non-empty proper initial segments {x : x < c}, row c - 1 for cut point
-    c; nested by construction, so not scanned for crossings."""
-    fam = SetFamily(
-        Universe(model.size), tuple(frozenset(range(c)) for c in range(1, model.size))
-    )
-    return DirectedFamily(fam, checked=True)
 
 
 # --- formula corpus ---------------------------------------------------------

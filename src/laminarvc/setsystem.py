@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from random import Random
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -115,23 +114,6 @@ def meets(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def trace(family: SetFamily, probe: Iterable[int]) -> SetFamily:
-    """Deduplicated family {S & probe : S in family}, members keeping their labels."""
-    probe_set = frozenset(probe)
-    n = family.universe.size
-    for x in probe_set:
-        if not 0 <= x < n:
-            raise DomainError(f"probe element {x} outside universe of size {n}")
-    seen: set[frozenset[int]] = set()
-    out: list[frozenset[int]] = []
-    for s in family.sets:
-        t = s & probe_set
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return SetFamily(family.universe, tuple(out))
-
-
 def vc_dimension(family: SetFamily, cap: int = VC_UNIVERSE_CAP) -> int:
     """Largest d such that some d-subset is shattered: max_trace_profile's d-th entry is 2**d."""
     if not family.sets:
@@ -140,28 +122,10 @@ def vc_dimension(family: SetFamily, cap: int = VC_UNIVERSE_CAP) -> int:
     return max(s for s, v in enumerate(profile) if v == 1 << s)
 
 
-def shatter_function(family: SetFamily, k: int, cap: int = ENUM_CAP) -> int:
-    """Max over k-subsets A of the number of distinct traces on A."""
-    n = family.universe.size
-    if not 0 <= k <= n:
-        raise DomainError(f"k={k} out of range for universe size {n}")
-    if k == 0:
-        return 1
-    if math.comb(n, k) * max(1, len(family.sets)) > cap:
-        raise ResourceCapError(f"shatter_function({n} choose {k}) exceeds enumeration cap")
-    masks = family.masks
-    best = 0
-    for idx in combinations(range(n), k):
-        pm = sum(1 << i for i in idx)
-        best = max(best, len({m & pm for m in masks}))
-        if best == 1 << k:
-            break
-    return best
-
-
 def max_trace_profile(family: SetFamily, cap: int = VC_UNIVERSE_CAP) -> list[int]:
-    """profile[s] = shatter_function(family, s) for every s, from one superset
-    closure over the 2^n probe masks.
+    """profile[s] = the shatter function at s, the most distinct traces on an
+    s-subset of the universe, for every s, from one superset closure over
+    the 2^n probe masks.
 
     With m_0 < ... < m_{k-1} the distinct member masks, set j's trace on a
     probe P repeats an earlier set's exactly when (m_i ^ m_j) & P == 0 for
@@ -194,7 +158,7 @@ def max_trace_profile(family: SetFamily, cap: int = VC_UNIVERSE_CAP) -> list[int
     order = np.argsort(np.bitwise_count(np.arange(1 << c)), kind="stable")
     starts = np.cumsum([0] + [math.comb(c, s) for s in range(c)])
     profile = np.zeros(n + 1, dtype=np.int64)
-    # shatter_function(family, 0) is 1, even for the empty family
+    # one trace on the empty probe, even for the empty family
     profile[0] = 1
     for high in range(0, 1 << n, 1 << c):
         repeated = np.zeros(1 << c, dtype=np.int32)
@@ -218,8 +182,8 @@ def max_trace_profile(family: SetFamily, cap: int = VC_UNIVERSE_CAP) -> list[int
 
 
 def sauer_check(family: SetFamily, cap: int = VC_UNIVERSE_CAP) -> bool:
-    """True iff shatter_function(family, k) <= sum_{i<=d} C(k, i) for all k,
-    where d = vc_dimension(family)."""
+    """True iff max_trace_profile(family)[k] <= sum_{i<=d} C(k, i) for all
+    k, where d = vc_dimension(family)."""
     profile = max_trace_profile(family, cap=cap)
     d = max(k for k, v in enumerate(profile) if v == 1 << k)
     for k, v in enumerate(profile):

@@ -2,14 +2,59 @@
 
 The growth corpus is evaluated here from a model's parent array alone, by
 walking from leaves towards the root, and realized sign rows are enumerated
-one tuple at a time.  Nothing here uses the library's formula table or its
-tree views, so the tests compare two independent implementations.
+one tuple at a time.  Traces and shatter functions are taken set by set,
+and the built-in linear-order instance's psi predicates are read off the
+order.  Nothing here uses the library's formula table or its tree views,
+so the tests compare two independent implementations.
 """
 
+import math
 from itertools import combinations, product
 from random import Random
 
+from laminarvc import DomainError, ResourceCapError, SetFamily
 from laminarvc.models import UltrametricModel
+from laminarvc.setsystem import ENUM_CAP
+
+
+def trace(family, probe):
+    """Deduplicated family {S & probe : S in family}, members keeping their
+    order of first appearance."""
+    probe_set = frozenset(probe)
+    n = family.universe.size
+    for x in probe_set:
+        if not 0 <= x < n:
+            raise DomainError(f"probe element {x} outside universe of size {n}")
+    out = dict.fromkeys(s & probe_set for s in family.sets)
+    return SetFamily(family.universe, tuple(out))
+
+
+def shatter_function(family, k, cap=ENUM_CAP):
+    """Max over k-subsets A of the number of distinct traces on A, by trying
+    every k-subset of the universe on the members' bit masks."""
+    n = family.universe.size
+    if not 0 <= k <= n:
+        raise DomainError(f"k={k} out of range for universe size {n}")
+    if k == 0:
+        return 1
+    if math.comb(n, k) * max(1, len(family.sets)) > cap:
+        raise ResourceCapError(f"shatter_function({n} choose {k}) exceeds enumeration cap")
+    best = 0
+    for idx in combinations(range(n), k):
+        pm = sum(1 << i for i in idx)
+        best = max(best, len({m & pm for m in family.masks}))
+        if best == 1 << k:
+            break
+    return best
+
+
+def dlo_psi(i, j, x1, b, bp):
+    """psi[i][j](x1; b, b') of the built-in linear-order instance, whose
+    delta0 is {x0 < x1, x0 < y} and delta1 {x1 >= y', x1 > y}: [0, x1) lies
+    in [0, x1); [0, b') lies in [0, x1) exactly when delta1[0], x1 >= b';
+    [0, x1) lies in [0, b) exactly when not delta1[1], not x1 > b; and
+    [0, b') lies in [0, b) when b' <= b, whatever x1."""
+    return [[True, x1 >= bp], [not x1 > b, bp <= b]][i][j]
 
 
 class Tree:

@@ -1,11 +1,12 @@
+import hashlib
+from dataclasses import asdict
 from random import Random
 
 import numpy as np
 import pytest
+from scalar_oracle import dlo_psi
 
 from laminarvc import (
-    Combo,
-    DecompositionCertificate,
     DomainError,
     FullVCMinInstance,
     PsiFamily,
@@ -69,6 +70,8 @@ def test_psi_family_shape_validation():
     bad = ParametrizedFormula("unary", 1, 1, lambda M, objs, p: objs[:, 0] >= 0)
     with pytest.raises(DomainError):
         PsiFamily(OrderModel(4), (bad,))
+    with pytest.raises(DomainError, match="delta1 formulas must have shape"):
+        FullVCMinInstance(OrderModel(4), (), (bad,))
 
 
 # --- psi types ------------------------------------------------------------------
@@ -221,28 +224,46 @@ def test_builtin_certificate_validates():
     validate_certificate(inst, [1, 4, 8])
 
 
+def test_builtin_psi_instances_match_dlo_oracle():
+    # every psi instance at every carrier point is the literal the DLO
+    # closure of scalar_oracle names
+    for n, m in ((6, 2), (9, 4), (12, 5)):
+        B = sorted(Random(f"oracle/{n}/{m}").sample(range(n), m))
+        types = validate_certificate(dlo_instance(n), B)
+        want = [
+            [[dlo_psi(i, j, a1, b, bp) for bp in B for j in range(2)] for b in B for i in range(2)]
+            for a1 in range(n)
+        ]
+        assert types.tolist() == want
+
+
 def test_corrupt_certificate_reports_witness():
+    # without final-gt-y, psi[1][0] at (2, 2), x1 <= 2, is neither constant
+    # nor x1 >= 2 nor its complement; the instances before it all match
     inst = dlo_instance(8)
-    good = inst.certificate
-    # the first pair checked is (b, b') = (2, 2), where psi[0][1] holds exactly
-    # when a1 >= 2: the least miss of a constant True is a1 = 0, of False a1 = 2
-    for wrong, least in ((True, 0), (False, 2)):
+    broken = FullVCMinInstance(inst.carrier, inst.delta0, inst.delta1[:1])
+    message = "psi[1][0] at (b=2, b'=2) is no delta1 literal"
+    with pytest.raises(ValidationError) as err:
+        validate_certificate(broken, [2, 5])
+    assert str(err.value) == message
+    with pytest.raises(ValidationError) as err:
+        incremental_count_check(broken, [2, 5])
+    assert str(err.value) == message
 
-        def bad_combo(i, j, b, bp):
-            if (i, j) == (0, 1):
-                return Combo.const(wrong)  # wrong: should be an atom
-            return good.combo_for(i, j, b, bp)
 
-        broken = FullVCMinInstance(
-            inst.carrier, inst.delta0, DecompositionCertificate(good.delta1, bad_combo)
-        )
-        with pytest.raises(ValidationError) as err:
-            validate_certificate(broken, [2, 5])
-        assert str(err.value) == (
-            f"certificate mismatch for psi[0][1] at (b=2, b'=2), carrier point a1={least}"
-        )
-        with pytest.raises(ValidationError):
-            incremental_count_check(broken, [2, 5])
+@pytest.mark.parametrize("m, b, bp", [(4, 0, 4), (8, 2, 5), (16, 5, 12)])
+def test_swapped_delta1_parameters_leave_instances_unmatched(m, b, bp):
+    # delta1 read at (y', y) instead of (y, y'): psi[0][1] at (b, b') is
+    # x1 >= b', which is then a literal only where b = b'
+    swapped = (
+        ParametrizedFormula("final-geq-y", 1, 2, lambda M, objs, p: objs[:, 0] >= p[0]),
+        ParametrizedFormula("final-gt-y'", 1, 2, lambda M, objs, p: objs[:, 0] > p[1]),
+    )
+    inst = dlo_instance(3 * m)
+    B = sorted(Random(f"0/fullvcmin/{m}").sample(range(3 * m), m))
+    with pytest.raises(ValidationError) as err:
+        validate_certificate(FullVCMinInstance(inst.carrier, inst.delta0, swapped), B)
+    assert str(err.value) == f"psi[0][1] at (b={b}, b'={bp}) is no delta1 literal"
 
 
 def test_incremental_count_single_parameter():
@@ -279,7 +300,7 @@ def test_step_distances_are_raw_hamming_distances():
         inst = dlo_instance(3 * m)
         B = sorted(Random(f"hamming/{seed}").sample(range(3 * m), m))
         pairs = [(b, bp) for b in B for bp in B]
-        delta1 = inst.certificate.delta1
+        delta1 = inst.delta1
         signs = sign_matrix(delta1, pairs, inst.carrier, np.arange(3 * m)[:, None])
         forest = build_forest(pairs, delta1, inst.carrier)
         order = convex_order(type_tree(forest))
@@ -295,3 +316,24 @@ def test_step_distances_are_raw_hamming_distances():
         report = incremental_count_check(inst, B)
         assert [step.dist for step in report.steps] == hamming
         assert max(hamming) > 1  # classes of several raw nodes differ
+
+
+def test_incremental_count_at_b_size_128():
+    # fullvcmin-demo's seed-0 parameters at |B| = 128, which the command does
+    # not offer; the values were recorded from the certificate-evaluating
+    # pipeline that the literal match replaced
+    inst = dlo_instance(384)
+    B = sorted(Random("0/fullvcmin/128").sample(range(384), 128))
+    report = asdict(incremental_count_check(inst, B))
+    steps = report.pop("steps")
+    assert report == {
+        "b_size": 128, "carrier_size": 384, "n_delta0": 2, "n_delta1": 2, "n_psi_types": 222,
+        "sum_dist": 32640, "sum_dist_bound": 65536, "first_space_size": 130,
+        "union_size": 257, "aggregate_bound": 65793, "per_step_ok": True, "sum_dist_ok": True,
+        "aggregate_ok": True, "containment_ok": True,
+    }
+    assert len(steps) == 221 and all(step["ok"] for step in steps)
+    digest = hashlib.sha256(
+        ",".join(f"{step['dist']}:{step['new_entries']}" for step in steps).encode()
+    ).hexdigest()
+    assert digest[:16] == "3381c495e502c2c0"

@@ -22,7 +22,6 @@ from laminarvc import (
     components,
     harness,
     load_model,
-    order_family,
     random_ultrametric,
     save_model,
     vc_dimension,
@@ -151,19 +150,21 @@ def test_chain_shaped_tree_gives_nested_family():
 # --- order model ----------------------------------------------------------------
 
 
-def test_order_family_size_three():
-    fam = order_family(OrderModel(3))
-    assert fam.sets == (frozenset({0}), frozenset({0, 1}))
-    # the rows of the matrix check-directed scans are the family's sets
+def test_initial_segments_size_three():
+    assert models.initial_segments(OrderModel(3)).tolist() == [
+        [True, False, False], [True, True, False]
+    ]
+    # row c - 1 is the segment {x : x < c}
     for size in (1, 2, 5):
-        fam = order_family(OrderModel(size)).base
-        assert (models.initial_segments(OrderModel(size)) == fam.member).all()
+        want = [[x < c for x in range(size)] for c in range(1, size)]
+        assert models.initial_segments(OrderModel(size)).tolist() == want
 
 
-def test_order_family_directed_and_vc_one():
-    fam = order_family(OrderModel(8))
-    assert isinstance(check_directed(fam.base), DirectedFamily)
-    assert vc_dimension(fam.base) == 1
+def test_initial_segments_directed_and_vc_one():
+    segments = models.initial_segments(OrderModel(8))
+    fam = SetFamily.of(8, [np.flatnonzero(row).tolist() for row in segments])
+    assert isinstance(check_directed(fam), DirectedFamily)
+    assert vc_dimension(fam) == 1
 
 
 # --- formula corpus ---------------------------------------------------------------

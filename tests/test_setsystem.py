@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalar_oracle import sign_rows
+from scalar_oracle import shatter_function, sign_rows, trace
 
 from laminarvc import (
     DomainError,
@@ -21,8 +21,6 @@ from laminarvc import (
     fit_codensity_exponent,
     max_trace_profile,
     sauer_check,
-    shatter_function,
-    trace,
     type_space,
     vc_dimension,
 )
