@@ -31,6 +31,7 @@ from .forest import (
     components,
     convex_order,
     forest_from_extents,
+    forest_from_ranges,
     sum_dist_check,
     type_tree,
     virtual_type_space,

@@ -10,6 +10,9 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from random import Random
+
+import numpy as np
 
 from . import forest
 from .errors import DomainError, ModelFormatError, ResourceCapError, ValidationError
@@ -19,14 +22,12 @@ from .models import (
     GROWTH_KINDS,
     OrderModel,
     UltrametricModel,
-    initial_segments,
     load_model,
     random_ultrametric,
     save_model,
 )
 from .setsystem import ENUM_CAP
 from .verify import run_all
-from random import Random
 
 
 def _sizes_list(text: str) -> tuple[int, ...]:
@@ -46,22 +47,24 @@ def cmd_gen_model(args) -> int:
     return 0
 
 
-def _designated_member(model):
-    """Member matrix of a tree's balls, an order's cuts or a file's sets."""
+def _designated_crossing(model):
+    """The first crossing pair of a model's designated family, and its size:
+    a tree's balls and an order's cuts as rank ranges, a file's sets from
+    its member matrix."""
     if isinstance(model, UltrametricModel):
-        return model.ball_bool
+        return forest.first_range_crossing(model.lo, model.hi), model.n_nodes
     if isinstance(model, OrderModel):
-        return initial_segments(model)
-    return model.member
+        cuts = np.arange(1, model.size)  # the initial segments [0, c)
+        return forest.first_range_crossing(np.zeros_like(cuts), cuts), len(cuts)
+    return forest.first_crossing(model.member), len(model.sets)
 
 
 def cmd_check_directed(args) -> int:
-    member = _designated_member(load_model(args.model))
-    witness = forest.first_crossing(member)
+    witness, sets = _designated_crossing(load_model(args.model))
     if witness is not None:
         print(json.dumps({"directed": False, "violation": [witness.i, witness.j]}))
         return 1
-    print(json.dumps({"directed": True, "sets": len(member)}))
+    print(json.dumps({"directed": True, "sets": sets}))
     return 0
 
 

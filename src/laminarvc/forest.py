@@ -27,8 +27,9 @@ class CrossingPair:
     j: int
 
 
-# the working arrays of one row chunk of first_crossing: 1 MB keeps the
-# 512-set families of verify-lemmas (four chunks) from raising its peak memory
+# the working arrays of one row chunk of first_crossing: 1 MB scans up to
+# 256 sets in one chunk, and keeps a large family file's scan from raising
+# the command's peak memory
 _CROSSING_BYTES = 1 << 20
 
 
@@ -72,6 +73,32 @@ def first_crossing(member: np.ndarray) -> Optional[CrossingPair]:
             i, j = divmod(first, n - lo)
             return CrossingPair(lo + i, lo + j)
     return None
+
+
+def first_range_crossing(lo, hi) -> Optional[CrossingPair]:
+    """first_crossing of the ranges [lo[i], hi[i]) of integers, with no
+    member matrix unless the ranges cross.
+
+    The non-empty ranges go in (lo, -hi) order past a stack of the his of
+    the ranges still open, each nested in the one below it.  A range first
+    pops the ranges ending at or before its lo, which it does not meet; it
+    then crosses the top one if it ends after it, and else lies inside
+    every range on the stack.  Only a found crossing builds the member
+    matrix, so that first_crossing names the first pair."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    keep = np.flatnonzero(lo < hi)
+    order = keep[np.lexsort((-hi[keep], lo[keep]))]
+    stack: list[int] = []
+    for a, b in zip(lo[order].tolist(), hi[order].tolist()):
+        while stack and stack[-1] <= a:
+            stack.pop()
+        if stack and stack[-1] < b:
+            break
+        stack.append(b)
+    else:
+        return None
+    elements = np.arange(lo.min(), hi.max())
+    return first_crossing((lo[:, None] <= elements) & (elements < hi[:, None]))
 
 
 @dataclass(frozen=True)
@@ -224,6 +251,36 @@ def forest_from_extents(
         raise DomainError("labels and extents must have equal length")
     family = SetFamily.of(1 + max(chain.from_iterable(extents), default=0), extents)
     return _check_chains(_extent_forest(family.member, tuple(labels)))
+
+
+def forest_from_ranges(lo, hi, labels: Sequence[Hashable]) -> QuasiForest:
+    """Quasi-forest of the integer ranges [lo[i], hi[i]), a tree's balls as
+    leaf-rank ranges, labelled by labels: one class per distinct (lo, hi),
+    in order of first occurrence, and class a <= class b iff range b lies
+    inside range a.  An empty range, or two crossing ranges, raise
+    DomainError naming the first such instance or pair, as build_forest
+    does.  Non-empty ranges that both lie inside a third meet, so they nest:
+    the chain condition holds with no further check."""
+    lo, hi, labels = np.asarray(lo), np.asarray(hi), tuple(labels)
+    if not len(lo) == len(hi) == len(labels):
+        raise DomainError("labels and ranges must have equal length")
+    first: dict[tuple[int, int], int] = {}
+    least = [first.setdefault(r, i) for i, r in enumerate(zip(lo.tolist(), hi.tolist()))]
+    reps = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    a, b = lo[reps], hi[reps]
+    # the first empty or crossing class is the first instance, or pair of
+    # instances, to be so: each is the least node of its class
+    empty = np.flatnonzero(a >= b)
+    if len(empty):
+        raise DomainError(f"instance {labels[reps[empty[0]]]} has an empty range")
+    witness = first_range_crossing(a, b)
+    if witness is not None:
+        i, j = reps[[witness.i, witness.j]]
+        raise DomainError(
+            f"instance family is not directed: instances {labels[i]} and {labels[j]} cross"
+        )
+    leq = (a[:, None] <= a) & (b <= b[:, None])
+    return QuasiForest(labels, np.searchsorted(reps, least), leq)
 
 
 def build_forest(

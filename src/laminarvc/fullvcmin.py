@@ -257,9 +257,12 @@ def incremental_count_check(instance: FullVCMinInstance, B: Sequence[int]) -> In
         union |= spaces[key]
         sum_dist += dist
 
-    # a1's realized types, the columns of its extents, are virtual
+    # a1's realized types, the columns of its extents, are virtual: each
+    # block's columns go to bytes in one call and are sliced apart
+    width = extents.shape[1]
     for a1, block in enumerate(extents):
-        realized = {column.tobytes() for column in block.T}
+        flat = block.T.tobytes()
+        realized = {flat[i : i + width] for i in range(0, len(flat), width)}
         if not realized <= spaces[types[a1].tobytes()]:
             containment_ok = False
             break

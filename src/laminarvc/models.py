@@ -358,13 +358,6 @@ def ball_family(model: UltrametricModel) -> DirectedFamily:
     return DirectedFamily(SetFamily(Universe(model.size), sets), checked=True)
 
 
-def initial_segments(model: OrderModel) -> np.ndarray:
-    """(size - 1, size) bool matrix of the non-empty proper initial segments
-    {x : x < c}, row c - 1 for cut point c: an order's directed family,
-    nested by construction."""
-    return np.arange(model.size) < np.arange(1, model.size)[:, None]
-
-
 # --- formula corpus ---------------------------------------------------------
 
 

@@ -20,12 +20,11 @@ from .forest import (
     check_convexity,
     components,
     convex_order,
-    first_crossing,
-    forest_from_extents,
+    first_range_crossing,
+    forest_from_ranges,
     sum_dist_check,
     type_tree,
     virtual_space_from_forest,
-    virtual_type_space,
 )
 from .fullvcmin import dlo_instance, forest_from_type, incremental_count_check, psi_type
 from .models import ball_family, growth_formula, random_ultrametric
@@ -68,8 +67,14 @@ def _random_forest(rng: Random, max_nodes: int = 12):
     model = random_ultrametric(leaves, rng.randint(2, 4), rng.randrange(1 << 30))
     n = rng.randint(1, max_nodes)
     chosen = [rng.randrange(model.n_nodes) for _ in range(n)]
-    extents = [model.ball(v) for v in chosen]
-    return forest_from_extents(extents, labels=tuple(enumerate(chosen)))
+    return forest_from_ranges(model.lo[chosen], model.hi[chosen], tuple(enumerate(chosen)))
+
+
+def _lca_ball_forest(model, C):
+    """The forest build_forest gives the lca-ball instances at the
+    parameters C, labelled (param index, 0), read off the lca nodes' ranges."""
+    v = model.lca_of(*np.array(C).T)
+    return forest_from_ranges(model.lo[v], model.hi[v], [(ci, 0) for ci in range(len(C))])
 
 
 def verify_directed_linear_bound(seed: int, trials: int = 500,
@@ -83,7 +88,7 @@ def verify_directed_linear_bound(seed: int, trials: int = 500,
         model = random_ultrametric(
             rng.randint(4, max_leaves), rng.randint(2, 4), rng.randrange(1 << 30)
         )
-        crossing = first_crossing(model.ball_bool)  # row v is ball(v)
+        crossing = first_range_crossing(model.lo, model.hi)  # ball(v)'s ranks
         if crossing is not None:
             fails.add(key, f"balls {crossing.i} and {crossing.j} of {model.label} cross")
             continue
@@ -93,11 +98,11 @@ def verify_directed_linear_bound(seed: int, trials: int = 500,
             (rng.randrange(model.size), rng.randrange(model.size))
             for _ in range(n_params)
         ]
-        # one sign matrix gives both spaces: the realized types are its
-        # columns, one per element, and its rows the forest's instances
+        # the realized types are the columns of the sign matrix, one per
+        # element; the virtual ones come from the lca nodes' ranges
         signs = sign_matrix(delta, C, model, np.arange(model.size)[:, None])
         realized = {col.tobytes() for col in np.ascontiguousarray(signs.T).view(np.uint8)}
-        virtual = virtual_type_space(C, delta, model, signs)
+        virtual = virtual_space_from_forest(_lca_ball_forest(model, C), len(C), len(delta))
         bound = len(delta) * len(C) + 1
         if len(realized) > bound:
             fails.add(key, f"{len(realized)} realized types > {bound}")
@@ -146,8 +151,7 @@ def verify_sum_dist(seed: int, trials: int = 1000, subsequences: int = 3) -> Lem
                 (rng.randrange(model.size), rng.randrange(model.size))
                 for _ in range(rng.randint(1, 6))
             ]
-            delta = [growth_formula("lca-ball", 1)]
-            forest = build_forest(C, delta, model)
+            forest = _lca_ball_forest(model, C)
         else:
             forest = _random_forest(rng)
         tree = type_tree(forest)
@@ -205,7 +209,10 @@ def verify_components(seed: int, trials: int = 500) -> LemmaReport:
             covered = sorted(frozenset().union(*result))
             fails.add(key, f"target {sorted(target)}: components cover {covered}")
             continue
-        distinct = sorted(set(pool.sets) - {frozenset()}, key=lambda s: (min(s), len(s)))
+        # a union equals the target only if each of its sets lies inside it
+        distinct = sorted(
+            {s for s in pool.sets if s and s <= target}, key=lambda s: (min(s), len(s))
+        )
         brute_min = None
         for size in range(1, 4):
             for combo in combinations(distinct, size):

@@ -30,7 +30,13 @@ from laminarvc import forest as forest_module
 from laminarvc import save_model
 from laminarvc import verify as verify_module
 from laminarvc.cli import main
-from laminarvc.forest import TypeTree, first_crossing, virtual_space_from_forest
+from laminarvc.forest import (
+    TypeTree,
+    first_crossing,
+    first_range_crossing,
+    forest_from_ranges,
+    virtual_space_from_forest,
+)
 from laminarvc.fullvcmin import dlo_instance, forest_from_type, psi_type
 from laminarvc.models import OrderModel, ball_family, growth_formula, random_ultrametric
 from laminarvc.setsystem import ParametrizedFormula
@@ -71,30 +77,38 @@ def test_check_directed_disjoint_chain_crossing():
 def test_directed_families_are_scanned_once(monkeypatch, tmp_path, capsys):
     scans = []
 
-    def counting(family):
-        scans.append(family)
-        return first_crossing(family)
+    def counting(scan):
+        def counted(*args):
+            scans.append(scan.__name__)
+            return scan(*args)
+        return counted
 
-    monkeypatch.setattr(forest_module, "first_crossing", counting)
-    monkeypatch.setattr(verify_module, "first_crossing", counting)
+    for scan in (first_crossing, first_range_crossing):
+        for module in (forest_module, verify_module):
+            if hasattr(module, scan.__name__):
+                monkeypatch.setattr(module, scan.__name__, counting(scan))
     assert isinstance(check_directed(SetFamily.of(3, [{0}, {0, 1}, {2}])), DirectedFamily)
-    assert len(scans) == 1
+    assert scans == ["first_crossing"]
     assert check_directed(SetFamily.of(3, [{0, 1}, {1, 2}])) == CrossingPair(0, 1)
     assert len(scans) == 2
     scans.clear()
-    # per trial: the ball matrix once, and the lca-ball instance family
-    # once, in build_forest
+    # per trial: the tree's ball ranges once, and the lca-ball instances'
+    # ranges once, in forest_from_ranges; no member matrix is scanned
     report = verify_directed_linear_bound(seed=3, trials=6)
-    assert report.failures == 0 and len(scans) == 2 * 6
-    # check-directed scans its family once: initial segments and balls are
-    # directed by construction, so building them scans nothing
-    for model in (OrderModel(40, seed=1), random_ultrametric(30, 3, 2)):
+    assert report.failures == 0 and scans == ["first_range_crossing"] * 2 * 6
+    # check-directed scans its family once: an order's initial segments and
+    # a tree's balls as ranges, a family file's sets as a member matrix
+    for model, scan in (
+        (OrderModel(40, seed=1), "first_range_crossing"),
+        (random_ultrametric(30, 3, 2), "first_range_crossing"),
+        (SetFamily.of(3, [{0}, {0, 1}, {2}]), "first_crossing"),
+    ):
         scans.clear()
-        path = tmp_path / f"{model.label}.model.json"
+        path = tmp_path / "model.json"
         save_model(model, path)
         assert main(["check-directed", "--model", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["directed"] is True
-        assert len(scans) == 1, model.label
+        assert scans == [scan], model
 
 
 def test_directed_family_rejects_crossing():
@@ -188,6 +202,80 @@ def test_first_crossing_on_wide_universes_matches_pair_loop(budget, monkeypatch)
             assert first_crossing(family.member) == want
             found += want is not None
     assert found >= 8
+
+
+def range_member(lo, hi):
+    """The (n, max hi) bool member matrix of the ranges [lo[i], hi[i])."""
+    elements = np.arange(max(hi, default=0))
+    return (np.array(lo)[:, None] <= elements) & (elements < np.array(hi)[:, None])
+
+
+def random_range_families(rng):
+    """A tree's balls as ranges, some of them, shuffled and repeated (never
+    crossing); the same with random ranges mixed in, empty ones included;
+    and small random families, mostly crossing."""
+    model = random_ultrametric(rng.randint(2, 40), rng.randint(2, 4), rng.randrange(1 << 20))
+    nodes = [rng.randrange(model.n_nodes) for _ in range(rng.randint(1, 2 * model.n_nodes))]
+    ranges = [(int(model.lo[v]), int(model.hi[v])) for v in nodes]
+    yield ranges
+    for _ in range(rng.randint(1, 3)):
+        a, b = rng.randrange(model.size + 1), rng.randrange(model.size + 1)
+        ranges.insert(rng.randrange(len(ranges) + 1), (min(a, b), max(a, b)))
+    yield ranges
+    ranges = [(rng.randrange(8), rng.randrange(9)) for _ in range(rng.randint(0, 8))]
+    yield ranges + ranges[:2]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_first_range_crossing_matches_first_crossing(seed):
+    rng = Random(seed)
+    found = 0
+    for _ in range(50):
+        for ranges in random_range_families(rng):
+            lo, hi = [r[0] for r in ranges], [r[1] for r in ranges]
+            want = first_crossing(range_member(lo, hi)) if ranges else None
+            assert first_range_crossing(np.array(lo, dtype=int), np.array(hi, dtype=int)) == want
+            found += want is not None
+    assert found > 30
+
+
+def test_forest_from_ranges_matches_forest_from_extents():
+    rng = Random(31)
+    for _ in range(200):
+        model = random_ultrametric(rng.randint(2, 20), rng.randint(2, 4), rng.randrange(1 << 20))
+        # up to twice the node count, so nodes repeat, and unary nodes share
+        # their child's ball
+        chosen = [rng.randrange(model.n_nodes) for _ in range(rng.randint(1, 2 * model.n_nodes))]
+        labels = tuple(enumerate(chosen))
+        got = forest_from_ranges(model.lo[chosen], model.hi[chosen], labels)
+        want = forest_from_extents([model.ball(v) for v in chosen], labels)
+        assert got.labels == labels and got.same_order(want)
+
+
+def test_forest_from_ranges_rejects_empty_crossing_and_ragged_ranges():
+    with pytest.raises(DomainError, match="instance c has an empty range"):
+        forest_from_ranges([0, 0, 2, 3], [4, 2, 2, 3], "abcd")
+    # the first crossing pair, named by label, as build_forest names it
+    rng = Random(37)
+    crossing = 0
+    for _ in range(100):
+        for ranges in random_range_families(rng):
+            ranges = [(a, b) for a, b in ranges if a < b]
+            lo, hi = [r[0] for r in ranges], [r[1] for r in ranges]
+            labels = [(i, 0) for i in range(len(ranges))]
+            want = first_crossing(range_member(lo, hi)) if ranges else None
+            if want is None:
+                forest_from_ranges(lo, hi, labels)
+                continue
+            with pytest.raises(DomainError) as err:
+                forest_from_ranges(lo, hi, labels)
+            assert str(err.value) == (
+                f"instance family is not directed: instances ({want.i}, 0) and ({want.j}, 0) cross"
+            )
+            crossing += 1
+    assert crossing > 50
+    with pytest.raises(DomainError, match="equal length"):
+        forest_from_ranges([0, 1], [1, 2], ["a"])
 
 
 # --- forest construction -------------------------------------------------------
@@ -640,6 +728,19 @@ def test_virtual_space_contains_realized_and_counts_classes():
         realized = type_space(delta, C, model, 1)
         assert realized.vector_set() <= space.entry_set()
         assert space.count <= len(C) * len(delta) + 1
+
+
+def test_lca_ball_forest_of_the_directed_suite_matches_the_sign_matrix_forest():
+    # the directed suite reads its virtual space off the lca nodes' ranges;
+    # built from the sign matrix instead, the forest and the space are equal
+    rng = Random(41)
+    delta = [growth_formula("lca-ball", 1)]
+    for _ in range(60):
+        model = random_ultrametric(rng.randint(4, 64), rng.randint(2, 4), rng.randrange(1 << 20))
+        C = [(rng.randrange(model.size), rng.randrange(model.size)) for _ in range(rng.randint(1, 32))]
+        forest = verify_module._lca_ball_forest(model, C)
+        assert forest.same_order(build_forest(C, delta, model))
+        assert virtual_space_from_forest(forest, len(C), 1) == virtual_type_space(C, delta, model)
 
 
 # --- components --------------------------------------------------------------------

@@ -376,6 +376,18 @@ def test_cli_check_directed_crossing_family(tmp_path, capsys):
     assert doc == {"directed": False, "violation": [0, 1]}
 
 
+def test_cli_check_directed_reads_no_ball_matrix_of_a_tree(monkeypatch, tmp_path, capsys):
+    def no_view(self):
+        raise AssertionError("the ball matrix was built")
+
+    model = random_ultrametric(64, 3, 5)
+    path = tmp_path / "tree.model.json"
+    save_model(model, path)
+    monkeypatch.setattr(UltrametricModel, "ball_bool", property(no_view))
+    assert main(["check-directed", "--model", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"directed": True, "sets": model.n_nodes}
+
+
 def test_cli_check_directed_missing_file(tmp_path):
     assert main(["check-directed", "--model", str(tmp_path / "nope.model.json")]) == 2
 
@@ -430,10 +442,11 @@ needs_proc_status = pytest.mark.skipif(
 
 @needs_proc_status
 def test_cli_check_directed_scans_a_wide_order_in_little_memory(tmp_path):
-    """check-directed on a 4096-element order scans the (4095, 4096) bool
-    matrix of its initial segments, 16 MB.  As frozensets, the same family
-    held 8.4 million ints and the command peaked at 790 MB on a 2-core VM;
-    the matrix scan peaks at about 52 MB there."""
+    """check-directed on a 4096-element order scans its initial segments as
+    the ranges [0, c).  As frozensets, the same family held 8.4 million ints
+    and the command peaked at 790 MB on a 2-core VM; the scan of their
+    (4095, 4096) bool member matrix peaked at about 52 MB there, and the
+    range scan peaks at about 31 MB, 0.5 MB over the loaded model."""
     path = tmp_path / "order.model.json"
     save_model(OrderModel(4096), path)
     out, _, peak = check_directed_peak(path)
@@ -442,12 +455,13 @@ def test_cli_check_directed_scans_a_wide_order_in_little_memory(tmp_path):
 
 
 @needs_proc_status
-def test_cli_check_directed_holds_one_ball_matrix_of_a_wide_tree(tmp_path):
-    """check-directed on a 4096-leaf tree scans its (nodes, L) ball matrix,
-    29 MB, and holds no second matrix of that size.  Over the loaded model,
-    on a 2-core VM, the peak rose 58 MB when the matrix came from two full
-    comparisons, 40 MB with the frozenset family of the balls, and 37 MB
-    with the matrix built in row blocks."""
+def test_cli_check_directed_holds_no_ball_matrix_of_a_wide_tree(tmp_path):
+    """check-directed on a 4096-leaf tree scans its balls as leaf-rank
+    ranges and builds no (nodes, L) ball matrix, 29 MB here.  Over the
+    loaded model, on a 2-core VM, the peak rose 58 MB when that matrix came
+    from two full comparisons, 40 MB with the frozenset family of the
+    balls, 37 MB with the matrix built in row blocks, and 0.6 MB with the
+    range scan."""
     path = tmp_path / "tree.model.json"
     model = random_ultrametric(4096, 3, 7)
     save_model(model, path)

@@ -24,7 +24,6 @@ from laminarvc import (
     load_model,
     random_ultrametric,
     save_model,
-    vc_dimension,
 )
 from laminarvc import models
 from laminarvc.models import GROWTH_KINDS, UltrametricModel, growth_formula
@@ -145,26 +144,6 @@ def test_chain_shaped_tree_gives_nested_family():
     model = UltrametricModel((-1, 0, 0, 1, 1, 2, 2))
     fam = ball_family(model)
     assert isinstance(check_directed(fam.base), DirectedFamily)
-
-
-# --- order model ----------------------------------------------------------------
-
-
-def test_initial_segments_size_three():
-    assert models.initial_segments(OrderModel(3)).tolist() == [
-        [True, False, False], [True, True, False]
-    ]
-    # row c - 1 is the segment {x : x < c}
-    for size in (1, 2, 5):
-        want = [[x < c for x in range(size)] for c in range(1, size)]
-        assert models.initial_segments(OrderModel(size)).tolist() == want
-
-
-def test_initial_segments_directed_and_vc_one():
-    segments = models.initial_segments(OrderModel(8))
-    fam = SetFamily.of(8, [np.flatnonzero(row).tolist() for row in segments])
-    assert isinstance(check_directed(fam), DirectedFamily)
-    assert vc_dimension(fam) == 1
 
 
 # --- formula corpus ---------------------------------------------------------------

@@ -189,6 +189,20 @@ def test_profile_in_small_chunks_with_duplicate_sets(monkeypatch):
         assert max_trace_profile(fam) == [shatter_function(fam, k) for k in range(n + 1)]
 
 
+def test_profile_probe_order_is_cached_small_and_read_only():
+    held = 0
+    for c in range(15):
+        order, starts = setsystem._probes_by_size(c)
+        assert setsystem._probes_by_size(c)[0] is order
+        assert not order.flags.writeable and not starts.flags.writeable
+        sizes = np.bitwise_count(np.arange(1 << c))[order]
+        assert sorted(order.tolist()) == list(range(1 << c))
+        assert (np.diff(sizes) >= 0).all()
+        assert starts.tolist() == [int(np.searchsorted(sizes, s)) for s in range(c + 1)]
+        held += order.nbytes + starts.nbytes
+    assert held < 256 * 1024
+
+
 def test_profile_memory_bounded_by_budget():
     import tracemalloc
 
